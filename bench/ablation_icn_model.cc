@@ -59,7 +59,7 @@ Status Run(const BenchArgs& args) {
                               config.seed);
   }
   auto icn_objective = std::make_shared<IcnPositiveSpreadObjective>(
-      w.graph, w.params, quality, icn_mc, sketch, common.sketch_eval);
+      w.graph, w.params, quality, icn_mc, sketch);
   CelfSelector icn_celf(w.graph, icn_objective, true, "IC-N CELF");
   HOLIM_ASSIGN_OR_RETURN(SeedSelection icn_seeds, icn_celf.Select(k));
 

@@ -101,9 +101,8 @@ inline std::shared_ptr<const SketchOracle> MakeSketchOracle(
 /// re-walking reach(S) per prefix.
 inline std::vector<double> SpreadAtPrefixesSketch(
     const SketchOracle& oracle, const std::vector<NodeId>& seeds,
-    const std::vector<uint32_t>& grid,
-    SketchEval eval = SketchEval::kBitParallel) {
-  SketchOracle::Session session(oracle, eval);
+    const std::vector<uint32_t>& grid) {
+  SketchOracle::Session session(oracle);
   std::vector<double> out;
   std::size_t committed = 0;
   for (uint32_t k : grid) {
@@ -122,14 +121,14 @@ inline std::vector<double> SpreadAtPrefixesSketch(
 inline std::vector<double> OpinionSpreadAtPrefixesSketch(
     const SketchOracle& oracle, const OpinionParams& opinions,
     const std::vector<NodeId>& seeds, const std::vector<uint32_t>& grid,
-    double lambda, SketchEval eval = SketchEval::kBitParallel) {
+    double lambda) {
   std::vector<double> out;
   for (uint32_t k : grid) {
     const std::size_t take = std::min<std::size_t>(k, seeds.size());
     std::vector<NodeId> prefix(seeds.begin(), seeds.begin() + take);
     out.push_back(oracle
                       .EstimateOpinion(opinions, OiBase::kIndependentCascade,
-                                       prefix, lambda, eval)
+                                       prefix, lambda)
                       .effective_opinion_spread);
   }
   return out;

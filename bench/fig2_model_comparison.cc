@@ -82,8 +82,7 @@ Status Run(const BenchArgs& args) {
                             std::vector<double>* acc) {
         auto values =
             sketch ? OpinionSpreadAtPrefixesSketch(*sketch, opinions, seeds,
-                                                   grid, /*lambda=*/1.0,
-                                                   common.sketch_eval)
+                                                   grid, /*lambda=*/1.0)
                    : OpinionSpreadAtPrefixes(
                          w.graph, w.params, opinions,
                          OiBase::kIndependentCascade, seeds, grid,

@@ -28,8 +28,7 @@ Status Run(const BenchArgs& args) {
   auto evaluate = [&](const Workload& w, const std::vector<NodeId>& seeds,
                       const std::vector<uint32_t>& grid,
                       const SketchOracle* sketch) {
-    return sketch ? SpreadAtPrefixesSketch(*sketch, seeds, grid,
-                                           common.sketch_eval)
+    return sketch ? SpreadAtPrefixesSketch(*sketch, seeds, grid)
                   : SpreadAtPrefixes(w.graph, w.params, seeds, grid,
                                      config.mc, config.seed);
   };

@@ -1,18 +1,11 @@
 // Spread-oracle microbenchmark: the sketch oracle (presampled live-edge
-// snapshots + incremental marginal-gain session) versus the per-candidate
-// Monte-Carlo spread path, on the 100k-node WC benchmark graph. Emits
-// BENCH_spread.json; the CI bench-gate (tools/check_bench_regression.py)
-// fails the job when the deterministic metrics (arena bytes/snapshot,
-// session work ratio, sketch-vs-MC spread parity) or the timing ratios
-// (CELF speedup vs MC, incremental-session speedup vs one-shot sketch,
-// bit-parallel speedup vs the scalar session) regress against the
-// committed baseline.
-//
-// The sketch legs carried over from earlier baselines are pinned to
-// --sketch-eval=scalar traversal so their seconds stay comparable across
-// baseline generations; the bit-parallel kernel (64 live-edge worlds per
-// machine word) gets its own timed legs, HOLIM_CHECKed bitwise-identical
-// to the scalar results before any timing is reported.
+// snapshots in a 64-lane bit-parallel arena + incremental marginal-gain
+// session) versus the per-candidate Monte-Carlo spread path, on the
+// 100k-node WC benchmark graph. Emits BENCH_spread.json; the CI bench-gate
+// (tools/check_bench_regression.py) fails the job when the deterministic
+// metrics (arena bytes/snapshot, session work ratio, sketch-vs-MC spread
+// parity) or the timing ratios (CELF speedup vs MC, incremental-session
+// speedup vs one-shot sketch) regress against the committed baseline.
 //
 // All numbers are single-thread on purpose (explicit ThreadPool(1) for the
 // MC path, serial sampling/evaluation for the sketch path): the reference
@@ -150,39 +143,29 @@ Status Run(const BenchArgs& args) {
 
   // ---- one-shot evaluation throughput: sketch vs MC ----------------------
   const std::vector<NodeId> eval_seeds = TopDegreeNodes(graph, k);
-  double mc_eval_seconds = 0.0, sketch_eval_seconds = 0.0;
+  double mc_oneshot_seconds = 0.0, sketch_oneshot_seconds = 0.0;
   double mc_value = 0.0, sketch_value = 0.0;
   {
     Timer t;
     for (uint32_t i = 0; i < evals; ++i) {
       mc_value = EstimateSpread(graph, params, eval_seeds, mc_options);
     }
-    mc_eval_seconds = t.ElapsedSeconds();
+    mc_oneshot_seconds = t.ElapsedSeconds();
   }
   {
     Timer t;
     for (uint32_t i = 0; i < evals; ++i) {
-      sketch_value = oracle.Estimate(eval_seeds, SketchEval::kScalar);
+      sketch_value = oracle.Estimate(eval_seeds);
     }
-    sketch_eval_seconds = t.ElapsedSeconds();
+    sketch_oneshot_seconds = t.ElapsedSeconds();
   }
-  double bp_eval_seconds = 0.0, bp_value = 0.0;
-  {
-    Timer t;
-    for (uint32_t i = 0; i < evals; ++i) {
-      bp_value = oracle.Estimate(eval_seeds, SketchEval::kBitParallel);
-    }
-    bp_eval_seconds = t.ElapsedSeconds();
-  }
-  HOLIM_CHECK(bp_value == sketch_value)
-      << "bit-parallel one-shot estimate diverged from scalar";
-  const double eval_throughput_ratio = mc_eval_seconds / sketch_eval_seconds;
+  const double eval_throughput_ratio =
+      mc_oneshot_seconds / sketch_oneshot_seconds;
   std::printf("\none_shot_eval (k=%u seeds, %u evals each):\n"
               "  MC          %.4fs (sigma %.1f)\n"
-              "  sketch      %.4fs (sigma %.1f)  -> %.2fx throughput\n"
-              "  bitparallel %.4fs (sigma bitwise equal)\n",
-              k, evals, mc_eval_seconds, mc_value, sketch_eval_seconds,
-              sketch_value, eval_throughput_ratio, bp_eval_seconds);
+              "  sketch      %.4fs (sigma %.1f)  -> %.2fx throughput\n",
+              k, evals, mc_oneshot_seconds, mc_value, sketch_oneshot_seconds,
+              sketch_value, eval_throughput_ratio);
 
   // ---- CELF: MC vs one-shot sketch vs incremental session ----------------
   const std::vector<NodeId> pool = TopDegreeNodes(graph, candidates);
@@ -220,7 +203,7 @@ Status Run(const BenchArgs& args) {
         [&](NodeId u) {
           trial = committed;
           trial.push_back(u);
-          return oracle.Estimate(trial, SketchEval::kScalar) - committed_value;
+          return oracle.Estimate(trial) - committed_value;
         },
         [&](NodeId u, double gain) {
           committed.push_back(u);
@@ -228,78 +211,47 @@ Status Run(const BenchArgs& args) {
         });
   }
 
-  // Incremental session, scalar traversal: activate-once across the whole
-  // k-round run, one snapshot walked at a time.
+  // Incremental session: activate-once across the whole k-round run.
   CelfRun session_run;
   {
-    SketchOracle::Session session(oracle, SketchEval::kScalar);
+    SketchOracle::Session session(oracle);
     session_run =
         RunCelf(pool, k, [&](NodeId u) { return session.MarginalGain(u); },
                 [&](NodeId u, double) { session.Commit(u); });
   }
-  // Incremental session, bit-parallel traversal: the same activate-once
-  // session evaluating 64 live-edge worlds per machine word.
-  CelfRun bp_run;
-  {
-    SketchOracle::Session session(oracle, SketchEval::kBitParallel);
-    bp_run =
-        RunCelf(pool, k, [&](NodeId u) { return session.MarginalGain(u); },
-                [&](NodeId u, double) { session.Commit(u); });
-  }
   // The acceptance contract, verified outside the timed loops: a session
-  // in EITHER eval mode replaying the selected seeds has, after every
-  // commit, a spread bitwise equal to one-shot Estimate on the same prefix
-  // in either eval mode.
+  // replaying the selected seeds has, after every commit, a spread
+  // bitwise equal to one-shot Estimate on the same prefix.
   {
-    SketchOracle::Session scalar_replay(oracle, SketchEval::kScalar);
-    SketchOracle::Session bp_replay(oracle, SketchEval::kBitParallel);
+    SketchOracle::Session replay(oracle);
     std::vector<NodeId> prefix;
     for (NodeId u : session_run.seeds) {
-      scalar_replay.Commit(u);
-      bp_replay.Commit(u);
+      replay.Commit(u);
       prefix.push_back(u);
-      const double sigma = oracle.Estimate(prefix, SketchEval::kScalar);
-      HOLIM_CHECK(scalar_replay.Spread() == sigma)
+      HOLIM_CHECK(replay.Spread() == oracle.Estimate(prefix))
           << "session/one-shot divergence at round " << prefix.size();
-      HOLIM_CHECK(bp_replay.Spread() == sigma)
-          << "bit-parallel session diverged from scalar at round "
-          << prefix.size();
-      HOLIM_CHECK(oracle.Estimate(prefix, SketchEval::kBitParallel) == sigma)
-          << "bit-parallel one-shot diverged from scalar at round "
-          << prefix.size();
     }
   }
   HOLIM_CHECK(session_run.seeds == oneshot_run.seeds)
       << "incremental session CELF picked different seeds than one-shot "
          "sketch CELF";
-  HOLIM_CHECK(bp_run.seeds == session_run.seeds)
-      << "bit-parallel session CELF picked different seeds than scalar";
-  HOLIM_CHECK(bp_run.evaluations == session_run.evaluations)
-      << "bit-parallel CELF took a different lazy-queue path than scalar";
 
   const double celf_speedup_vs_mc = mc_run.seconds / session_run.seconds;
   const double incremental_vs_oneshot_speedup =
       oneshot_run.seconds / session_run.seconds;
-  const double bp_speedup_vs_scalar_session =
-      session_run.seconds / bp_run.seconds;
-  const double bp_celf_speedup_vs_mc = mc_run.seconds / bp_run.seconds;
   std::printf(
       "\ncelf (k=%u over top-%zu-degree candidates):\n"
       "  MC oracle         %.4fs  (%llu evaluations)\n"
       "  one-shot sketch   %.4fs  (%llu evaluations)\n"
-      "  scalar session    %.4fs  (%llu evaluations)\n"
-      "  bitparallel sess. %.4fs  (%llu evaluations)\n"
-      "  scalar session vs MC %.2fx, vs one-shot %.2fx; bitparallel vs "
-      "scalar session %.2fx, vs MC %.2fx\n",
+      "  session           %.4fs  (%llu evaluations)\n"
+      "  session vs MC %.2fx, vs one-shot %.2fx\n",
       k, pool.size(), mc_run.seconds,
       static_cast<unsigned long long>(mc_run.evaluations),
       oneshot_run.seconds,
       static_cast<unsigned long long>(oneshot_run.evaluations),
       session_run.seconds,
       static_cast<unsigned long long>(session_run.evaluations),
-      bp_run.seconds, static_cast<unsigned long long>(bp_run.evaluations),
-      celf_speedup_vs_mc, incremental_vs_oneshot_speedup,
-      bp_speedup_vs_scalar_session, bp_celf_speedup_vs_mc);
+      celf_speedup_vs_mc, incremental_vs_oneshot_speedup);
 
   // ---- spread parity vs MC (deterministic) -------------------------------
   // The old `seeds_match_mc` flag was misleading: the seed LISTS routinely
@@ -368,21 +320,16 @@ Status Run(const BenchArgs& args) {
       "    \"incremental_seconds\": %.6f,\n"
       "    \"celf_speedup_vs_mc\": %.4f,\n"
       "    \"incremental_vs_oneshot_speedup\": %.4f,\n"
-      "    \"spread_parity_vs_mc\": %.4f\n  },\n"
-      "  \"bitparallel\": {\n    \"oneshot_eval_seconds\": %.6f,\n"
-      "    \"celf_seconds\": %.6f,\n"
-      "    \"speedup_vs_scalar_session\": %.4f,\n"
-      "    \"celf_speedup_vs_mc\": %.4f\n  }\n}\n",
+      "    \"spread_parity_vs_mc\": %.4f\n  }\n}\n",
       graph.num_nodes(), static_cast<unsigned long long>(graph.num_edges()),
       snapshots, mc, k, pool.size(), static_cast<unsigned long long>(seed),
       oracle.ArenaBytes(), arena_bytes_per_snapshot, sample_seconds, evals,
-      mc_eval_seconds, sketch_eval_seconds, eval_throughput_ratio,
+      mc_oneshot_seconds, sketch_oneshot_seconds, eval_throughput_ratio,
       static_cast<long long>(oneshot_prefix_touched),
       static_cast<long long>(session_touched), session_work_ratio,
       mc_run.seconds, oneshot_run.seconds, session_run.seconds,
       celf_speedup_vs_mc, incremental_vs_oneshot_speedup,
-      spread_parity_vs_mc, bp_eval_seconds, bp_run.seconds,
-      bp_speedup_vs_scalar_session, bp_celf_speedup_vs_mc);
+      spread_parity_vs_mc);
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
   return Status::OK();

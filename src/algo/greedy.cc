@@ -35,18 +35,17 @@ double EffectiveOpinionObjective::Evaluate(const std::vector<NodeId>& seeds) {
 
 SketchSpreadObjective::SketchSpreadObjective(
     std::shared_ptr<const SketchOracle> oracle, bool use_session,
-    SketchEval eval, std::vector<double> node_weights)
+    std::vector<double> node_weights)
     : oracle_(std::move(oracle)),
-      eval_(eval),
       weights_(std::move(node_weights)),
-      session_(*oracle_, eval, weights_),
+      session_(*oracle_, weights_),
       use_session_(use_session) {}
 
 double SketchSpreadObjective::Evaluate(const std::vector<NodeId>& seeds) {
   if (!weights_.empty()) {
-    return oracle_->EstimateWeighted(seeds, weights_, eval_);
+    return oracle_->EstimateWeighted(seeds, weights_);
   }
-  return oracle_->Estimate(seeds, eval_);
+  return oracle_->Estimate(seeds);
 }
 
 bool SketchSpreadObjective::StartSession() {

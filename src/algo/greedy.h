@@ -92,17 +92,14 @@ class SketchSpreadObjective : public McObjective {
  public:
   /// `use_session = false` disables the incremental session (every call
   /// goes through one-shot Estimate) — the baseline the incremental path
-  /// is benchmarked against. `eval` picks the oracle traversal (bitwise-
-  /// identical results either way; scalar is the differential-testing
-  /// reference). A non-empty `node_weights` (one finite weight >= 0 per
-  /// node) switches the objective to the weighted spread sigma_w
-  /// (targeted IM); the objective owns the copy, so the oracle session it
-  /// opens never dangles into caller storage. All-ones weights are
-  /// bitwise-identical to the unweighted objective (see
+  /// is benchmarked against. A non-empty `node_weights` (one finite
+  /// weight >= 0 per node) switches the objective to the weighted spread
+  /// sigma_w (targeted IM); the objective owns the copy, so the oracle
+  /// session it opens never dangles into caller storage. All-ones weights
+  /// are bitwise-identical to the unweighted objective (see
   /// SketchOracle::EstimateWeighted).
   explicit SketchSpreadObjective(std::shared_ptr<const SketchOracle> oracle,
                                  bool use_session = true,
-                                 SketchEval eval = SketchEval::kBitParallel,
                                  std::vector<double> node_weights = {});
   std::string name() const override {
     return weights_.empty() ? "sigma_sketch" : "sigma_sketch_w";
@@ -116,7 +113,6 @@ class SketchSpreadObjective : public McObjective {
 
  private:
   std::shared_ptr<const SketchOracle> oracle_;
-  SketchEval eval_;
   // Declared before session_: the session holds a span into this vector.
   std::vector<double> weights_;
   SketchOracle::Session session_;

@@ -49,7 +49,6 @@ inline SolveRequest MakeSolveRequest(std::string algorithm, uint32_t k,
   request.mc = config.mc;
   request.seed = config.seed;
   request.oracle = common.oracle;
-  request.sketch_eval = common.sketch_eval;
   request.incremental_rescore = common.incremental_rescore;
   request.threads = common.threads;
   // The query kind and budget carry over directly; the graph-dependent

@@ -87,11 +87,6 @@ void DeclareCommonFlags(BenchArgs* args);
 ///   default differs by binary on purpose: figure benches default "full"
 ///   (the paper's O(l(m+n)) recompute is the methodology reproduced),
 ///   holim_cli defaults "incremental" (production path).
-/// - `--sketch-eval` (declared alongside `--oracle`): sketch-oracle
-///   traversal, "bitparallel" (64 live-edge worlds per machine word, the
-///   default) or "scalar" (per-snapshot BFS, the differential-testing
-///   reference). Results are bitwise identical either way; no-op under
-///   `--oracle=mc`.
 /// - `--threads`: worker threads of the sharded kernels (0 = serial);
 ///   results are bitwise thread-count-invariant everywhere.
 /// - `--query` (plus its per-query flag group `--budget`, `--costs`,
@@ -114,7 +109,6 @@ struct CommonOptionsSpec {
 
 struct CommonOptions {
   SpreadOracle oracle = SpreadOracle::kMonteCarlo;
-  SketchEval sketch_eval = SketchEval::kBitParallel;
   bool incremental_rescore = false;
   uint32_t threads = 0;
   QueryKind query = QueryKind::kTopK;

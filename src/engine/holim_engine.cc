@@ -197,11 +197,6 @@ std::string HolimEngine::SelectorKey(const AlgorithmInfo& info,
   key += "|snapshots=" + std::to_string(r.num_snapshots);
   key += "|rescore=" + std::to_string(r.incremental_rescore ? 1 : 0);
   key += "|threads=" + std::to_string(r.threads);
-  // Eval mode changes no result bits, but sketch-backed selectors capture
-  // it at construction (session scratch layout), so cached selectors must
-  // not leak across modes. The sketch ARENA key deliberately omits it —
-  // both traversals read the same worlds.
-  key += "|eval=" + std::to_string(static_cast<int>(r.sketch_eval));
   // Query-family knobs. The kind and the *content* of costs / target
   // weights / given seeds are all part of the key (a weighted objective is
   // baked into the selector at construction; cost vectors gate which
@@ -304,6 +299,12 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   }
   if (!std::isfinite(request.deadline_ms) || request.deadline_ms < 0.0) {
     return Status::InvalidArgument("deadline_ms must be finite and >= 0");
+  }
+  if (request.oracle == SpreadOracle::kSketch &&
+      request.EffectiveSketchCount() == 0) {
+    return Status::InvalidArgument(
+        "oracle=sketch needs at least one snapshot (num_sketches, or mc "
+        "when num_sketches is 0)");
   }
   if (!runs_selector) return SolveGivenSeeds(request, total_timer);
 
@@ -487,11 +488,10 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   if (request.evaluate_spread && !result.degraded) {
     Timer spread_timer;
     if (eval_sketch != nullptr) {
-      result.spread = eval_sketch->Estimate(result.seeds,
-                                            request.sketch_eval);
+      result.spread = eval_sketch->Estimate(result.seeds);
       if (request.query == QueryKind::kTargeted) {
         result.targeted_spread = eval_sketch->EstimateWeighted(
-            result.seeds, request.target_weights, request.sketch_eval);
+            result.seeds, request.target_weights);
       }
     } else {
       McOptions mc;
@@ -547,9 +547,8 @@ Result<SolveResult> HolimEngine::SolveGivenSeeds(const SolveRequest& request,
     // session spread (bitwise, when the per-commit quotients are exact —
     // e.g. any power-of-two snapshot count).
     SketchOracle::Session session(
-        *sketch, request.sketch_eval,
-        weighted ? std::span<const double>(request.target_weights)
-                 : std::span<const double>{});
+        *sketch, weighted ? std::span<const double>(request.target_weights)
+                          : std::span<const double>{});
     result.seed_contributions.reserve(request.given_seeds.size());
     for (const NodeId s : request.given_seeds) {
       result.seed_contributions.push_back(session.Commit(s));
@@ -557,17 +556,17 @@ Result<SolveResult> HolimEngine::SolveGivenSeeds(const SolveRequest& request,
     const double session_spread = session.Spread();
     if (weighted) {
       result.targeted_spread = session_spread;
-      result.spread = sketch->Estimate(result.seeds, request.sketch_eval);
+      result.spread = sketch->Estimate(result.seeds);
     } else {
       result.spread = session_spread;
     }
     result.scratch_bytes = session.ScratchBytes();
   } else {  // kEvaluate — `evaluate_spread` is implied by the kind.
     if (sketch != nullptr) {
-      result.spread = sketch->Estimate(result.seeds, request.sketch_eval);
+      result.spread = sketch->Estimate(result.seeds);
       if (weighted) {
         result.targeted_spread = sketch->EstimateWeighted(
-            result.seeds, request.target_weights, request.sketch_eval);
+            result.seeds, request.target_weights);
       }
     } else {
       McOptions mc;

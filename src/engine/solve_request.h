@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "diffusion/oi_model.h"
-#include "diffusion/sketch_oracle.h"
 #include "graph/graph.h"
 #include "model/influence_params.h"
 #include "model/opinion_params.h"
@@ -162,12 +161,6 @@ struct SolveRequest {
   /// StaticGreedy's internal snapshot count (its own sample, distinct from
   /// the shared sketch oracle by design — the algorithm owns its worlds).
   uint32_t num_snapshots = 100;
-  /// Sketch-oracle traversal: the bit-parallel lane-mask kernel (default)
-  /// or the per-snapshot scalar reference. Results are bitwise identical,
-  /// so this never forks the cached oracle arena (it is NOT part of the
-  /// sketch Workspace key) — but selectors may cache per-run state, so it
-  /// IS part of the selector key.
-  SketchEval sketch_eval = SketchEval::kBitParallel;
 
   /// EaSyIM/OSIM: dirty-frontier incremental rescore between greedy rounds
   /// instead of the paper's full O(l(m+n)) recompute. Seeds are bitwise

@@ -3,9 +3,9 @@
 // The load-bearing contract: degradation under a *work budget* is
 // deterministic. For every algorithm and every budget B, the degraded
 // solve's seeds are bitwise equal to the first rounds_completed seeds of
-// the untimed run (greedy rounds are prefix-valid), across the scalar and
-// bit-parallel sketch evaluators; when no round completed, the engine
-// falls to the DegreeDiscountIC heuristic tier instead of failing.
+// the untimed run (greedy rounds are prefix-valid), for MC- and
+// sketch-backed selectors; when no round completed, the engine falls to
+// the DegreeDiscountIC heuristic tier instead of failing.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "engine/holim_engine.h"
 #include "graph/generators.h"
 #include "model/influence_params.h"
+#include "sketch_reference.h"
 #include "util/deadline.h"
 
 namespace holim {
@@ -75,30 +76,23 @@ TEST_F(DeadlineSolveTest, WorkBudgetDegradesToExactPrefixPerAlgorithm) {
   struct Case {
     const char* algorithm;
     SpreadOracle oracle;
-    SketchEval eval;
   };
   const Case cases[] = {
-      {"greedy", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"celf", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"greedy", SpreadOracle::kSketch, SketchEval::kScalar},
-      {"greedy", SpreadOracle::kSketch, SketchEval::kBitParallel},
-      {"celf", SpreadOracle::kSketch, SketchEval::kScalar},
-      {"celf", SpreadOracle::kSketch, SketchEval::kBitParallel},
-      {"celf++", SpreadOracle::kSketch, SketchEval::kBitParallel},
-      {"easyim", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"static-greedy", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"tim+", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"imm", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
+      {"greedy", SpreadOracle::kMonteCarlo},
+      {"celf", SpreadOracle::kMonteCarlo},
+      {"greedy", SpreadOracle::kSketch},
+      {"celf", SpreadOracle::kSketch},
+      {"celf++", SpreadOracle::kSketch},
+      {"easyim", SpreadOracle::kMonteCarlo},
+      {"static-greedy", SpreadOracle::kMonteCarlo},
+      {"tim+", SpreadOracle::kMonteCarlo},
+      {"imm", SpreadOracle::kMonteCarlo},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.algorithm) +
-                 (c.oracle == SpreadOracle::kSketch
-                      ? (c.eval == SketchEval::kScalar ? " sketch/scalar"
-                                                      : " sketch/bitparallel")
-                      : " mc"));
+                 (c.oracle == SpreadOracle::kSketch ? " sketch" : " mc"));
     SolveRequest untimed = BaseRequest(c.algorithm);
     untimed.oracle = c.oracle;
-    untimed.sketch_eval = c.eval;
     untimed.num_sketches = 32;
 
     HolimEngine reference(graph_);
@@ -106,6 +100,13 @@ TEST_F(DeadlineSolveTest, WorkBudgetDegradesToExactPrefixPerAlgorithm) {
     ASSERT_TRUE(full.ok()) << full.status().ToString();
     ASSERT_FALSE(full->degraded);
     ASSERT_EQ(full->tier, ResultTier::kFull);
+    if (c.oracle == SpreadOracle::kSketch) {
+      // The untimed answer every degraded prefix is held to is itself the
+      // one worlds rebuilt from the streams give.
+      EXPECT_EQ(full->spread,
+                sketch_reference::Reference(graph_, params_, untimed.seed, 32)
+                    .Estimate(full->seeds));
+    }
 
     bool saw_prefix = false, saw_heuristic = false, completed = false;
     for (uint64_t budget = 1; budget <= 400 && !completed; ++budget) {

@@ -254,6 +254,29 @@ TEST_F(EngineTest, InvalidRequestsFailWithInvalidArgument) {
   EXPECT_FALSE(engine.Solve(sketch_opinion).ok());
 }
 
+// A sketch request whose snapshot count resolves to zero (num_sketches
+// unset and mc == 0) is a typed error for every query kind — never an
+// abort inside the oracle build — and leaves the engine usable.
+TEST_F(EngineTest, ZeroSketchSnapshotsFailWithInvalidArgument) {
+  HolimEngine engine(graph_);
+  SolveRequest topk = BaseRequest("celf", 0);
+  topk.oracle = SpreadOracle::kSketch;
+  topk.mc = 0;
+  SolveRequest evaluate = topk;
+  evaluate.query = QueryKind::kEvaluate;
+  evaluate.given_seeds = {0, 1};
+  for (const SolveRequest& request : {topk, evaluate}) {
+    auto result = engine.Solve(request);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine.workspace().num_artifacts(), 0u);
+
+  SolveRequest explicit_count = topk;
+  explicit_count.num_sketches = 16;  // mc == 0 is fine once R is given
+  EXPECT_TRUE(engine.Solve(explicit_count).ok());
+}
+
 TEST_F(EngineTest, ParamsFingerprintInvalidatesExactly) {
   HolimEngine engine(graph_);
   SolveRequest request = BaseRequest("degree", 0);

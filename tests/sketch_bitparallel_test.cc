@@ -1,8 +1,10 @@
-// Differential tests pinning the bit-parallel lane-mask kernel to the
-// scalar per-snapshot reference: both traversals walk the SAME sampled
-// worlds, so every estimator must agree BITWISE (integer reach counts and
-// level counts divided once; the opinion replay visits the identical
-// (v, e) sequence). Snapshot counts straddle the 64-lane word boundary on
+// Differential tests pinning the bit-parallel lane-mask oracle to the
+// scalar reference of tests/sketch_reference.h, which rebuilds every world
+// from the per-(snapshot, node) stream contract and BFSes it one world at
+// a time. The lane arena itself must match the streams row for row, and
+// every estimator must agree BITWISE (integer reach counts and level
+// counts divided once; the opinion replay visits the identical (v, e)
+// sequence). Snapshot counts straddle the 64-lane word boundary on
 // purpose: R = 1 (single partial word), 63/64/65 (full word +/- one lane),
 // and 200 (the bench workload's multi-group shape, 3 full words + partial).
 
@@ -17,9 +19,12 @@
 #include "graph/generators.h"
 #include "model/influence_params.h"
 #include "model/opinion_params.h"
+#include "sketch_reference.h"
 
 namespace holim {
 namespace {
+
+using sketch_reference::Reference;
 
 constexpr uint32_t kWordBoundaryCounts[] = {1, 63, 64, 65, 200};
 
@@ -37,72 +42,94 @@ std::vector<InfluenceParams> AllModels(const Graph& g) {
           MakeLinearThreshold(g)};
 }
 
+// Same sample: every (group, node) lane row — targets, lane masks and,
+// when recorded, out-row offsets — equals the union of the group's worlds
+// rebuilt from the streams.
+TEST(SketchBitParallelTest, LaneRowsMatchStreams) {
+  Graph g = GenerateBarabasiAlbert(120, 3, 11).ValueOrDie();
+  for (const auto& params : AllModels(g)) {
+    for (uint32_t r : kWordBoundaryCounts) {
+      const Reference reference(g, params, 7, r);
+      for (const bool offsets : {false, true}) {
+        SketchOracle oracle(g, params, Opts(r, 7, offsets));
+        EXPECT_TRUE(reference.MatchesLaneArena(oracle, offsets))
+            << "model=" << static_cast<int>(params.model) << " R=" << r
+            << " offsets=" << offsets;
+      }
+    }
+  }
+}
+
 // One-shot Estimate: every model, every word-boundary snapshot count,
 // several seed-set shapes (singleton, spread-out set, duplicates — the
-// scalar path dedups seeds via its visited set, the lanes path via
-// all-zero fresh masks; both must subtract R * |seeds| identically).
-TEST(SketchBitParallelTest, EstimateBitwiseEqualsScalar) {
+// reference dedups seeds via its visited set, the lanes path via all-zero
+// fresh masks; both must subtract R * |seeds| identically). 0/1 weights
+// keep EstimateWeighted exact, so it is pinned bitwise too.
+TEST(SketchBitParallelTest, EstimateBitwiseEqualsReference) {
   Graph g = GenerateBarabasiAlbert(120, 3, 11).ValueOrDie();
   const std::vector<std::vector<NodeId>> seed_sets = {
       {0}, {5, 41, 99}, {7, 7, 23}, {119}};
+  std::vector<double> weights(g.num_nodes(), 0.0);
+  for (NodeId u = 0; u < g.num_nodes(); u += 3) weights[u] = 1.0;
   for (const auto& params : AllModels(g)) {
     for (uint32_t r : kWordBoundaryCounts) {
       SketchOracle oracle(g, params, Opts(r));
+      const Reference reference(g, params, 7, r);
       for (const auto& seeds : seed_sets) {
-        EXPECT_EQ(oracle.Estimate(seeds, SketchEval::kBitParallel),
-                  oracle.Estimate(seeds, SketchEval::kScalar))
+        EXPECT_EQ(oracle.Estimate(seeds), reference.Estimate(seeds))
+            << "model=" << static_cast<int>(params.model) << " R=" << r;
+        EXPECT_EQ(oracle.EstimateWeighted(seeds, weights),
+                  reference.EstimateWeighted(seeds, weights))
             << "model=" << static_cast<int>(params.model) << " R=" << r;
       }
     }
   }
 }
 
-// Persistent sessions: twin sessions (one per eval mode) driven through
-// the same probe/commit script must report bitwise-equal marginal gains,
-// commit gains, and running spreads — and both must stay bitwise equal to
-// one-shot Estimate of the committed prefix in BOTH eval modes (the
-// activate-once pruning may never change a value).
-TEST(SketchBitParallelTest, SessionBitwiseEqualsScalarSession) {
+// Persistent sessions driven through a probe/commit script must report
+// marginal gains, commit gains and running spreads bitwise equal to the
+// reference's integer reach differences — and stay bitwise equal to
+// one-shot Estimate of the committed prefix (the activate-once pruning
+// may never change a value).
+TEST(SketchBitParallelTest, SessionBitwiseEqualsReference) {
   Graph g = GenerateBarabasiAlbert(100, 3, 19).ValueOrDie();
   const std::vector<NodeId> commits = {4, 17, 52, 4, 88};  // incl. re-commit
   const std::vector<NodeId> probes = {0, 9, 33, 61, 99};
   for (const auto& params : AllModels(g)) {
     for (uint32_t r : kWordBoundaryCounts) {
       SketchOracle oracle(g, params, Opts(r, 13));
-      SketchOracle::Session lanes(oracle, SketchEval::kBitParallel);
-      SketchOracle::Session scalar(oracle, SketchEval::kScalar);
+      const Reference reference(g, params, 13, r);
+      SketchOracle::Session session(oracle);
       std::vector<NodeId> prefix;
       for (NodeId u : commits) {
         for (NodeId p : probes) {
-          EXPECT_EQ(lanes.MarginalGain(p), scalar.MarginalGain(p));
+          EXPECT_EQ(session.MarginalGain(p), reference.MarginalGain(prefix, p));
         }
-        EXPECT_EQ(lanes.Commit(u), scalar.Commit(u));
+        EXPECT_EQ(session.Commit(u), reference.MarginalGain(prefix, u));
         prefix.push_back(u);
-        const double spread = lanes.Spread();
-        EXPECT_EQ(spread, scalar.Spread());
-        EXPECT_EQ(spread, oracle.Estimate(prefix, SketchEval::kBitParallel));
-        EXPECT_EQ(spread, oracle.Estimate(prefix, SketchEval::kScalar));
+        const double spread = session.Spread();
+        EXPECT_EQ(spread, reference.Estimate(prefix));
+        EXPECT_EQ(spread, oracle.Estimate(prefix));
       }
-      lanes.Reset();
-      scalar.Reset();
-      EXPECT_EQ(lanes.MarginalGain(commits[0]),
-                scalar.MarginalGain(commits[0]));
+      session.Reset();
+      EXPECT_EQ(session.MarginalGain(commits[0]),
+                reference.MarginalGain({}, commits[0]));
     }
   }
 }
 
-// IC-N positive spread: both modes accumulate the same integer
-// per-distance activation counts and share one q-polynomial fold.
-TEST(SketchBitParallelTest, IcnPositiveBitwiseEqualsScalar) {
+// IC-N positive spread: both sides accumulate the same integer
+// per-distance activation counts and fold them through one q-polynomial.
+TEST(SketchBitParallelTest, IcnPositiveBitwiseEqualsReference) {
   Graph g = GenerateBarabasiAlbert(90, 3, 29).ValueOrDie();
   const std::vector<NodeId> seeds = {2, 31, 74};
   for (const auto& params : AllModels(g)) {
     for (uint32_t r : kWordBoundaryCounts) {
       SketchOracle oracle(g, params, Opts(r, 5));
+      const Reference reference(g, params, 5, r);
       for (double q : {0.0, 0.37, 0.5, 1.0}) {
-        EXPECT_EQ(
-            oracle.EstimateIcnPositive(seeds, q, SketchEval::kBitParallel),
-            oracle.EstimateIcnPositive(seeds, q, SketchEval::kScalar))
+        EXPECT_EQ(oracle.EstimateIcnPositive(seeds, q),
+                  reference.EstimateIcnPositive(seeds, q))
             << "model=" << static_cast<int>(params.model) << " R=" << r
             << " q=" << q;
       }
@@ -110,11 +137,10 @@ TEST(SketchBitParallelTest, IcnPositiveBitwiseEqualsScalar) {
   }
 }
 
-// Opinion replay (IC base): the lane arena stores union entries in the
-// same EdgeId-ascending per-source order every scalar snapshot uses, so
-// the lane-filtered replay visits the identical (v, e) sequence and all
-// three accumulated figures match bitwise.
-TEST(SketchBitParallelTest, OpinionReplayBitwiseEqualsScalar) {
+// Opinion replay (IC base): lane-filtering a group's union rows visits
+// each world's live edges in EdgeId order — the reference's order — so
+// all three accumulated figures match bitwise.
+TEST(SketchBitParallelTest, OpinionReplayBitwiseEqualsReference) {
   Graph g = GenerateBarabasiAlbert(80, 3, 37).ValueOrDie();
   auto params = MakeUniformIc(g, 0.35);
   OpinionParams opinions = MakeRandomOpinions(
@@ -122,53 +148,46 @@ TEST(SketchBitParallelTest, OpinionReplayBitwiseEqualsScalar) {
   const std::vector<NodeId> seeds = {1, 40, 66};
   for (uint32_t r : kWordBoundaryCounts) {
     SketchOracle oracle(g, params, Opts(r, 3, /*record_edge_offsets=*/true));
+    const Reference reference(g, params, 3, r);
     for (double lambda : {0.5, 1.0}) {
-      auto lanes =
-          oracle.EstimateOpinion(opinions, OiBase::kIndependentCascade, seeds,
-                                 lambda, SketchEval::kBitParallel);
-      auto scalar =
-          oracle.EstimateOpinion(opinions, OiBase::kIndependentCascade, seeds,
-                                 lambda, SketchEval::kScalar);
-      EXPECT_EQ(lanes.opinion_spread, scalar.opinion_spread);
+      auto lanes = oracle.EstimateOpinion(
+          opinions, OiBase::kIndependentCascade, seeds, lambda);
+      auto expected = reference.EstimateOpinion(opinions, seeds, lambda);
+      EXPECT_EQ(lanes.opinion_spread, expected.opinion_spread);
       EXPECT_EQ(lanes.effective_opinion_spread,
-                scalar.effective_opinion_spread);
-      EXPECT_EQ(lanes.plain_spread, scalar.plain_spread);
+                expected.effective_opinion_spread);
+      EXPECT_EQ(lanes.plain_spread, expected.plain_spread);
     }
   }
 }
 
-// Session-CELF under the bit-parallel kernel picks exactly the seeds of
-// eager frozen greedy (one-shot evaluations, no session) — gains on the
-// static sample stay exactly submodular integers, so CELF's lazy bound
-// never misranks — and exactly the seeds of the scalar-session CELF.
+// Session-CELF picks exactly the seeds of eager frozen greedy (one-shot
+// evaluations, no session) — gains on the static sample stay exactly
+// submodular integers, so CELF's lazy bound never misranks — and each
+// per-round score is the reference's marginal gain of that seed.
 TEST(SketchBitParallelTest, CelfBitParallelMatchesEagerFrozenGreedy) {
   Graph g = GenerateBarabasiAlbert(70, 2, 15).ValueOrDie();
   auto params = MakeUniformIc(g, 0.25);
   auto oracle = std::make_shared<const SketchOracle>(g, params, Opts(65, 3));
 
-  auto eager_objective = std::make_shared<SketchSpreadObjective>(
-      oracle, /*use_session=*/false, SketchEval::kBitParallel);
+  auto eager_objective =
+      std::make_shared<SketchSpreadObjective>(oracle, /*use_session=*/false);
   GreedySelector eager(g, eager_objective, "eager-frozen");
   auto eager_sel = eager.Select(6).ValueOrDie();
 
-  auto lanes_objective = std::make_shared<SketchSpreadObjective>(
-      oracle, /*use_session=*/true, SketchEval::kBitParallel);
+  auto lanes_objective = std::make_shared<SketchSpreadObjective>(oracle);
   CelfSelector lanes_celf(g, lanes_objective, /*plus_plus=*/false,
                           "CELF-bitparallel");
   auto lanes_sel = lanes_celf.Select(6).ValueOrDie();
   EXPECT_EQ(eager_sel.seeds, lanes_sel.seeds);
 
-  auto scalar_objective = std::make_shared<SketchSpreadObjective>(
-      oracle, /*use_session=*/true, SketchEval::kScalar);
-  CelfSelector scalar_celf(g, scalar_objective, /*plus_plus=*/false,
-                           "CELF-scalar");
-  auto scalar_sel = scalar_celf.Select(6).ValueOrDie();
-  EXPECT_EQ(scalar_sel.seeds, lanes_sel.seeds);
-  EXPECT_EQ(scalar_sel.seed_scores, lanes_sel.seed_scores);
-  // Identical gains mean identical lazy-queue behavior, evaluation for
-  // evaluation.
-  EXPECT_EQ(scalar_celf.last_evaluation_count(),
-            lanes_celf.last_evaluation_count());
+  const Reference reference(g, params, 3, 65);
+  std::vector<NodeId> prefix;
+  for (std::size_t i = 0; i < lanes_sel.seeds.size(); ++i) {
+    EXPECT_EQ(lanes_sel.seed_scores[i],
+              reference.MarginalGain(prefix, lanes_sel.seeds[i]));
+    prefix.push_back(lanes_sel.seeds[i]);
+  }
 }
 
 }  // namespace

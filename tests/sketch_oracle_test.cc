@@ -11,9 +11,14 @@
 #include "graph/graph_builder.h"
 #include "model/influence_params.h"
 #include "model/opinion_params.h"
+#include "sketch_reference.h"
+#include "util/deadline.h"
 
 namespace holim {
 namespace {
+
+using sketch_reference::Reference;
+using sketch_reference::SameLaneArena;
 
 SketchOptions Opts(uint32_t snapshots, uint64_t seed = 7,
                    ThreadPool* pool = nullptr) {
@@ -22,43 +27,6 @@ SketchOptions Opts(uint32_t snapshots, uint64_t seed = 7,
   options.seed = seed;
   options.pool = pool;
   return options;
-}
-
-// Reference reachability count over one snapshot's live adjacency.
-int64_t BruteForceReach(const SketchOracle& oracle, uint32_t s,
-                        const std::vector<NodeId>& seeds, NodeId n) {
-  std::vector<char> seen(n, 0);
-  std::vector<NodeId> stack;
-  int64_t reached = 0;
-  for (NodeId seed : seeds) {
-    if (seen[seed]) continue;
-    seen[seed] = 1;
-    stack.push_back(seed);
-    ++reached;
-  }
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (NodeId t : oracle.LiveTargets(s, v)) {
-      if (seen[t]) continue;
-      seen[t] = 1;
-      stack.push_back(t);
-      ++reached;
-    }
-  }
-  return reached;
-}
-
-double BruteForceSigma(const SketchOracle& oracle,
-                       const std::vector<NodeId>& seeds, NodeId n) {
-  int64_t total = 0;
-  for (uint32_t s = 0; s < oracle.num_snapshots(); ++s) {
-    total += BruteForceReach(oracle, s, seeds, n);
-  }
-  const int64_t spread =
-      total - static_cast<int64_t>(oracle.num_snapshots()) *
-                  static_cast<int64_t>(seeds.size());
-  return static_cast<double>(spread) / oracle.num_snapshots();
 }
 
 // Hand-built 5-node world, IC with p = 1: every snapshot is the full graph,
@@ -104,8 +72,8 @@ TEST(SketchOracleTest, MatchesReachabilityOnDeterministicLtWorld) {
   EXPECT_DOUBLE_EQ(oracle.Estimate(std::vector<NodeId>{2}), 2.0);
 }
 
-// On a random graph the packed-arena BFS must agree with a naive
-// reachability sweep over the same snapshots, for every model.
+// On a random graph the lane-arena walk must agree with a naive
+// reachability sweep over worlds rebuilt from the streams, for every model.
 TEST(SketchOracleTest, EstimateMatchesBruteForceOnRandomGraph) {
   Graph g = GenerateBarabasiAlbert(80, 3, 11).ValueOrDie();
   const std::vector<NodeId> seeds = {0, 7, 33};
@@ -113,29 +81,46 @@ TEST(SketchOracleTest, EstimateMatchesBruteForceOnRandomGraph) {
                       MakeLinearThreshold(g)}) {
     SketchOracle oracle(g, params, Opts(13));
     EXPECT_DOUBLE_EQ(oracle.Estimate(seeds),
-                     BruteForceSigma(oracle, seeds, g.num_nodes()));
+                     Reference(g, params, 7, 13).Estimate(seeds));
   }
 }
 
 // The arena is bitwise identical for any sampling thread count (the same
-// contract as the RR engine's GenerateParallel).
+// contract as the RR engine's GenerateParallel), and R = 130 spans a
+// partial third lane group.
 TEST(SketchOracleTest, ArenaDeterministicAcrossThreadCounts) {
   Graph g = GenerateBarabasiAlbert(200, 3, 5).ValueOrDie();
-  for (auto params : {MakeWeightedCascade(g), MakeLinearThreshold(g)}) {
+  for (auto params : {MakeUniformIc(g, 0.2), MakeWeightedCascade(g),
+                      MakeLinearThreshold(g)}) {
     ThreadPool pool1(1), pool8(8);
-    SketchOracle serial(g, params, Opts(10, 21, nullptr));
-    SketchOracle one(g, params, Opts(10, 21, &pool1));
-    SketchOracle eight(g, params, Opts(10, 21, &pool8));
-    ASSERT_EQ(serial.ArenaBytes(), eight.ArenaBytes());
-    ASSERT_EQ(one.ArenaBytes(), eight.ArenaBytes());
-    for (uint32_t s = 0; s < serial.num_snapshots(); ++s) {
-      for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        auto a = serial.LiveTargets(s, u);
-        auto b1 = one.LiveTargets(s, u);
-        auto c = eight.LiveTargets(s, u);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b1.begin(), b1.end()));
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), c.begin(), c.end()));
-      }
+    SketchOracle serial(g, params, Opts(130, 21, nullptr));
+    SketchOracle one(g, params, Opts(130, 21, &pool1));
+    SketchOracle eight(g, params, Opts(130, 21, &pool8));
+    EXPECT_TRUE(SameLaneArena(serial, one));
+    EXPECT_TRUE(SameLaneArena(serial, eight));
+  }
+}
+
+// A build charges exactly ceil(R / 4) work-budget ticks for any lane
+// grouping and pool: a budget of that many ticks expires inside the build
+// (the B-th tick fails), one more lets it finish with one tick to spare.
+TEST(SketchOracleTest, BuildChargesCeilQuarterRTicks) {
+  Graph g = GenerateBarabasiAlbert(60, 2, 3).ValueOrDie();
+  auto params = MakeLinearThreshold(g);
+  ThreadPool pool(4);
+  for (uint32_t r : {1u, 4u, 63u, 64u, 65u, 130u}) {
+    const uint64_t ticks = (r + 3) / 4;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SketchOptions options = Opts(r, 7, p);
+      Deadline tight = Deadline::WorkBudget(ticks);
+      options.deadline = &tight;
+      EXPECT_FALSE(SketchOracle(g, params, options).build_status().ok())
+          << "R=" << r;
+      Deadline enough = Deadline::WorkBudget(ticks + 1);
+      options.deadline = &enough;
+      EXPECT_TRUE(SketchOracle(g, params, options).build_status().ok())
+          << "R=" << r;
+      EXPECT_FALSE(enough.Check().ok()) << "R=" << r;
     }
   }
 }

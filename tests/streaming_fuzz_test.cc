@@ -20,12 +20,15 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "model/influence_params.h"
+#include "sketch_reference.h"
 #include "util/rng.h"
 
 namespace holim {
 namespace {
 
-SketchOptions Opts(uint32_t snapshots, uint64_t seed = 7) {
+constexpr uint64_t kSketchSeed = 7;
+
+SketchOptions Opts(uint32_t snapshots, uint64_t seed = kSketchSeed) {
   SketchOptions options;
   options.num_snapshots = snapshots;
   options.seed = seed;
@@ -81,28 +84,23 @@ void ExpectGraphsEqual(const Graph& a, const Graph& b, int step) {
 
 void ExpectSketchEqual(const SketchOracle& patched, const SketchOracle& cold,
                        int step) {
-  ASSERT_EQ(patched.ArenaBytes(), cold.ArenaBytes()) << "step " << step;
+  ASSERT_TRUE(sketch_reference::SameLaneArena(patched, cold))
+      << "step " << step;
   const NodeId n = cold.graph().num_nodes();
-  for (uint32_t s = 0; s < cold.num_snapshots(); ++s) {
-    for (NodeId u = 0; u < n; ++u) {
-      const auto a = patched.LiveTargets(s, u);
-      const auto b = cold.LiveTargets(s, u);
-      ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
-                std::vector<NodeId>(b.begin(), b.end()))
-          << "step " << step << " snapshot " << s << " node " << u;
-    }
-  }
+  const sketch_reference::Reference reference(cold.graph(), cold.params(),
+                                              kSketchSeed,
+                                              cold.num_snapshots());
+  EXPECT_TRUE(reference.MatchesLaneArena(patched, /*with_offsets=*/false))
+      << "step " << step;
   Rng probe(step + 1);
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<NodeId> seeds;
     for (int i = 0; i < 4; ++i) {
       seeds.push_back(static_cast<NodeId>(probe.NextBounded(n)));
     }
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kScalar),
-              cold.Estimate(seeds, SketchEval::kScalar))
+    EXPECT_EQ(patched.Estimate(seeds), cold.Estimate(seeds))
         << "step " << step;
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kBitParallel),
-              cold.Estimate(seeds, SketchEval::kBitParallel))
+    EXPECT_EQ(patched.Estimate(seeds), reference.Estimate(seeds))
         << "step " << step;
   }
 }

@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "model/influence_params.h"
+#include "sketch_reference.h"
 #include "util/rng.h"
 
 namespace holim {
@@ -210,34 +211,26 @@ GraphDelta MakeShapedDelta(const Graph& graph, BatchShape shape, Rng& rng) {
   return delta;
 }
 
+// Patched == cold lane row for lane row (ArenaBytes included), and both
+// match the worlds rebuilt from the mutated graph's streams — every call
+// site samples with Opts' default seed 7.
 void ExpectOraclesBitwiseEqual(const SketchOracle& patched,
                                const SketchOracle& cold, NodeId n) {
   ASSERT_EQ(patched.num_snapshots(), cold.num_snapshots());
-  EXPECT_EQ(patched.ArenaBytes(), cold.ArenaBytes());
-  // Per-snapshot live rows (the scalar arena, via the public view).
-  for (uint32_t s = 0; s < cold.num_snapshots(); ++s) {
-    for (NodeId u = 0; u < n; ++u) {
-      const auto a = patched.LiveTargets(s, u);
-      const auto b = cold.LiveTargets(s, u);
-      ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
-                std::vector<NodeId>(b.begin(), b.end()))
-          << "snapshot " << s << " node " << u;
-    }
-  }
-  // Estimates through both kernels: scalar reads the scalar arena, the
-  // bit-parallel kernel reads the lane arena, so this pins both.
+  EXPECT_TRUE(sketch_reference::SameLaneArena(patched, cold));
+  const sketch_reference::Reference reference(cold.graph(), cold.params(),
+                                              /*seed=*/7,
+                                              cold.num_snapshots());
+  const bool offsets = cold.LaneTargets(0, 0).edge_offsets != nullptr;
+  EXPECT_TRUE(reference.MatchesLaneArena(patched, offsets));
   Rng seed_rng(77);
   for (int trial = 0; trial < 8; ++trial) {
     std::vector<NodeId> seeds;
     for (int i = 0; i < 5; ++i) {
       seeds.push_back(static_cast<NodeId>(seed_rng.NextBounded(n)));
     }
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kScalar),
-              cold.Estimate(seeds, SketchEval::kScalar));
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kBitParallel),
-              cold.Estimate(seeds, SketchEval::kBitParallel));
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kScalar),
-              cold.Estimate(seeds, SketchEval::kBitParallel));
+    EXPECT_EQ(patched.Estimate(seeds), cold.Estimate(seeds));
+    EXPECT_EQ(patched.Estimate(seeds), reference.Estimate(seeds));
   }
 }
 

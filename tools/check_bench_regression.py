@@ -42,10 +42,6 @@ Dispatches on the baseline's "bench" field:
       - celf.celf_speedup_vs_mc and celf.incremental_vs_oneshot_speedup —
         timing ratios (single-thread CELF runs on the same machine), gated
         like select_speedup.
-      - bitparallel.speedup_vs_scalar_session — scalar-session CELF seconds
-        over bit-parallel-session CELF seconds (64 live-edge worlds per
-        machine word, bitwise-identical seeds and spreads); a timing ratio,
-        gated like select_speedup.
 
   * "query_family" (BENCH_query.json, from bench_micro_query_family):
       - budgeted.uniform_parity / budgeted.lazy_eager_seed_match /
@@ -277,11 +273,9 @@ def gate_spread_oracle(baseline, runs, args, failures):
     base_arena = baseline.get("arena")
     base_session = baseline.get("session")
     base_celf = baseline.get("celf")
-    base_bp = baseline.get("bitparallel")
-    if (base_arena is None or base_session is None or base_celf is None
-            or base_bp is None):
-        sys.exit("error: baseline lacks arena/session/celf/bitparallel "
-                 "sections; regenerate it with the current bench binary")
+    if base_arena is None or base_session is None or base_celf is None:
+        sys.exit("error: baseline lacks arena/session/celf sections; "
+                 "regenerate it with the current bench binary")
 
     def base(section_obj, section, key):
         return field(section_obj, key, f"{args.baseline} {section}")
@@ -306,12 +300,6 @@ def gate_spread_oracle(baseline, runs, args, failures):
                       base(base_celf, "celf",
                            "incremental_vs_oneshot_speedup"),
                       section_values("celf", "incremental_vs_oneshot_speedup"),
-                      args.threshold, args.jitter_limit, failures)
-    gate_timing_ratio("bitparallel.speedup_vs_scalar_session",
-                      base(base_bp, "bitparallel",
-                           "speedup_vs_scalar_session"),
-                      section_values("bitparallel",
-                                     "speedup_vs_scalar_session"),
                       args.threshold, args.jitter_limit, failures)
 
 

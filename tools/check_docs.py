@@ -30,10 +30,14 @@ Checks, relative to the repo root (the script's parent directory):
      still be a QueryKind. Adding a kind without documenting it — or
      documenting a kind that no longer exists — fails CI.
 
-  5. README.md's "Serving" flag table stays in sync with holimd_cli:
-     every flag declared via `args->Declare("...")` in
-     tools/holimd_cli.cc must appear as a `--flag` row under the
-     "## Serving" heading, and every row must still be declared.
+  5. README.md's flag tables stay in sync with the binaries, both
+     directions: every flag declared via `args->Declare("...")` must
+     appear as a `--flag` row under the binary's heading, and every row
+     must still be declared. "## Serving" documents holimd_cli's own flags
+     (tools/holimd_cli.cc); "## CLI" documents every flag holim_cli
+     accepts — tools/holim_cli.cc, the shared DeclareCommonFlags /
+     DeclareCommonOptions in src/bench_support/experiment.cc, and
+     `--help`.
 
 Exit 1 with a per-finding message on any violation.
 
@@ -206,30 +210,40 @@ def check_query_table(readme_text, failures):
                         "not a QueryKind in src/engine/solve_request.h")
 
 
-SERVING_SOURCE = REPO / "tools" / "holimd_cli.cc"
-SERVING_FLAG_RE = re.compile(r'args->Declare\("([^"]+)"')
-SERVING_HEADING = "## Serving"
+FLAG_DECLARE_RE = re.compile(r'args->Declare\("([^"]+)"')
+# (heading, binary, declaring sources, flags accepted without a Declare).
+FLAG_TABLES = (
+    ("## Serving", "holimd_cli", (REPO / "tools" / "holimd_cli.cc",), ()),
+    ("## CLI", "holim_cli",
+     (REPO / "tools" / "holim_cli.cc",
+      REPO / "src" / "bench_support" / "experiment.cc"), ("help",)),
+)
 
 
-def check_serving_table(readme_text, failures):
-    """README's Serving flag table vs the flags holimd_cli declares, both
-    directions — same contract as the registry/query tables: a flag added
-    without a row, or a row whose flag is gone, fails CI."""
-    if not SERVING_SOURCE.exists():
-        failures.append(f"{SERVING_SOURCE.relative_to(REPO)} missing — the "
-                        "serving flag-table sync check has nothing to parse")
-        return
-    declared = set(SERVING_FLAG_RE.findall(
-        SERVING_SOURCE.read_text(encoding="utf-8")))
-    if not declared:
-        failures.append("tools/holimd_cli.cc: no `args->Declare(\"...\")` "
-                        "flags found — the declaration shape changed?")
-        return
-    section = readme_text.split(SERVING_HEADING, 1)
+def check_flag_table(readme_text, heading, binary, sources, implicit,
+                     failures):
+    """README's flag table under `heading` vs the flags `binary` declares
+    in `sources`, both directions — same contract as the registry/query
+    tables: a flag added without a row, or a row whose flag is gone, fails
+    CI."""
+    declared = set(implicit)
+    for source in sources:
+        if not source.exists():
+            failures.append(f"{source.relative_to(REPO)} missing — the "
+                            f"{binary} flag-table sync check has nothing "
+                            "to parse")
+            return
+        found = FLAG_DECLARE_RE.findall(source.read_text(encoding="utf-8"))
+        if not found:
+            failures.append(f"{source.relative_to(REPO)}: no "
+                            "`args->Declare(\"...\")` flags found — the "
+                            "declaration shape changed?")
+            return
+        declared.update(found)
+    section = readme_text.split(heading, 1)
     if len(section) < 2:
-        failures.append(f"README.md: no '{SERVING_HEADING}' section — the "
-                        "serving flag table must document every holimd_cli "
-                        "flag")
+        failures.append(f"README.md: no '{heading}' section — its flag "
+                        f"table must document every {binary} flag")
         return
     body = section[1].split("\n## ", 1)[0]
     documented = set()
@@ -238,11 +252,11 @@ def check_serving_table(readme_text, failures):
         if m:
             documented.add(m.group(1))
     for missing in sorted(declared - documented):
-        failures.append(f"README.md: holimd_cli flag '--{missing}' is not "
-                        "documented in the Serving flag table")
+        failures.append(f"README.md: {binary} flag '--{missing}' is not "
+                        f"documented in the '{heading}' flag table")
     for stale in sorted(documented - declared):
-        failures.append(f"README.md: Serving flag table row '--{stale}' is "
-                        "not declared in tools/holimd_cli.cc")
+        failures.append(f"README.md: '{heading}' flag table row "
+                        f"'--{stale}' is not a {binary} flag")
 
 
 def main():
@@ -260,7 +274,9 @@ def main():
         check_bench_table(readme_text, failures)
         check_registry_table(readme_text, failures)
         check_query_table(readme_text, failures)
-        check_serving_table(readme_text, failures)
+        for heading, binary, sources, implicit in FLAG_TABLES:
+            check_flag_table(readme_text, heading, binary, sources, implicit,
+                             failures)
 
     if failures:
         print("docs-gate FAILED:", file=sys.stderr)

@@ -67,6 +67,13 @@ Status Run(const BenchArgs& args) {
     return Status::OK();
   }
   auto config = ReadCommonConfig(args);
+  const int64_t simulations = args.GetInt("mc", config.mc);
+  if (simulations < 0 ||
+      simulations > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "--mc must be a non-negative simulation count, got: " +
+        std::to_string(simulations));
+  }
   const CommonOptionsSpec spec{/*oracle=*/true,
                                /*rescore_default=*/"incremental",
                                /*threads=*/true, /*query=*/true};

@@ -26,6 +26,7 @@
 
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "bench_support/bench_main.h"
@@ -119,9 +120,22 @@ Status Run(const BenchArgs& args) {
         "unknown --mode (pipe|serve|client): " + mode);
   }
 
+  // Range-checked before the server exists: its constructor treats a zero
+  // queue or sample count as a programming error.
+  const int64_t queue_depth = args.GetInt("queue-depth", 32);
+  if (queue_depth < 1 || queue_depth > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "--queue-depth must be a positive request count, got: " +
+        std::to_string(queue_depth));
+  }
+  const int64_t sketches = args.GetInt("sketches", 64);
+  if (sketches < 1 || sketches > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "--sketches must be a positive snapshot count, got: " +
+        std::to_string(sketches));
+  }
   ServerOptions options;
-  options.queue_depth =
-      static_cast<std::size_t>(args.GetInt("queue-depth", 32));
+  options.queue_depth = static_cast<std::size_t>(queue_depth);
   options.affinity = args.GetBool("affinity", true);
   const std::string policy = args.GetString("cache-policy", "heat");
   if (policy == "heat") {
@@ -139,7 +153,7 @@ Status Run(const BenchArgs& args) {
   options.max_cache_bytes =
       static_cast<std::size_t>(cache_mib * 1024.0 * 1024.0);
   options.prewarm = args.GetBool("prewarm", true);
-  options.num_sketches = static_cast<uint32_t>(args.GetInt("sketches", 64));
+  options.num_sketches = static_cast<uint32_t>(sketches);
   options.seed = config.seed;
   options.echo_timings = args.GetBool("echo-timings", false);
 
