@@ -53,9 +53,10 @@ Status Run(const BenchArgs& args) {
     HolimEngine engine(w.graph);
     std::shared_ptr<const SketchOracle> sketch;
     if (common.oracle == SpreadOracle::kSketch) {
-      sketch = GetBenchSketchOracle(engine, w.graph, w.params, config,
-                                    /*seed_offset=*/0,
-                                    /*record_edge_offsets=*/true);
+      HOLIM_ASSIGN_OR_RETURN(
+          sketch, GetBenchSketchOracle(engine, w.graph, w.params, config,
+                                       /*seed_offset=*/0,
+                                       /*record_edge_offsets=*/true));
     }
     std::vector<double> oi_acc(grid.size(), 0), oc_acc(grid.size(), 0),
         ic_acc(grid.size(), 0);

@@ -54,9 +54,10 @@ Status Run(const BenchArgs& args) {
   // all three selectors' prefix sweeps (opinion replay needs per-edge phi).
   std::shared_ptr<const SketchOracle> sketch;
   if (common.oracle == SpreadOracle::kSketch) {
-    sketch = GetBenchSketchOracle(engine, bg, influence, config,
-                                  /*seed_offset=*/0,
-                                  /*record_edge_offsets=*/true);
+    HOLIM_ASSIGN_OR_RETURN(
+        sketch, GetBenchSketchOracle(engine, bg, influence, config,
+                                     /*seed_offset=*/0,
+                                     /*record_edge_offsets=*/true));
   }
   auto evaluate = [&](const std::vector<NodeId>& seeds) {
     return sketch ? OpinionSpreadAtPrefixesSketch(*sketch, corpus.estimated,

@@ -42,8 +42,9 @@ Status Run(const BenchArgs& args) {
     HolimEngine engine(w.graph);
     std::shared_ptr<const SketchOracle> eval_sketch;
     if (common.oracle == SpreadOracle::kSketch) {
-      eval_sketch = GetBenchSketchOracle(engine, w.graph, w.params, config,
-                                         /*seed_offset=*/1);
+      HOLIM_ASSIGN_OR_RETURN(eval_sketch,
+                             GetBenchSketchOracle(engine, w.graph, w.params,
+                                                  config, /*seed_offset=*/1));
     }
 
     auto report = [&](const std::string& name,

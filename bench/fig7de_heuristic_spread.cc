@@ -32,7 +32,8 @@ Status Run(const BenchArgs& args) {
                   : SpreadAtPrefixes(w.graph, w.params, seeds, grid,
                                      config.mc, config.seed);
   };
-  auto make_sketch = [&](HolimEngine& engine, const Workload& w) {
+  auto make_sketch = [&](HolimEngine& engine, const Workload& w)
+      -> Result<std::shared_ptr<const SketchOracle>> {
     if (common.oracle != SpreadOracle::kSketch) {
       return std::shared_ptr<const SketchOracle>();
     }
@@ -51,7 +52,7 @@ Status Run(const BenchArgs& args) {
     HOLIM_ASSIGN_OR_RETURN(
         SolveResult rival_sel,
         engine.Solve(MakeSolveRequest(rival, max_k, w.params, config)));
-    auto sketch = make_sketch(engine, w);
+    HOLIM_ASSIGN_OR_RETURN(auto sketch, make_sketch(engine, w));
     auto easy_values = evaluate(w, easy_sel.seeds, grid, sketch.get());
     auto rival_values = evaluate(w, rival_sel.seeds, grid, sketch.get());
     for (std::size_t i = 0; i < grid.size(); ++i) {

@@ -167,11 +167,12 @@ BENCHMARK(BM_IcSimulation)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_RrSetSampling(benchmark::State& state) {
   const Fixture& f = GetFixture(state.range(0));
+  ThreadPool serial(1);
   RrCollection rr(f.graph, f.params);
-  Rng rng(2);
+  uint64_t seed = 2;
   for (auto _ : state) {
     rr.Clear();
-    rr.Generate(100, rng);
+    rr.GenerateParallel(100, seed++, &serial);
     benchmark::DoNotOptimize(rr.num_sets());
   }
 }

@@ -145,15 +145,6 @@ Status Run(const BenchArgs& args) {
     rows.push_back({"nested_serial_seed", 1, secs, num_sets / secs,
                     static_cast<double>(nested.MemoryBytes()) / num_sets});
   }
-  {
-    RrCollection rr(graph, params);
-    Rng rng(seed);
-    Timer timer;
-    rr.Generate(num_sets, rng);
-    const double secs = timer.ElapsedSeconds();
-    rows.push_back({"arena_serial", 1, secs, num_sets / secs,
-                    static_cast<double>(rr.MemoryBytes()) / num_sets});
-  }
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
     ThreadPool pool(threads);

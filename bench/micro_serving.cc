@@ -1,10 +1,10 @@
 // Serving-loop microbenchmark: a skewed multi-tenant traffic stream
 // played closed-loop through HolimServer twice with the SAME binary and
 // workload — once as the BASELINE configuration (FIFO dispatch + plain
-// LRU workspaces, no pre-warm) and once as the HEAT configuration
-// (artifact-affinity scheduling + benefit-per-byte eviction + pre-warm).
+// LRU workspaces) and once as the HEAT configuration (artifact-affinity
+// scheduling + benefit-per-byte eviction).
 // Emits BENCH_serving.json; the CI bench-gate ("serving" dispatch) pins
-// the warm-hit / coalesced-build / pre-warm counters exactly and gates
+// the build / warm-hit / coalesced-build counters exactly and gates
 // the QPS ratio (with an absolute 2x floor) and the p99 ratio as
 // timing metrics.
 //
@@ -65,7 +65,6 @@ Status RunLeg(bool optimized, const WorkloadSpec& spec,
   options.affinity = optimized;
   options.cache_policy = optimized ? Workspace::EvictionPolicy::kHeatBenefit
                                    : Workspace::EvictionPolicy::kLru;
-  options.prewarm = optimized;
   options.num_sketches = snapshots;
   options.seed = spec.seed;
   options.max_cache_bytes = budget_bytes;
@@ -123,12 +122,11 @@ Status RunLeg(bool optimized, const WorkloadSpec& spec,
 void PrintLeg(const char* name, const LegOutcome& leg, std::size_t requests) {
   std::printf(
       "  %-8s %7.1f q/s  p50 %7.2f ms  p99 %7.2f ms  (%.3fs)  "
-      "builds=%llu warm=%llu coalesced=%llu prewarms=%llu\n",
+      "builds=%llu warm=%llu coalesced=%llu\n",
       name, leg.qps, leg.p50_ms, leg.p99_ms, leg.seconds,
       static_cast<unsigned long long>(leg.stats.sketch_builds),
       static_cast<unsigned long long>(leg.stats.warm_sketch_hits),
-      static_cast<unsigned long long>(leg.stats.coalesced),
-      static_cast<unsigned long long>(leg.stats.prewarms));
+      static_cast<unsigned long long>(leg.stats.coalesced));
   (void)requests;
 }
 
@@ -228,14 +226,13 @@ Status Run(const BenchArgs& args) {
         "    \"p50_ms\": %.4f,\n    \"p99_ms\": %.4f,\n"
         "    \"served\": %llu,\n    \"builds\": %llu,\n"
         "    \"warm_sketch_hits\": %llu,\n    \"coalesced\": %llu,\n"
-        "    \"prewarms\": %llu,\n    \"expired_in_queue\": %llu,\n"
+        "    \"expired_in_queue\": %llu,\n"
         "    \"warm_hit_rate\": %.4f\n  }",
         leg.seconds, leg.qps, leg.p50_ms, leg.p99_ms,
         static_cast<unsigned long long>(leg.stats.served),
         static_cast<unsigned long long>(leg.stats.sketch_builds),
         static_cast<unsigned long long>(leg.stats.warm_sketch_hits),
         static_cast<unsigned long long>(leg.stats.coalesced),
-        static_cast<unsigned long long>(leg.stats.prewarms),
         static_cast<unsigned long long>(leg.stats.expired_in_queue),
         static_cast<double>(leg.stats.warm_sketch_hits) /
             static_cast<double>(requests));

@@ -14,8 +14,8 @@
 //
 // The CELF comparison restricts candidates to the top-degree pool so the
 // MC path finishes in CI time; all three paths (MC, one-shot sketch,
-// incremental session) hill-climb the same candidates with the same
-// tie-break (gain, then smaller node id), so the comparison is
+// incremental session) hill-climb the same candidates through the same
+// LazyGreedy driver (gain, then smaller node id), so the comparison is
 // apples-to-apples. The incremental session's per-round spread is
 // HOLIM_CHECKed bitwise-equal to one-shot Estimate on the same prefix.
 
@@ -23,10 +23,10 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "algo/lazy_greedy.h"
 #include "common.h"
 #include "diffusion/sketch_oracle.h"
 #include "graph/generators.h"
@@ -50,16 +50,6 @@ std::vector<NodeId> TopDegreeNodes(const Graph& g, std::size_t count) {
   return nodes;
 }
 
-struct CelfEntry {
-  NodeId node;
-  double gain;
-  uint32_t round;
-  bool operator<(const CelfEntry& other) const {
-    if (gain != other.gain) return gain < other.gain;
-    return node > other.node;  // smaller id pops first on ties
-  }
-};
-
 struct CelfRun {
   std::vector<NodeId> seeds;
   double seconds = 0.0;
@@ -71,28 +61,20 @@ struct CelfRun {
 template <typename GainFn, typename CommitFn>
 CelfRun RunCelf(const std::vector<NodeId>& candidates, uint32_t k,
                 const GainFn& gain, const CommitFn& commit) {
-  CelfRun run;
+  struct Hooks : GainOracle {
+    Hooks(const GainFn& g, const CommitFn& c) : gain(g), commit(c) {}
+    double Gain(NodeId u) override { return gain(u); }
+    void Commit(NodeId u, double g) override { commit(u, g); }
+    const GainFn& gain;
+    const CommitFn& commit;
+  };
+  Hooks hooks(gain, commit);
   Timer timer;
-  std::priority_queue<CelfEntry> heap;
-  for (NodeId u : candidates) {
-    ++run.evaluations;
-    heap.push({u, gain(u), 0});
-  }
-  while (run.seeds.size() < k && !heap.empty()) {
-    CelfEntry top = heap.top();
-    heap.pop();
-    const uint32_t round = static_cast<uint32_t>(run.seeds.size());
-    if (top.round == round) {
-      commit(top.node, top.gain);
-      run.seeds.push_back(top.node);
-      continue;
-    }
-    ++run.evaluations;
-    top.gain = gain(top.node);
-    top.round = round;
-    heap.push(top);
-  }
+  LazyGreedyRun lazy = LazyGreedy(hooks, candidates, k);
+  CelfRun run;
   run.seconds = timer.ElapsedSeconds();
+  run.seeds = std::move(lazy.selection.seeds);
+  run.evaluations = lazy.evaluations;
   return run;
 }
 

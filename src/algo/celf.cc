@@ -1,9 +1,8 @@
 #include "algo/celf.h"
 
-#include <limits>
-#include <queue>
 #include <vector>
 
+#include "algo/lazy_greedy.h"
 #include "util/memory.h"
 #include "util/timer.h"
 
@@ -11,50 +10,55 @@ namespace holim {
 
 namespace {
 
-struct HeapEntry {
-  NodeId node;
-  double gain;           // marginal gain w.r.t. S at round `round`
-  uint32_t round;        // seed-set size when `gain` was computed
-  // CELF++ extras: gain w.r.t. S + prev_best, and which best it refers to.
-  double gain_after_prev_best = 0.0;
-  NodeId prev_best = kInvalidNode;
-
-  bool operator<(const HeapEntry& other) const {
-    return gain < other.gain;  // max-heap by gain
+// Incremental-session gains (sketch-backed objectives): each probe is a
+// near-O(touched) session query and a commit explores the seed's frontier
+// once.
+class SessionGains : public GainOracle {
+ public:
+  explicit SessionGains(McObjective& objective) : objective_(objective) {}
+  double Gain(NodeId u) override {
+    return objective_.SessionMarginalGain(u);
   }
+  void Commit(NodeId u, double /*gain*/) override {
+    objective_.SessionCommit(u);
+  }
+
+ private:
+  McObjective& objective_;
 };
 
-// Heap entry of the incremental-session path. Unlike the MC path (whose
-// unspecified tie order is part of its frozen byte-identical behavior),
-// ties break toward the smaller node id so that session CELF provably
-// picks the same seeds as eager greedy over the same frozen snapshots
-// (gains there are exactly submodular, so equal-gain candidates are
-// interchangeable except for this ordering).
-struct SessionHeapEntry {
-  NodeId node;
-  double gain;
-  uint32_t round;
-
-  bool operator<(const SessionHeapEntry& other) const {
-    if (gain != other.gain) return gain < other.gain;
-    return node > other.node;  // smaller id pops first on ties
+// Whole-set Monte-Carlo gains: Evaluate(S + u) minus the running sum of
+// committed gains. The one oracle that can score u against S + x, so the
+// one that answers CELF++ look-aheads (when enabled).
+class WholeSetGains : public GainOracle {
+ public:
+  WholeSetGains(McObjective& objective, bool plus_plus)
+      : objective_(objective), plus_plus_(plus_plus) {}
+  double Gain(NodeId u) override {
+    trial_ = seeds_;
+    trial_.push_back(u);
+    return objective_.Evaluate(trial_) - value_;
   }
-};
-
-// Heap entry of the budgeted (benefit-per-cost) loop: ordered by ratio
-// with the session path's smaller-id tie-break, so with unit costs the
-// ratio equals the gain bitwise and the pop sequence reproduces the
-// session Select heap exactly.
-struct BudgetHeapEntry {
-  NodeId node;
-  double ratio;   // gain / cost at round `round`
-  double gain;    // marginal gain backing the ratio (reported as score)
-  uint32_t round;
-
-  bool operator<(const BudgetHeapEntry& other) const {
-    if (ratio != other.ratio) return ratio < other.ratio;
-    return node > other.node;  // smaller id pops first on ties
+  void Commit(NodeId u, double gain) override {
+    seeds_.push_back(u);
+    value_ += gain;
   }
+  bool GainWith(NodeId x, NodeId u, double* gain) override {
+    if (!plus_plus_) return false;
+    trial_ = seeds_;
+    trial_.push_back(x);
+    const double base = objective_.Evaluate(trial_);
+    trial_.push_back(u);
+    *gain = objective_.Evaluate(trial_) - base;
+    return true;
+  }
+
+ private:
+  McObjective& objective_;
+  bool plus_plus_;
+  std::vector<NodeId> seeds_;
+  std::vector<NodeId> trial_;
+  double value_ = 0.0;
 };
 
 }  // namespace
@@ -72,149 +76,7 @@ Result<SeedSelection> CelfSelector::Select(uint32_t k) {
   if (k > graph_.num_nodes()) {
     return Status::InvalidArgument("k exceeds node count");
   }
-  SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
-  evaluations_ = 0;
-
-  if (objective_->StartSession()) {
-    // Incremental path (sketch-backed objectives): the same lazy-forward
-    // loop, but every marginal gain is an incremental session probe and
-    // selecting a seed commits its frontier once. The CELF++ double-gain
-    // cache is pointless here — a session re-evaluation costs no more
-    // than the cache lookup's bookkeeping — so `plus_plus_` is ignored.
-    if (deadline_ && !deadline_->Check().ok()) {
-      selection.degraded = true;
-      selection.stop_status = deadline_->status();
-      selection.elapsed_seconds = timer.ElapsedSeconds();
-      selection.overhead_bytes = meter.OverheadBytes();
-      return selection;
-    }
-    std::priority_queue<SessionHeapEntry> heap;
-    for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-      ++evaluations_;
-      heap.push({u, objective_->SessionMarginalGain(u), 0});
-    }
-    uint32_t checked_round = 0;  // the pre-pass check covers round 0
-    while (selection.seeds.size() < k && !heap.empty()) {
-      const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-      if (deadline_ && round != checked_round) {
-        checked_round = round;
-        if (!deadline_->Check().ok()) {
-          selection.degraded = true;
-          selection.stop_status = deadline_->status();
-          break;
-        }
-      }
-      SessionHeapEntry top = heap.top();
-      heap.pop();
-      if (top.round == round) {
-        objective_->SessionCommit(top.node);
-        selection.seeds.push_back(top.node);
-        selection.seed_scores.push_back(top.gain);
-        continue;
-      }
-      ++evaluations_;
-      top.gain = objective_->SessionMarginalGain(top.node);
-      top.round = round;
-      heap.push(top);
-    }
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
-  }
-
-  std::vector<NodeId> trial;
-  auto evaluate = [&](const std::vector<NodeId>& seeds) {
-    ++evaluations_;
-    return objective_->Evaluate(seeds);
-  };
-
-  // Initial pass: marginal gain of every singleton.
-  if (deadline_ && !deadline_->Check().ok()) {
-    selection.degraded = true;
-    selection.stop_status = deadline_->status();
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
-  }
-  std::priority_queue<HeapEntry> heap;
-  trial.assign(1, 0);
-  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    trial[0] = u;
-    HeapEntry entry;
-    entry.node = u;
-    entry.gain = evaluate(trial);
-    entry.round = 0;
-    heap.push(entry);
-  }
-
-  double current_value = 0.0;
-  uint32_t checked_round = 0;  // the pre-pass check covers round 0
-  while (selection.seeds.size() < k && !heap.empty()) {
-    const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-    if (deadline_ && round != checked_round) {
-      checked_round = round;
-      if (!deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
-    }
-    if (deadline_ && deadline_->StopRequested()) {
-      // Expiry mid-round (wall clock or cancellation): gains evaluated
-      // after it rest on partial MC block sums, so stop before one of
-      // them can reach the commit branch. Never reached in work-budget
-      // mode (expiry only lands at the per-round Check above).
-      selection.degraded = true;
-      selection.stop_status = deadline_->Check();
-      break;
-    }
-    HeapEntry top = heap.top();
-    heap.pop();
-    if (top.round == round) {
-      // Gain is fresh w.r.t. the current seed set: select it.
-      selection.seeds.push_back(top.node);
-      selection.seed_scores.push_back(top.gain);
-      current_value += top.gain;
-      continue;
-    }
-    if (plus_plus_ && top.prev_best != kInvalidNode &&
-        !selection.seeds.empty() && selection.seeds.back() == top.prev_best &&
-        top.round + 1 == round) {
-      // CELF++: the cached gain w.r.t. S + prev_best is exactly the gain
-      // w.r.t. the new S — no re-evaluation needed.
-      top.gain = top.gain_after_prev_best;
-      top.round = round;
-      top.prev_best = kInvalidNode;
-      heap.push(top);
-      continue;
-    }
-    // Re-evaluate marginal gain w.r.t. the current seed set.
-    trial = selection.seeds;
-    trial.push_back(top.node);
-    const double value = evaluate(trial);
-    top.gain = value - current_value;
-    top.round = round;
-    if (plus_plus_ && !heap.empty()) {
-      // Cache the gain w.r.t. S + current heap best (the likely next pick).
-      const NodeId likely_best = heap.top().node;
-      if (likely_best != top.node) {
-        std::vector<NodeId> trial2 = selection.seeds;
-        trial2.push_back(likely_best);
-        const double base2 = evaluate(trial2);
-        trial2.push_back(top.node);
-        const double with_both = evaluate(trial2);
-        top.gain_after_prev_best = with_both - base2;
-        top.prev_best = likely_best;
-      }
-    }
-    heap.push(top);
-  }
-
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return Run(k, {}, 0.0);
 }
 
 Result<SeedSelection> CelfSelector::SelectBudgeted(
@@ -226,119 +88,25 @@ Result<SeedSelection> CelfSelector::SelectBudgeted(
   if (!(budget > 0.0)) {
     return Status::InvalidArgument("budget must be positive");
   }
-  SeedSelection selection;
+  return Run(max_seeds, costs, budget);
+}
+
+SeedSelection CelfSelector::Run(uint32_t max_seeds,
+                                std::span<const double> costs,
+                                double budget) {
   MemoryMeter meter;
   Timer timer;
-  evaluations_ = 0;
-  double remaining = budget;
-
+  const std::vector<NodeId> nodes = AllNodes(graph_.num_nodes());
+  LazyGreedyRun run;
   if (objective_->StartSession()) {
-    // Lazy benefit-per-cost loop over session probes. Stale ratios are
-    // upper bounds (submodular gains over the frozen snapshots; costs are
-    // fixed), so the lazy skip logic carries over from Select unchanged.
-    if (deadline_ && !deadline_->Check().ok()) {
-      selection.degraded = true;
-      selection.stop_status = deadline_->status();
-      selection.elapsed_seconds = timer.ElapsedSeconds();
-      selection.overhead_bytes = meter.OverheadBytes();
-      return selection;
-    }
-    std::priority_queue<BudgetHeapEntry> heap;
-    for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-      ++evaluations_;
-      const double gain = objective_->SessionMarginalGain(u);
-      heap.push({u, gain / costs[u], gain, 0});
-    }
-    uint32_t checked_round = 0;  // the pre-pass check covers round 0
-    while (selection.seeds.size() < max_seeds && !heap.empty()) {
-      const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-      if (deadline_ && round != checked_round) {
-        checked_round = round;
-        if (!deadline_->Check().ok()) {
-          selection.degraded = true;
-          selection.stop_status = deadline_->status();
-          break;
-        }
-      }
-      BudgetHeapEntry top = heap.top();
-      heap.pop();
-      if (costs[top.node] > remaining) continue;  // drop: can never fit
-      if (top.round == round) {
-        objective_->SessionCommit(top.node);
-        remaining -= costs[top.node];
-        selection.seeds.push_back(top.node);
-        selection.seed_scores.push_back(top.gain);
-        continue;
-      }
-      ++evaluations_;
-      top.gain = objective_->SessionMarginalGain(top.node);
-      top.ratio = top.gain / costs[top.node];
-      top.round = round;
-      heap.push(top);
-    }
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
+    SessionGains gains(*objective_);
+    run = LazyGreedy(gains, nodes, max_seeds, costs, budget, deadline_);
+  } else {
+    WholeSetGains gains(*objective_, plus_plus_);
+    run = LazyGreedy(gains, nodes, max_seeds, costs, budget, deadline_);
   }
-
-  // Monte-Carlo objective: the same lazy ratio loop over whole-set
-  // Evaluate calls (no CELF++ double-gain cache — the budgeted pop order
-  // depends on costs, so the "likely next best" prediction it rests on
-  // doesn't carry over).
-  std::vector<NodeId> trial;
-  auto evaluate = [&](const std::vector<NodeId>& seeds) {
-    ++evaluations_;
-    return objective_->Evaluate(seeds);
-  };
-  if (deadline_ && !deadline_->Check().ok()) {
-    selection.degraded = true;
-    selection.stop_status = deadline_->status();
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
-  }
-  std::priority_queue<BudgetHeapEntry> heap;
-  trial.assign(1, 0);
-  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    trial[0] = u;
-    const double gain = evaluate(trial);
-    heap.push({u, gain / costs[u], gain, 0});
-  }
-  double current_value = 0.0;
-  uint32_t checked_round = 0;  // the pre-pass check covers round 0
-  while (selection.seeds.size() < max_seeds && !heap.empty()) {
-    const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-    if (deadline_ && round != checked_round) {
-      checked_round = round;
-      if (!deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
-    }
-    if (deadline_ && deadline_->StopRequested()) {
-      // Same mid-round discard as Select's MC loop (see above).
-      selection.degraded = true;
-      selection.stop_status = deadline_->Check();
-      break;
-    }
-    BudgetHeapEntry top = heap.top();
-    heap.pop();
-    if (costs[top.node] > remaining) continue;  // drop: can never fit
-    if (top.round == round) {
-      remaining -= costs[top.node];
-      selection.seeds.push_back(top.node);
-      selection.seed_scores.push_back(top.gain);
-      current_value += top.gain;
-      continue;
-    }
-    trial = selection.seeds;
-    trial.push_back(top.node);
-    top.gain = evaluate(trial) - current_value;
-    top.ratio = top.gain / costs[top.node];
-    top.round = round;
-    heap.push(top);
-  }
+  evaluations_ = run.evaluations;
+  SeedSelection selection = std::move(run.selection);
   selection.elapsed_seconds = timer.ElapsedSeconds();
   selection.overhead_bytes = meter.OverheadBytes();
   return selection;

@@ -15,50 +15,49 @@ namespace holim {
 ///
 /// Exploits submodularity: a node's marginal gain can only shrink as the
 /// seed set grows, so stale gains in a max-heap are upper bounds and most
-/// re-evaluations are skipped. The CELF++ refinement additionally caches,
-/// for each heap entry, the marginal gain w.r.t. (S + previous best) so
-/// that when the previous best is in fact selected the entry needs no
-/// re-evaluation at all (paper Appendix C).
+/// re-evaluations are skipped. Both Select and SelectBudgeted are one
+/// LazyGreedy call (algo/lazy_greedy.h), which owns the heap order (larger
+/// gain, then smaller node id), the budget drop, the deadline checkpoints
+/// and the evaluation count; this class only picks the gain oracle.
+///
+/// When the objective supports an incremental session (SketchSpreadObjective)
+/// gains are session probes and commits: on the frozen snapshot sample
+/// they are exactly submodular, so the seeds equal eager greedy's. Any
+/// other objective is scored by whole-set Evaluate calls, and only there
+/// does `plus_plus` turn on the CELF++ look-ahead cache (paper Appendix
+/// C): a session probe already costs no more than the cache bookkeeping.
 ///
 /// With a non-submodular objective (the MEO objective) the lazy bound is a
 /// heuristic rather than exact — matching how the paper deploys greedy
 /// baselines in the opinion-aware setting.
-///
-/// When the objective supports an incremental session (McObjective's
-/// session API; SketchSpreadObjective), Select runs the same lazy loop
-/// through SessionMarginalGain/SessionCommit: gains on the frozen
-/// snapshot sample are exactly submodular, ties break toward the smaller
-/// node id, and the CELF++ double-gain cache is skipped (a session
-/// re-evaluation is already near-O(touched)). The Monte-Carlo path is
-/// byte-identical to its pre-session behavior.
 class CelfSelector : public SeedSelector {
  public:
-  /// `plus_plus` toggles the CELF++ double-gain optimization.
+  /// `plus_plus` toggles the CELF++ look-ahead (whole-set objectives only).
   CelfSelector(const Graph& graph, std::shared_ptr<McObjective> objective,
                bool plus_plus = true, std::string name = "CELF++");
 
   std::string name() const override { return name_; }
   Result<SeedSelection> Select(uint32_t k) override;
 
-  /// Budgeted lazy greedy (QueryKind::kBudgeted): the CELF loop keyed on
-  /// the benefit-per-cost ratio gain(u)/cost(u), with the classic
-  /// drop-when-over-budget heap discipline — a popped candidate whose cost
-  /// exceeds the residual budget is discarded permanently (its gain only
-  /// shrinks while its cost is fixed, so it can never fit later). Ties
-  /// break toward the smaller node id, and with uniform unit costs and
-  /// budget == k the ratio IS the gain, the drop rule never fires before
-  /// the budget is spent, and the selection is bitwise-identical to
-  /// Select(k) on the session path. The CELF++ double-gain cache is
-  /// skipped in both paths (stale ratios re-evaluate like plain CELF).
+  /// Budgeted lazy greedy (QueryKind::kBudgeted): the same loop keyed on
+  /// gain(u)/cost(u), dropping for good a popped candidate over the
+  /// residual budget. With unit costs and budget == k the key IS the gain
+  /// and the session-path selection is bitwise-identical to Select(k).
+  /// Never CELF++.
   Result<SeedSelection> SelectBudgeted(uint32_t max_seeds,
                                        std::span<const double> costs,
                                        double budget) override;
 
-  /// Number of objective evaluations performed by the last Select call
-  /// (exposed so tests can verify laziness actually skips work).
+  /// Number of objective evaluations performed by the last Select or
+  /// SelectBudgeted call (exposed so tests can verify laziness actually
+  /// skips work).
   uint64_t last_evaluation_count() const { return evaluations_; }
 
  private:
+  /// One LazyGreedy run; empty `costs` is top-k.
+  SeedSelection Run(uint32_t max_seeds, std::span<const double> costs,
+                    double budget);
+
   const Graph& graph_;
   std::shared_ptr<McObjective> objective_;
   bool plus_plus_;

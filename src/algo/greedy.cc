@@ -34,12 +34,11 @@ double EffectiveOpinionObjective::Evaluate(const std::vector<NodeId>& seeds) {
 }
 
 SketchSpreadObjective::SketchSpreadObjective(
-    std::shared_ptr<const SketchOracle> oracle, bool use_session,
+    std::shared_ptr<const SketchOracle> oracle,
     std::vector<double> node_weights)
     : oracle_(std::move(oracle)),
       weights_(std::move(node_weights)),
-      session_(*oracle_, weights_),
-      use_session_(use_session) {}
+      session_(*oracle_, weights_) {}
 
 double SketchSpreadObjective::Evaluate(const std::vector<NodeId>& seeds) {
   if (!weights_.empty()) {
@@ -49,7 +48,6 @@ double SketchSpreadObjective::Evaluate(const std::vector<NodeId>& seeds) {
 }
 
 bool SketchSpreadObjective::StartSession() {
-  if (!use_session_) return false;
   session_.Reset();
   return true;
 }

@@ -1,0 +1,85 @@
+#ifndef HOLIM_ALGO_LAZY_GREEDY_H_
+#define HOLIM_ALGO_LAZY_GREEDY_H_
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "algo/seed_selector.h"
+#include "graph/graph.h"
+#include "util/deadline.h"
+
+namespace holim {
+
+/// \brief Marginal-gain oracle hill-climbed by LazyGreedy. It owns the
+/// committed seed set S and how a gain is scored; the driver owns the
+/// order in which candidates are scored and committed.
+class GainOracle {
+ public:
+  virtual ~GainOracle() = default;
+
+  /// Marginal gain of `u` w.r.t. S.
+  virtual double Gain(NodeId u) = 0;
+
+  /// Adds `u` to S. `gain` is what Gain(u) returned against the current
+  /// S; the oracle must take it as given, never re-evaluate it.
+  virtual void Commit(NodeId u, double gain) = 0;
+
+  /// CELF++ look-ahead: the gain of `u` w.r.t. S + {x}, without
+  /// committing x. Only an oracle that scores whole sets can answer one
+  /// (it costs two evaluations: S + x and S + x + u); the default
+  /// declines, and the driver then runs plain CELF.
+  virtual bool GainWith(NodeId /*x*/, NodeId /*u*/, double* /*gain*/) {
+    return false;
+  }
+};
+
+/// What one LazyGreedy run committed and what it cost.
+struct LazyGreedyRun {
+  /// seeds, seed_scores (each seed's committed gain), and on an early
+  /// stop degraded + stop_status; timings and memory are the caller's.
+  SeedSelection selection;
+  /// Oracle evaluations: one per Gain call, two per answered GainWith.
+  uint64_t evaluations = 0;
+};
+
+/// \brief The lazy-forward (CELF) greedy driver every hill-climbing
+/// baseline runs through (Leskovec et al., KDD'07; CELF++: Goyal et al.,
+/// WWW'11).
+///
+/// One pre-pass scores every candidate (in `candidates` order), then each
+/// round pops the entry with the largest key. A key computed against the
+/// current S is committed; a stale one is re-scored and pushed back.
+/// Under a submodular gain a stale key is an upper bound, so the popped
+/// fresh entry is the round's arg-max.
+///
+///  * **Key and order.** With empty `costs` (top-k) the key is the gain;
+///    with costs (one per node id) it is gain / cost. Larger key pops
+///    first, and equal keys pop the smaller node id first, so the result
+///    is the eager arg-max sequence under that tie rule.
+///  * **Budget.** With costs, a popped candidate whose cost exceeds the
+///    residual budget is dropped for good: its gain only shrinks while its
+///    cost is fixed. `budget` is ignored for top-k.
+///  * **Checkpoints.** `deadline` (borrowed, may be null) is checked once
+///    before the pre-pass and once at the top of every later round. A stop
+///    requested mid-round (wall clock or cancellation) discards that round
+///    before a gain scored after it can be committed.
+///  * **CELF++.** In top-k, each re-score also asks the oracle for the
+///    gain w.r.t. S + (current heap top). If that node is committed next,
+///    the entry's next re-score is served from this cache instead of the
+///    oracle. Never used with costs: the budgeted pop order depends on
+///    cost, so the heap top is no prediction of the next commit.
+///
+/// Stops after `max_seeds` commits or when no candidate is left.
+LazyGreedyRun LazyGreedy(GainOracle& oracle,
+                         std::span<const NodeId> candidates,
+                         uint32_t max_seeds,
+                         std::span<const double> costs = {},
+                         double budget = 0.0, Deadline* deadline = nullptr);
+
+/// Every node of an `n`-node graph, ascending: the usual candidate pool.
+std::vector<NodeId> AllNodes(NodeId n);
+
+}  // namespace holim
+
+#endif  // HOLIM_ALGO_LAZY_GREEDY_H_

@@ -29,7 +29,6 @@ void RrCollection::Clear() {
   if (build_index_) cover_count_.assign(graph_->num_nodes(), 0);
   indexed_sets_ = 0;
   records_.clear();
-  replayable_ = true;  // nothing left that a serial stream produced
   ++epoch_;  // outstanding snapshots would dangle; invalidate them
 }
 
@@ -79,20 +78,6 @@ uint64_t RrCollection::SampleOne(Rng& rng, EpochSet& visited,
     }
   }
   return width;
-}
-
-void RrCollection::Generate(std::size_t count, Rng& rng) {
-  // The caller's stream cannot be replayed later; ApplyDelta refuses.
-  if (count > 0) replayable_ = false;
-  offsets_.reserve(offsets_.size() + count);
-  if (track_widths_) widths_.reserve(widths_.size() + count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const uint64_t w = SampleOne(rng, visited_, stack_, entries_);
-    offsets_.push_back(entries_.size());
-    if (track_widths_) widths_.push_back(w);
-    total_width_ += w;
-  }
-  if (build_index_) IndexNewSets(nullptr);
 }
 
 Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
@@ -581,11 +566,6 @@ Status RrCollection::ApplyDelta(const Graph& new_graph,
   if (new_params.model != params_.model) {
     return Status::InvalidArgument(
         "diffusion model changed across the delta; rebuild the collection");
-  }
-  if (!replayable_) {
-    return Status::InvalidArgument(
-        "collection holds serially generated sets whose RNG stream cannot "
-        "be replayed; Clear() or rebuild instead");
   }
   const Graph& old_graph = *graph_;
   const NodeId n_old = old_graph.num_nodes();

@@ -46,7 +46,7 @@ namespace holim {
 /// ## Incremental inverted index (node -> containing set ids)
 ///
 /// The index CELF greedy runs against is owned, persistent state, not a
-/// per-call temporary: every `Generate` / `GenerateParallel` call indexes
+/// per-call temporary: every `GenerateParallel` call indexes
 /// exactly the sets it appended, so a caller that alternates appends and
 /// selections (IMM's doubling rounds) pays O(new entries) per round instead
 /// of O(total entries).
@@ -115,9 +115,7 @@ namespace holim {
 /// the nodes its DFS pops — which are exactly the sets' members. After a
 /// delta, a block replays bitwise identically unless some member's in-row
 /// changed, so ApplyDelta copies clean blocks' arena spans verbatim and
-/// resamples only dirty blocks from their recorded seeds. The serial
-/// `Generate` path draws from a caller-owned stream that cannot be
-/// replayed, so using it marks the collection non-patchable.
+/// resamples only dirty blocks from their recorded seeds.
 class RrCollection {
  public:
   /// Sets sampled per RNG block in GenerateParallel. Part of the
@@ -142,11 +140,6 @@ class RrCollection {
   RrCollection(const Graph& graph, const InfluenceParams& params,
                bool track_widths = false, bool build_index = true);
 
-  /// Appends `count` RR sets sampled sequentially with `rng` (legacy serial
-  /// path; draws are interleaved with the caller's stream), then indexes
-  /// the new sets.
-  void Generate(std::size_t count, Rng& rng);
-
   /// Appends `count` RR sets sharded across `pool` (nullptr selects
   /// DefaultThreadPool()) under the RNG-sharding contract above, indexing
   /// the new sets from shard-local partial counts. Output (arena and
@@ -165,7 +158,7 @@ class RrCollection {
 
   /// Drops all sets and index segments (keeps capacity) and bumps the
   /// epoch, invalidating every outstanding CoverageSnapshot. Also clears
-  /// the generate records, restoring patchability.
+  /// the generate records.
   void Clear();
 
   /// \brief Patches the collection onto a post-delta graph: sets whose
@@ -181,17 +174,12 @@ class RrCollection {
   /// resamples all blocks (still from the recorded seeds).
   ///
   /// Fails with InvalidArgument — leaving the collection untouched — if
-  /// params/graph sizes mismatch, the diffusion model changed, or the
-  /// serial Generate path made the collection non-replayable.
+  /// params/graph sizes mismatch or the diffusion model changed.
   Status ApplyDelta(const Graph& new_graph, const InfluenceParams& new_params);
-
-  /// False once the serial Generate path has appended sets (their RNG
-  /// stream is caller-owned and cannot be replayed). Clear() restores it.
-  bool replayable() const { return replayable_; }
 
   std::size_t num_sets() const { return offsets_.size() - 1; }
   /// Zero-copy view of set i; the root is element 0. Invalidated by
-  /// Generate/GenerateParallel/Clear.
+  /// GenerateParallel/Clear.
   std::span<const NodeId> set(std::size_t i) const {
     return {entries_.data() + offsets_[i], entries_.data() + offsets_[i + 1]};
   }
@@ -323,13 +311,13 @@ class RrCollection {
   uint64_t total_width_ = 0;
   // Replay log for ApplyDelta (see class comment).
   std::vector<GenerateRecord> records_;
-  bool replayable_ = true;
   // Incremental inverted index (see class comment).
   std::vector<IndexSegment> segments_;
   std::vector<uint32_t> cover_count_;  // per node: #indexed sets containing it
   std::size_t indexed_sets_ = 0;       // == num_sets() between generate calls
   uint64_t epoch_ = 0;
-  // Scratch for the serial path (GenerateParallel uses per-shard scratch).
+  // Scratch for ApplyDelta's block replay (GenerateParallel uses
+  // per-shard scratch).
   EpochSet visited_;
   std::vector<NodeId> stack_;
 };

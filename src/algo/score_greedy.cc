@@ -29,17 +29,6 @@ ScoreGreedy::ScoreGreedy(const Graph& graph, IncrementalScoreFn score_fn,
       activated_(graph.num_nodes()),
       rng_(options.seed) {}
 
-ScoreGreedy::ScoreGreedy(const Graph& graph, ScoreFn score_fn,
-                         const ScoreGreedyOptions& options)
-    : ScoreGreedy(graph,
-                  IncrementalScoreFn([fn = std::move(score_fn)](
-                                         const EpochSet& excluded,
-                                         const std::vector<NodeId>*,
-                                         std::vector<double>* scores) {
-                    fn(excluded, scores);
-                  }),
-                  options) {}
-
 void ScoreGreedy::InsertActivated(NodeId u) {
   if (activated_.Contains(u)) return;
   activated_.Insert(u);

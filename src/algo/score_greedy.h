@@ -69,22 +69,17 @@ struct ScoreGreedyOptions {
 /// problem, OSIM for MEO. Both drivers below share this implementation.
 class ScoreGreedy {
  public:
-  using ScoreFn =
-      std::function<void(const EpochSet& excluded, std::vector<double>*)>;
-
   /// Incremental-aware score assigner: `newly_excluded` lists exactly the
   /// nodes added to `excluded` since the assigner's previous invocation;
   /// nullptr means the delta is unknown (first round, or the driver scored
-  /// an unrelated set in between) and a full recompute is required.
+  /// an unrelated set in between) and a full recompute is required. An
+  /// assigner may ignore the delta and always recompute in full.
   using IncrementalScoreFn =
       std::function<void(const EpochSet& excluded,
                          const std::vector<NodeId>* newly_excluded,
                          std::vector<double>*)>;
 
   ScoreGreedy(const Graph& graph, IncrementalScoreFn score_fn,
-              const ScoreGreedyOptions& options);
-  /// Legacy assigners ignore the delta and always recompute in full.
-  ScoreGreedy(const Graph& graph, ScoreFn score_fn,
               const ScoreGreedyOptions& options);
 
   /// Hook used by the activation strategies: simulate one cascade from

@@ -1,10 +1,8 @@
 #include "algo/simpath.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <limits>
-#include <queue>
 
+#include "algo/lazy_greedy.h"
 #include "util/memory.h"
 #include "util/timer.h"
 
@@ -55,6 +53,7 @@ double SimpathSelector::SpreadOfSet(const std::vector<NodeId>& seeds,
   // sigma(S) = sum_{u in S} sigma^{V - (S \ u)}({u}) + |S| accounts for the
   // LT decomposition; we report spread *excluding* seeds per Def. 3, so the
   // |S| term is dropped.
+  if (seeds.empty()) return 0.0;
   std::vector<char> mask = excluded;
   for (NodeId s : seeds) mask[s] = 1;
   double total = 0.0;
@@ -72,55 +71,40 @@ Result<SeedSelection> SimpathSelector::Select(uint32_t k) {
   if (k > graph_.num_nodes()) {
     return Status::InvalidArgument("k exceeds node count");
   }
-  SeedSelection selection;
   MemoryMeter meter;
   Timer timer;
-  const NodeId n = graph_.num_nodes();
-  std::vector<char> no_exclusions(n, 0);
 
-  struct Entry {
-    NodeId node;
-    double gain;
-    uint32_t round;
-    bool operator<(const Entry& other) const { return gain < other.gain; }
-  };
-  std::priority_queue<Entry> heap;
-  for (NodeId u = 0; u < n; ++u) {
-    heap.push({u, SpreadOfNode(u, no_exclusions), 0});
-  }
-
-  std::vector<char> seed_mask(n, 0);
-  double current_value = 0.0;
-  while (selection.seeds.size() < k && !heap.empty()) {
-    const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-    // Look-ahead: refresh up to `lookahead` stale top candidates, then pick.
-    std::vector<Entry> refreshed;
-    bool picked = false;
-    for (uint32_t scan = 0; scan < options_.lookahead && !heap.empty();
-         ++scan) {
-      Entry top = heap.top();
-      heap.pop();
-      if (top.round == round) {
-        selection.seeds.push_back(top.node);
-        selection.seed_scores.push_back(top.gain);
-        seed_mask[top.node] = 1;
-        current_value += top.gain;
-        picked = true;
-        break;
-      }
-      // sigma(S + u) = sigma^{V-u}(S) + sigma^{V-S}(u).
-      std::vector<char> without_u = seed_mask;
-      without_u[top.node] = 1;
-      const double sigma_s_minus_u = SpreadOfSet(selection.seeds, without_u);
-      const double sigma_u = SpreadOfNode(top.node, seed_mask);
-      top.gain = sigma_s_minus_u + sigma_u - current_value;
-      top.round = round;
-      refreshed.push_back(top);
+  // sigma(S + u) = sigma^{V-u}(S) + sigma^{V-S}(u), minus the running sum
+  // of committed gains.
+  class PathGains : public GainOracle {
+   public:
+    PathGains(const SimpathSelector& selector, NodeId n)
+        : selector_(selector), seed_mask_(n, 0), without_u_(n, 0) {}
+    double Gain(NodeId u) override {
+      without_u_[u] = 1;
+      const double sigma_s_minus_u = selector_.SpreadOfSet(seeds_, without_u_);
+      without_u_[u] = 0;
+      const double sigma_u = selector_.SpreadOfNode(u, seed_mask_);
+      return sigma_s_minus_u + sigma_u - value_;
     }
-    for (const Entry& e : refreshed) heap.push(e);
-    if (!picked && heap.empty()) break;
-  }
+    void Commit(NodeId u, double gain) override {
+      seeds_.push_back(u);
+      seed_mask_[u] = 1;
+      without_u_[u] = 1;
+      value_ += gain;
+    }
 
+   private:
+    const SimpathSelector& selector_;
+    std::vector<NodeId> seeds_;
+    std::vector<char> seed_mask_;
+    std::vector<char> without_u_;  // seed_mask_, plus u during a Gain call
+    double value_ = 0.0;
+  };
+  PathGains gains(*this, graph_.num_nodes());
+  SeedSelection selection =
+      LazyGreedy(gains, AllNodes(graph_.num_nodes()), k, {}, 0.0, deadline_)
+          .selection;
   selection.elapsed_seconds = timer.ElapsedSeconds();
   selection.overhead_bytes = meter.OverheadBytes();
   return selection;

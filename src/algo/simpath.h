@@ -15,8 +15,6 @@ namespace holim {
 struct SimpathOptions {
   /// Path-weight pruning threshold (paper Sec. 4 uses eta = 1e-3).
   double eta = 1e-3;
-  /// CELF look-ahead: top-l candidates re-evaluated per round (paper: 4).
-  uint32_t lookahead = 4;
   /// Hard cap on simple-path enumeration depth (safety valve; the weight
   /// prune usually terminates far earlier since weights shrink as 1/indeg^d).
   uint32_t max_depth = 16;
@@ -27,9 +25,13 @@ struct SimpathOptions {
 /// Under LT the spread of a seed set decomposes into sums over simple
 /// paths: sigma({u}) = sum over simple paths starting at u of the product
 /// of edge weights. SIMPATH enumerates those paths by backtracking DFS,
-/// pruning any prefix whose weight drops below eta, and drives a CELF-style
-/// lazy-greedy with a `lookahead` optimization: only the top-l heap
-/// candidates get fresh marginal-gain evaluations per round.
+/// pruning any prefix whose weight drops below eta, and hill-climbs the
+/// resulting gains with one LazyGreedy run (algo/lazy_greedy.h): equal
+/// gains go to the smaller node id, and the driver's round checkpoints
+/// bound the run under a deadline. The paper's look-ahead (re-score the
+/// top-l candidates per round as one batch) is not implemented: here each
+/// re-score enumerates its own paths, so a batch shares no work and would
+/// only add re-scores.
 ///
 /// Marginal gains use the paper's decomposition
 ///   sigma(S + u) = sigma^{V-u}(S) + sigma^{V-S}({u}),

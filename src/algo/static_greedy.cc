@@ -1,7 +1,6 @@
 #include "algo/static_greedy.h"
 
-#include <queue>
-
+#include "algo/lazy_greedy.h"
 #include "util/memory.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -129,59 +128,36 @@ Result<SeedSelection> StaticGreedySelector::Select(uint32_t k) {
   if (k > graph_.num_nodes()) {
     return Status::InvalidArgument("k exceeds node count");
   }
-  SeedSelection selection;
   MemoryMeter meter;
   Timer timer;
   // The sample is a pure function of (graph, params, options), so it is
   // drawn once and kept: re-Select on a cached selector (engine Workspace
   // warm reuse) skips phase 1 while staying bitwise-identical to a cold
   // run.
-  if (deadline_ && !deadline_->Check().ok()) {
-    selection.degraded = true;
-    selection.stop_status = deadline_->status();
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
-  }
   if (snapshots_.empty()) SampleSnapshots();
 
-  std::vector<std::vector<char>> covered(
-      snapshots_.size(), std::vector<char>(graph_.num_nodes(), 0));
+  // Gains on a static sample are exactly submodular: the average number
+  // of nodes u newly covers across the snapshots.
+  class CoverageGains : public GainOracle {
+   public:
+    CoverageGains(const StaticGreedySelector& selector, NodeId n)
+        : selector_(selector),
+          covered_(selector.snapshots_.size(), std::vector<char>(n, 0)) {}
+    double Gain(NodeId u) override {
+      return selector_.MarginalGain(u, covered_);
+    }
+    void Commit(NodeId u, double /*gain*/) override {
+      selector_.Cover(u, &covered_);
+    }
 
-  // CELF lazy greedy: gains on a static sample are exactly submodular.
-  struct Entry {
-    NodeId node;
-    double gain;
-    uint32_t round;
-    bool operator<(const Entry& other) const { return gain < other.gain; }
+   private:
+    const StaticGreedySelector& selector_;
+    std::vector<std::vector<char>> covered_;
   };
-  std::priority_queue<Entry> heap;
-  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    heap.push({u, MarginalGain(u, covered), 0});
-  }
-  uint32_t checked_round = 0;  // the pre-sample check covers round 0
-  while (selection.seeds.size() < k && !heap.empty()) {
-    const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-    if (deadline_ && round != checked_round) {
-      checked_round = round;
-      if (!deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
-    }
-    Entry top = heap.top();
-    heap.pop();
-    if (top.round == round) {
-      selection.seeds.push_back(top.node);
-      selection.seed_scores.push_back(top.gain);
-      Cover(top.node, &covered);
-      continue;
-    }
-    top.gain = MarginalGain(top.node, covered);
-    top.round = round;
-    heap.push(top);
-  }
+  CoverageGains gains(*this, graph_.num_nodes());
+  SeedSelection selection =
+      LazyGreedy(gains, AllNodes(graph_.num_nodes()), k, {}, 0.0, deadline_)
+          .selection;
   selection.elapsed_seconds = timer.ElapsedSeconds();
   selection.overhead_bytes = meter.OverheadBytes();
   return selection;

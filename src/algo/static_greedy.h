@@ -24,11 +24,15 @@ struct StaticGreedyOptions {
 /// \brief StaticGreedy — greedy IM over a fixed set of sampled snapshots.
 ///
 /// Phase 1 samples R live-edge instantiations of the graph once (each edge
-/// kept independently w.p. p(e) for IC/WC; single live in-edge for LT).
-/// Phase 2 runs CELF-style lazy greedy where a node's gain is the average
-/// number of *newly* reachable nodes across snapshots. Because the sample
-/// is static, marginal gains are exactly submodular and the lazy heap
-/// never misranks — the algorithm's "scalability-accuracy dilemma" fix.
+/// kept independently w.p. p(e) for IC/WC; single live in-edge for LT)
+/// with its own sampler, so the worlds it draws do not depend on the
+/// sketch arena's streams. Phase 2 is one LazyGreedy run
+/// (algo/lazy_greedy.h) where a node's gain is the average number of
+/// *newly* reachable nodes across snapshots. Because the sample is static,
+/// marginal gains are exactly submodular and the lazy heap never misranks
+/// — the algorithm's "scalability-accuracy dilemma" fix. Equal gains go
+/// to the smaller node id, and the driver's round checkpoints bound the
+/// run under a deadline.
 class StaticGreedySelector : public SeedSelector {
  public:
   StaticGreedySelector(const Graph& graph, const InfluenceParams& params,

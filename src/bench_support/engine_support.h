@@ -26,7 +26,7 @@ namespace holim {
 /// Workspace. `seed_offset` picks an independently seeded world set
 /// (fig6de's train/eval split); `record_edge_offsets` only for the
 /// opinion-replay benches.
-inline std::shared_ptr<const SketchOracle> GetBenchSketchOracle(
+inline Result<std::shared_ptr<const SketchOracle>> GetBenchSketchOracle(
     HolimEngine& engine, const Graph& graph, const InfluenceParams& params,
     const CommonBenchConfig& config, uint64_t seed_offset = 0,
     bool record_edge_offsets = false) {

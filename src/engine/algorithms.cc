@@ -55,8 +55,8 @@ Result<std::shared_ptr<McObjective>> MakeMcObjective(const SolveContext& ctx) {
     options.deadline = ctx.deadline;
     HOLIM_ASSIGN_OR_RETURN(
         std::shared_ptr<const SketchOracle> sketch,
-        ctx.workspace.GetSketchOracleChecked(ctx.graph, *r.params, options,
-                                             ctx.graph_token));
+        ctx.workspace.GetSketchOracle(ctx.graph, *r.params, options,
+                                      ctx.graph_token));
     // Targeted queries hill-climb the weighted objective sigma_w; the
     // objective copies the weights so the cached selector never dangles
     // into a caller-owned request vector.
@@ -64,7 +64,7 @@ Result<std::shared_ptr<McObjective>> MakeMcObjective(const SolveContext& ctx) {
         r.query == QueryKind::kTargeted ? r.target_weights
                                         : std::vector<double>{};
     return std::shared_ptr<McObjective>(std::make_shared<SketchSpreadObjective>(
-        std::move(sketch), /*use_session=*/true, std::move(weights)));
+        std::move(sketch), std::move(weights)));
   }
   McOptions mc;
   mc.num_simulations = r.mc;

@@ -403,8 +403,8 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
       options.pool = ctx.pool;
       HOLIM_ASSIGN_OR_RETURN(
           eval_sketch,
-          workspace_.GetSketchOracleChecked(*graph_, *request.params, options,
-                                            graph_token()));
+          workspace_.GetSketchOracle(*graph_, *request.params, options,
+                                     graph_token()));
     } else {
       eval_sketch = workspace_.PeekSketchOracle(sketch_key);
     }
@@ -532,8 +532,9 @@ Result<SolveResult> HolimEngine::SolveGivenSeeds(const SolveRequest& request,
     options.num_snapshots = request.EffectiveSketchCount();
     options.seed = request.seed;
     options.pool = PoolFor(request.threads);
-    sketch = workspace_.GetSketchOracle(*graph_, *request.params, options,
-                                        graph_token());
+    HOLIM_ASSIGN_OR_RETURN(
+        sketch, workspace_.GetSketchOracle(*graph_, *request.params, options,
+                                           graph_token()));
     result.sketch_arena_bytes = sketch->ArenaBytes();
   }
   result.artifact_seconds = artifact_timer.ElapsedSeconds();

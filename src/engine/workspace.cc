@@ -98,47 +98,7 @@ double Workspace::BenefitPerByte(const std::string& key) const {
   return DecayedHeat(it->second, tick_) * it->second.rebuild_cost / bytes;
 }
 
-std::string Workspace::HottestGhost() const {
-  std::string best;
-  double best_heat = -1.0;
-  // Ascending key order + strict ">" keeps the smallest key among
-  // equally hot ghosts.
-  for (const auto& [key, ghost] : ghosts_) {
-    if (ghost.heat > best_heat) {
-      best = key;
-      best_heat = ghost.heat;
-    }
-  }
-  return best;
-}
-
-void Workspace::EvictEntry(std::map<std::string, Entry>::iterator it) {
-  if (policy_ == EvictionPolicy::kHeatBenefit) {
-    GhostEntry ghost;
-    ghost.heat = DecayedHeat(it->second, tick_);
-    ghost.bytes = it->second.FootprintBytes();
-    ghosts_[it->first] = ghost;
-    if (ghosts_.size() > kMaxGhosts) {
-      auto coldest = ghosts_.begin();
-      for (auto g = ghosts_.begin(); g != ghosts_.end(); ++g) {
-        if (g->second.heat < coldest->second.heat) coldest = g;
-      }
-      ghosts_.erase(coldest);
-    }
-  }
-  entries_.erase(it);
-  ++evictions_;
-}
-
-std::shared_ptr<const SketchOracle> Workspace::GetSketchOracle(
-    const Graph& graph, const InfluenceParams& params,
-    const SketchOptions& options, const std::string& graph_token,
-    bool* reused) {
-  return GetSketchOracleChecked(graph, params, options, graph_token, reused)
-      .ValueOrDie();
-}
-
-Result<std::shared_ptr<const SketchOracle>> Workspace::GetSketchOracleChecked(
+Result<std::shared_ptr<const SketchOracle>> Workspace::GetSketchOracle(
     const Graph& graph, const InfluenceParams& params,
     const SketchOptions& options, const std::string& graph_token,
     bool* reused) {
@@ -175,7 +135,6 @@ Result<std::shared_ptr<const SketchOracle>> Workspace::GetSketchOracleChecked(
   entry.options = options;
   entry.options.deadline = nullptr;  // the deadline dies with the solve
   std::shared_ptr<const SketchOracle> sketch = entry.sketch;
-  ghosts_.erase(key);
   entries_[key] = std::move(entry);
   return sketch;
 }
@@ -211,7 +170,6 @@ Result<SeedSelector*> Workspace::GetSelector(
   entry.rebuild_cost =
       static_cast<double>(entry.selector->MemoryFootprintBytes());
   SeedSelector* raw = entry.selector.get();
-  ghosts_.erase(key);
   entries_[key] = std::move(entry);
   return raw;
 }
@@ -330,7 +288,8 @@ std::size_t Workspace::EnforceBudget(uint64_t pin_newer_than) {
       }
     }
     if (victim == entries_.end()) break;  // only pinned entries left
-    EvictEntry(victim);
+    entries_.erase(victim);
+    ++evictions_;
     ++evicted;
   }
   // A single over-budget artifact is kept: evicting the only copy of the

@@ -80,10 +80,8 @@ namespace holim {
 ///    the lexicographically smallest key, so eviction order is a pure
 ///    function of the access sequence — never of wall time.
 ///
-/// Heat-policy evictions are remembered in a small "ghost" list
-/// (key -> heat at eviction + bytes), which a serving layer can consult
-/// (HottestGhost) to pre-warm the hottest evicted artifact once budget
-/// frees up. Admitting a key clears its ghost.
+/// An evicted artifact leaves nothing behind: its next request rebuilds
+/// it like any other miss.
 ///
 /// Not thread-safe; an engine (and its workspace) serves one solve at a
 /// time.
@@ -96,27 +94,17 @@ class Workspace {
   /// a miss. The key is derived HERE from (params content, options,
   /// graph token) — see SketchOracleKey — so a caller cannot hand in
   /// options that disagree with the key they are cached under. `reused`
-  /// (optional) reports whether the artifact was served warm.
-  ///
-  /// Legacy convenience wrapper over GetSketchOracleChecked: aborts the
-  /// process on a failed build. Failure requires an injected fault, a
-  /// deadline in `options`, or the hard byte budget — callers on this
-  /// wrapper use none of those, so it cannot fire for them.
-  std::shared_ptr<const SketchOracle> GetSketchOracle(
-      const Graph& graph, const InfluenceParams& params,
-      const SketchOptions& options, const std::string& graph_token = "",
-      bool* reused = nullptr);
-
-  /// GetSketchOracle with typed failure instead of success-or-abort:
+  /// (optional) reports whether the artifact was served warm. A failed
+  /// build is a typed error, never an abort:
   ///  * an armed "workspace/sketch" fault injection point fires here;
   ///  * a deadline in `options` that expires mid-sampling aborts the build
   ///    (the oracle's build_status) — the partial artifact is NOT cached;
   ///  * under a hard byte budget (set_hard_budget), an artifact that still
-  ///    does not fit after one LRU evict-and-retry is dropped and
+  ///    does not fit after one evict-and-retry is dropped and
   ///    kResourceExhausted returned.
   /// Cached entries always store options with deadline = nullptr — the
   /// deadline dies with the solve that carried it.
-  Result<std::shared_ptr<const SketchOracle>> GetSketchOracleChecked(
+  Result<std::shared_ptr<const SketchOracle>> GetSketchOracle(
       const Graph& graph, const InfluenceParams& params,
       const SketchOptions& options, const std::string& graph_token = "",
       bool* reused = nullptr);
@@ -214,28 +202,10 @@ class Workspace {
   /// first.
   double BenefitPerByte(const std::string& key) const;
 
-  /// One remembered heat-policy eviction, for pre-warm decisions.
-  struct GhostEntry {
-    double heat = 0.0;       ///< decayed heat at eviction time
-    std::size_t bytes = 0;   ///< footprint the rebuild would re-admit
-  };
-
-  /// The ghost list: keys evicted under kHeatBenefit that have not been
-  /// re-admitted since, capped at the hottest kMaxGhosts.
-  const std::map<std::string, GhostEntry>& ghosts() const { return ghosts_; }
-
-  /// The hottest ghost key (ties: smallest key), or "" when none. The
-  /// serving layer pre-warms this once headroom covers its bytes.
-  std::string HottestGhost() const;
-
-  /// Drops `key` from the ghost list (after a pre-warm, or to give up on
-  /// it).
-  void ForgetGhost(const std::string& key) { ghosts_.erase(key); }
-
   /// Hard budget mode (off by default): with a byte budget set, an
   /// artifact admission that still exceeds the budget after one LRU
   /// evict-and-retry FAILS with kResourceExhausted instead of being kept
-  /// over budget. Only GetSketchOracleChecked/GetSelector enforce this;
+  /// over budget. Only GetSketchOracle/GetSelector enforce this;
   /// the default soft mode keeps the historical keep-at-least-one
   /// behavior bit for bit.
   void set_hard_budget(bool hard) { hard_budget_ = hard; }
@@ -281,13 +251,7 @@ class Workspace {
   Status AdmitBytes(std::size_t incoming_bytes);
   /// `entry`'s heat decayed to `now` (pure; no state change).
   double DecayedHeat(const Entry& entry, uint64_t now) const;
-  /// Erases `it`, recording a ghost under kHeatBenefit.
-  void EvictEntry(std::map<std::string, Entry>::iterator it);
-
-  static constexpr std::size_t kMaxGhosts = 32;
-
   std::map<std::string, Entry> entries_;
-  std::map<std::string, GhostEntry> ghosts_;
   std::size_t max_bytes_ = 0;
   bool hard_budget_ = false;
   EvictionPolicy policy_ = EvictionPolicy::kLru;

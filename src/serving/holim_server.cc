@@ -194,42 +194,8 @@ Result<ProtocolReply> HolimServer::Execute(const Pending& pending) {
     // solve builds nothing and counts nowhere).
     ++stats_.sketch_builds;
   }
-  tenant.key_model[pending.arena_key] = pending.request.model;
   last_arena_key_ = pending.arena_key;
-  MaybePrewarm(tenant);
   return reply;
-}
-
-void HolimServer::MaybePrewarm(Tenant& tenant) {
-  if (!options_.prewarm) return;
-  if (options_.cache_policy != Workspace::EvictionPolicy::kHeatBenefit) {
-    return;
-  }
-  Workspace& workspace = tenant.engine->workspace();
-  const std::string ghost_key = workspace.HottestGhost();
-  if (ghost_key.empty()) return;
-  const auto model_it = tenant.key_model.find(ghost_key);
-  if (model_it == tenant.key_model.end()) {
-    // A ghost we cannot rebuild (key from a retired configuration).
-    workspace.ForgetGhost(ghost_key);
-    return;
-  }
-  const auto ghost_it = workspace.ghosts().find(ghost_key);
-  if (ghost_it == workspace.ghosts().end()) return;
-  if (workspace.max_bytes() != 0 &&
-      workspace.MemoryFootprintBytes() + ghost_it->second.bytes >
-          workspace.max_bytes()) {
-    return;  // no headroom yet; keep the ghost for later
-  }
-  SketchOptions sketch_options;
-  sketch_options.num_snapshots = options_.num_sketches;
-  sketch_options.seed = options_.seed;
-  bool reused = false;
-  workspace.GetSketchOracle(tenant.graph,
-                            tenant.params.at(model_it->second),
-                            sketch_options, tenant.engine->graph_token(),
-                            &reused);
-  if (!reused) ++stats_.prewarms;
 }
 
 std::string HolimServer::DispatchOneLine() {
@@ -250,7 +216,7 @@ std::string HolimServer::FormatStats() const {
       buf, sizeof(buf),
       "stats tenants=%zu admitted=%llu rejected=%llu served=%llu "
       "failed=%llu builds=%llu warm_sketch_hits=%llu coalesced=%llu "
-      "prewarms=%llu expired_in_queue=%llu",
+      "expired_in_queue=%llu",
       tenants_.size(), static_cast<unsigned long long>(stats_.admitted),
       static_cast<unsigned long long>(stats_.rejected),
       static_cast<unsigned long long>(stats_.served),
@@ -258,7 +224,6 @@ std::string HolimServer::FormatStats() const {
       static_cast<unsigned long long>(stats_.sketch_builds),
       static_cast<unsigned long long>(stats_.warm_sketch_hits),
       static_cast<unsigned long long>(stats_.coalesced),
-      static_cast<unsigned long long>(stats_.prewarms),
       static_cast<unsigned long long>(stats_.expired_in_queue));
   return buf;
 }

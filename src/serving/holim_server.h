@@ -35,9 +35,6 @@ struct ServerOptions {
       Workspace::EvictionPolicy::kHeatBenefit;
   /// Per-tenant Workspace byte budget (0 = unlimited).
   std::size_t max_cache_bytes = 0;
-  /// After a dispatch under the heat policy, rebuild the hottest ghost
-  /// arena when the freed budget covers its bytes.
-  bool prewarm = true;
   /// Sketch-arena snapshot count R shared by every served solve.
   uint32_t num_sketches = 64;
   /// RNG seed behind every arena and selector.
@@ -60,7 +57,6 @@ struct ServerStats {
   uint64_t sketch_builds = 0;     ///< cold sketch-arena builds paid
   uint64_t warm_sketch_hits = 0;  ///< solves served off a cached arena
   uint64_t coalesced = 0;  ///< queued misses whose build was coalesced away
-  uint64_t prewarms = 0;   ///< ghost arenas rebuilt ahead of demand
   uint64_t expired_in_queue = 0;  ///< deadlines that died waiting
 };
 
@@ -88,9 +84,6 @@ struct ServerStats {
 ///    engine's deterministic heuristic degradation tier — the PR 9 ladder
 ///    (full -> prefix -> heuristic) is the overload response, not an
 ///    error.
-///  * **Pre-warm** (options.prewarm, heat policy only): after a dispatch,
-///    if the hottest ghost (see Workspace) fits the freed budget, its
-///    arena is rebuilt ahead of demand and counted in `prewarms`.
 ///
 /// Scheduling never changes results: a solve is a pure function of its
 /// request, so any dispatch order yields bitwise-identical per-request
@@ -164,8 +157,6 @@ class HolimServer {
     Graph graph;
     std::map<std::string, InfluenceParams> params;  // "IC"/"WC"/"LT"
     std::unique_ptr<HolimEngine> engine;
-    /// Reverse map: sketch-arena key -> model name, for pre-warm rebuilds.
-    std::map<std::string, std::string> key_model;
   };
 
   struct Pending {
@@ -195,10 +186,6 @@ class HolimServer {
 
   /// Runs one pending request through its tenant engine.
   Result<ProtocolReply> Execute(const Pending& pending);
-
-  /// Heat-policy pre-warm: rebuild the hottest ghost arena of `tenant`
-  /// when the current footprint leaves room for it.
-  void MaybePrewarm(Tenant& tenant);
 
   /// Handles one protocol line of the pipe/socket loop; appends response
   /// lines to `out_lines`. Sets `*quit` on the quit verb.

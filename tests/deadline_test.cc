@@ -43,6 +43,7 @@ class DeadlineSolveTest : public ::testing::Test {
   void SetUp() override {
     graph_ = GenerateBarabasiAlbert(200, 2, 5).ValueOrDie();
     params_ = MakeUniformIc(graph_, 0.1);
+    lt_params_ = MakeLinearThreshold(graph_);
   }
 
   SolveRequest BaseRequest(const std::string& algorithm) const {
@@ -66,27 +67,36 @@ class DeadlineSolveTest : public ::testing::Test {
 
   Graph graph_;
   InfluenceParams params_;
+  InfluenceParams lt_params_;
 };
 
 // The pinned determinism contract: per algorithm, per evaluator, for every
 // work budget up to completion, the degraded result is either the exact
 // seed prefix of the untimed run or the heuristic tier — never anything
-// else — and re-running the same budget reproduces it bitwise.
+// else — and re-running the same budget reproduces it bitwise. The first
+// budget that completes is pinned too, so moving a checkpoint cannot
+// silently shift where a solve starts to degrade. The hill climbers
+// (greedy, the LazyGreedy users, EaSyIM) spend one tick before their
+// first round and one per later round, so k = 4 completes at 5; the
+// sketch cases add the arena build's ticks.
 TEST_F(DeadlineSolveTest, WorkBudgetDegradesToExactPrefixPerAlgorithm) {
   struct Case {
     const char* algorithm;
     SpreadOracle oracle;
+    uint64_t first_complete_budget;
+    bool lt = false;  // LT weights instead of uniform IC
   };
   const Case cases[] = {
-      {"greedy", SpreadOracle::kMonteCarlo},
-      {"celf", SpreadOracle::kMonteCarlo},
-      {"greedy", SpreadOracle::kSketch},
-      {"celf", SpreadOracle::kSketch},
-      {"celf++", SpreadOracle::kSketch},
-      {"easyim", SpreadOracle::kMonteCarlo},
-      {"static-greedy", SpreadOracle::kMonteCarlo},
-      {"tim+", SpreadOracle::kMonteCarlo},
-      {"imm", SpreadOracle::kMonteCarlo},
+      {"greedy", SpreadOracle::kMonteCarlo, 5},
+      {"celf", SpreadOracle::kMonteCarlo, 5},
+      {"greedy", SpreadOracle::kSketch, 13},
+      {"celf", SpreadOracle::kSketch, 13},
+      {"celf++", SpreadOracle::kSketch, 13},
+      {"easyim", SpreadOracle::kMonteCarlo, 5},
+      {"static-greedy", SpreadOracle::kMonteCarlo, 5},
+      {"tim+", SpreadOracle::kMonteCarlo, 101},
+      {"imm", SpreadOracle::kMonteCarlo, 49},
+      {"simpath", SpreadOracle::kMonteCarlo, 5, /*lt=*/true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.algorithm) +
@@ -94,6 +104,7 @@ TEST_F(DeadlineSolveTest, WorkBudgetDegradesToExactPrefixPerAlgorithm) {
     SolveRequest untimed = BaseRequest(c.algorithm);
     untimed.oracle = c.oracle;
     untimed.num_sketches = 32;
+    if (c.lt) untimed.params = &lt_params_;
 
     HolimEngine reference(graph_);
     auto full = reference.Solve(untimed);
@@ -104,7 +115,8 @@ TEST_F(DeadlineSolveTest, WorkBudgetDegradesToExactPrefixPerAlgorithm) {
       // The untimed answer every degraded prefix is held to is itself the
       // one worlds rebuilt from the streams give.
       EXPECT_EQ(full->spread,
-                sketch_reference::Reference(graph_, params_, untimed.seed, 32)
+                sketch_reference::Reference(graph_, *untimed.params,
+                                            untimed.seed, 32)
                     .Estimate(full->seeds));
     }
 
@@ -120,6 +132,7 @@ TEST_F(DeadlineSolveTest, WorkBudgetDegradesToExactPrefixPerAlgorithm) {
         EXPECT_EQ(result->tier, ResultTier::kFull);
         EXPECT_EQ(result->seeds, full->seeds);
         EXPECT_EQ(result->seed_scores, full->seed_scores);
+        EXPECT_EQ(budget, c.first_complete_budget);
         completed = true;
         continue;
       }
@@ -295,6 +308,31 @@ TEST_F(DeadlineSolveTest, HardByteBudgetReturnsResourceExhausted) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   // The engine survives: an artifact-light solve still succeeds.
+  SolveRequest light = BaseRequest("degreediscount");
+  auto ok = engine.Solve(light);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_FALSE(ok->seeds.empty());
+}
+
+// The given-seed kinds fetch the same arena through the same getter, so
+// the hard budget refuses them with the same typed error instead of
+// aborting the process.
+TEST_F(DeadlineSolveTest, HardByteBudgetRefusesEvaluateAndExplain) {
+  EngineOptions options;
+  options.max_cache_bytes = 1024;  // far below any sketch arena
+  options.hard_cache_budget = true;
+  HolimEngine engine(graph_, options);
+  for (const QueryKind kind : {QueryKind::kEvaluate, QueryKind::kExplain}) {
+    SCOPED_TRACE(QueryKindName(kind));
+    SolveRequest request = BaseRequest("celf");
+    request.oracle = SpreadOracle::kSketch;
+    request.num_sketches = 64;
+    request.query = kind;
+    request.given_seeds = {0, 1, 2};
+    auto result = engine.Solve(request);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  }
   SolveRequest light = BaseRequest("degreediscount");
   auto ok = engine.Solve(light);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();

@@ -1,5 +1,5 @@
-// Ground truth for the spread estimators: exact sigma(S) on graphs small
-// enough to list every live-edge world.
+// Ground truth for the spread estimators and the greedy driver: exact
+// sigma(S) on graphs small enough to list every live-edge world.
 //
 // IC/WC worlds are the 2^m edge subsets (edge e live w.p. p(e)); LT worlds
 // give every node one of its in-edges or none (in-edge e w.p. w(e), none
@@ -10,15 +10,21 @@
 // (n - |S|) * sqrt(ln(2 / delta) / 2R) with probability 1 - delta. The
 // seeds are fixed, so the test is deterministic; delta = 1e-9 makes a
 // failure a statement about the estimator, not about luck.
+//
+// On exact gains sigma is monotone submodular, so LazyGreedy must return
+// the eager arg-max sequence and reach (1 - 1/e) of the brute-force
+// optimum (Nemhauser et al.).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "algo/lazy_greedy.h"
 #include "diffusion/sketch_oracle.h"
 #include "diffusion/spread_estimator.h"
 #include "graph/graph.h"
@@ -167,6 +173,116 @@ TEST(ExactSpreadTest, SketchAndMonteCarloWithinHoeffdingRadius) {
       EXPECT_NEAR(EstimateSpread(g, params, seeds, mc), exact, radius)
           << where;
     }
+  }
+}
+
+/// Exact marginal gains: ExactSpread(S + u) minus the running sum of
+/// committed gains.
+class ExactGains : public GainOracle {
+ public:
+  ExactGains(const Graph& graph, const InfluenceParams& params)
+      : graph_(graph), params_(params) {}
+  double Gain(NodeId u) override {
+    seeds_.push_back(u);
+    const double sigma = ExactSpread(graph_, params_, seeds_);
+    seeds_.pop_back();
+    return sigma - value_;
+  }
+  void Commit(NodeId u, double gain) override {
+    seeds_.push_back(u);
+    value_ += gain;
+  }
+
+ private:
+  const Graph& graph_;
+  const InfluenceParams& params_;
+  std::vector<NodeId> seeds_;
+  double value_ = 0.0;
+};
+
+/// Eager greedy on the same gains: each round scores every uncommitted
+/// node that fits the residual budget (empty `costs`: top-k) and commits
+/// the best key, the first in ascending id on ties.
+std::vector<NodeId> EagerGreedy(const Graph& graph,
+                                const InfluenceParams& params, uint32_t k,
+                                std::span<const double> costs = {},
+                                double budget = 0.0) {
+  ExactGains gains(graph, params);
+  std::vector<NodeId> seeds;
+  std::vector<char> chosen(graph.num_nodes(), 0);
+  while (seeds.size() < k) {
+    NodeId best = kInvalidNode;
+    double best_key = 0.0, best_gain = 0.0;
+    for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+      if (chosen[u] || (!costs.empty() && costs[u] > budget)) continue;
+      const double gain = gains.Gain(u);
+      const double key = costs.empty() ? gain : gain / costs[u];
+      if (best == kInvalidNode || key > best_key) {
+        best = u;
+        best_key = key;
+        best_gain = gain;
+      }
+    }
+    if (best == kInvalidNode) break;
+    gains.Commit(best, best_gain);
+    chosen[best] = 1;
+    if (!costs.empty()) budget -= costs[best];
+    seeds.push_back(best);
+  }
+  return seeds;
+}
+
+/// max sigma(S) over every k-subset of the nodes.
+double BruteForceOpt(const Graph& graph, const InfluenceParams& params,
+                     uint32_t k) {
+  const NodeId n = graph.num_nodes();
+  std::vector<char> pick(n, 0);
+  std::fill(pick.end() - k, pick.end(), 1);
+  double best = 0.0;
+  do {
+    std::vector<NodeId> seeds;
+    for (NodeId u = 0; u < n; ++u) {
+      if (pick[u]) seeds.push_back(u);
+    }
+    best = std::max(best, ExactSpread(graph, params, seeds));
+  } while (std::next_permutation(pick.begin(), pick.end()));
+  return best;
+}
+
+TEST(ExactGreedyTest, LazyEqualsEagerAndReachesTheGreedyBound) {
+  const Graph g = SmallGraph();
+  for (const InfluenceParams& params : AllModels(g)) {
+    for (const uint32_t k : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(DiffusionModelName(params.model)) +
+                   " k=" + std::to_string(k));
+      ExactGains gains(g, params);
+      const std::vector<NodeId> lazy =
+          LazyGreedy(gains, AllNodes(g.num_nodes()), k).selection.seeds;
+      EXPECT_EQ(lazy, EagerGreedy(g, params, k));
+      ASSERT_EQ(lazy.size(), k);
+      const double opt = BruteForceOpt(g, params, k);
+      EXPECT_GE(ExactSpread(g, params, lazy), (1.0 - std::exp(-1.0)) * opt);
+    }
+  }
+}
+
+TEST(ExactGreedyTest, BudgetedLazyEqualsEagerWithTwoCostLevels) {
+  const Graph g = SmallGraph();
+  // Odd nodes cost twice as much: the ratio key and the drop rule both
+  // matter under a budget of 4.
+  std::vector<double> costs(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) costs[u] = u % 2 ? 2.0 : 1.0;
+  for (const InfluenceParams& params : AllModels(g)) {
+    SCOPED_TRACE(DiffusionModelName(params.model));
+    ExactGains gains(g, params);
+    const std::vector<NodeId> lazy =
+        LazyGreedy(gains, AllNodes(g.num_nodes()), g.num_nodes(), costs,
+                   /*budget=*/4.0)
+            .selection.seeds;
+    EXPECT_EQ(lazy, EagerGreedy(g, params, g.num_nodes(), costs, 4.0));
+    double spent = 0.0;
+    for (const NodeId u : lazy) spent += costs[u];
+    EXPECT_LE(spent, 4.0);
   }
 }
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "algo/celf.h"
 #include "algo/greedy.h"
+#include "algo/lazy_greedy.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "model/influence_params.h"
@@ -136,6 +140,159 @@ TEST(GreedyTest, RejectsBadK) {
   EXPECT_FALSE(greedy.Select(999).ok());
   CelfSelector celf(g, objective);
   EXPECT_FALSE(celf.Select(0).ok());
+}
+
+// ---------------------------------------------------------------------------
+// LazyGreedy driver contracts, on hand-traceable coverage gains.
+// ---------------------------------------------------------------------------
+
+// Node u covers the items covers[u]; its gain is how many of them S has
+// not covered yet. Exactly submodular, so every pop sequence below can be
+// traced by hand.
+class CoverageGains : public GainOracle {
+ public:
+  explicit CoverageGains(std::vector<std::vector<int>> covers,
+                         bool plus_plus = false)
+      : covers_(std::move(covers)), plus_plus_(plus_plus) {}
+
+  double Gain(NodeId u) override {
+    gained.push_back(u);
+    if (on_gain) on_gain();
+    return NewItems(u, covered_);
+  }
+  void Commit(NodeId u, double /*gain*/) override {
+    ++commits;
+    covered_.insert(covers_[u].begin(), covers_[u].end());
+  }
+  bool GainWith(NodeId x, NodeId u, double* gain) override {
+    if (!plus_plus_) return false;
+    ++gain_with_calls;
+    std::set<int> with = covered_;
+    with.insert(covers_[x].begin(), covers_[x].end());
+    *gain = NewItems(u, with);
+    return true;
+  }
+
+  int gain_with_calls = 0;
+  int commits = 0;
+  std::vector<NodeId> gained;     // every Gain call's node, in order
+  std::function<void()> on_gain;  // runs inside each Gain call
+
+ private:
+  double NewItems(NodeId u, const std::set<int>& covered) const {
+    double count = 0;
+    for (const int item : covers_[u]) count += covered.count(item) ? 0 : 1;
+    return count;
+  }
+
+  std::vector<std::vector<int>> covers_;
+  bool plus_plus_;
+  std::set<int> covered_;
+};
+
+// Items 0-9 belong to node 0 (A), 20-25 to node 1 (X); node 2 (U) shares
+// four of A's and one of X's plus three of its own; node 3 covers one.
+// Pre-pass 10, 6, 8, 1. Round 0 commits A. Round 1 re-scores U (8 -> 4)
+// and then X (fresh 6), and commits X. Round 2 re-scores U (4 -> 3) and
+// commits it.
+std::vector<std::vector<int>> OverlapCovers() {
+  return {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+          {20, 21, 22, 23, 24, 25},
+          {0, 1, 2, 3, 20, 30, 31, 32},
+          {40}};
+}
+
+TEST(LazyGreedyTest, EqualKeysPopTheSmallestIdFirst) {
+  // Six one-item nodes: every key is 1.0. The pre-pass order must not
+  // matter, only the ids.
+  CoverageGains gains({{0}, {1}, {2}, {3}, {4}, {5}});
+  const std::vector<NodeId> shuffled = {4, 2, 5, 0, 3, 1};
+  const LazyGreedyRun run = LazyGreedy(gains, shuffled, 3);
+  EXPECT_EQ(run.selection.seeds, (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(run.selection.seed_scores, (std::vector<double>{1, 1, 1}));
+
+  // Budgeted: node u covers u + 1 items at cost u + 1, so every ratio is
+  // 1.0 and the budget of 6 fits nodes 0, 1 and 2 exactly.
+  CoverageGains ratios({{0}, {1, 2}, {3, 4, 5}, {6, 7, 8, 9}});
+  const std::vector<double> costs = {1, 2, 3, 4};
+  const LazyGreedyRun budgeted = LazyGreedy(
+      ratios, std::vector<NodeId>{3, 1, 0, 2}, 4, costs, /*budget=*/6.0);
+  EXPECT_EQ(budgeted.selection.seeds, (std::vector<NodeId>{0, 1, 2}));
+}
+
+TEST(LazyGreedyTest, OverBudgetCandidateNeverReturns) {
+  // Ratios: node 3 60/6 = 10 (over the whole budget of 5), node 1 9/2,
+  // node 0 10/4, node 2 1/1. Round 0 drops 3 and commits 1 (residual 3);
+  // round 1 drops 0 (cost 4) and commits 2. Neither dropped node is ever
+  // scored again.
+  std::vector<std::vector<int>> covers(4);
+  for (int i = 0; i < 10; ++i) covers[0].push_back(i);
+  for (int i = 0; i < 9; ++i) covers[1].push_back(100 + i);
+  covers[2] = {200};
+  for (int i = 0; i < 60; ++i) covers[3].push_back(300 + i);
+  CoverageGains gains(covers, /*plus_plus=*/true);
+  const std::vector<double> costs = {4, 2, 1, 6};
+  const LazyGreedyRun run =
+      LazyGreedy(gains, AllNodes(4), 4, costs, /*budget=*/5.0);
+  EXPECT_EQ(run.selection.seeds, (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(run.selection.seed_scores, (std::vector<double>{9, 1}));
+  EXPECT_EQ(gains.gained, (std::vector<NodeId>{0, 1, 2, 3, 2}));
+  EXPECT_EQ(run.evaluations, 5u);
+  // The CELF++ look-ahead is top-k only.
+  EXPECT_EQ(gains.gain_with_calls, 0);
+}
+
+TEST(LazyGreedyTest, CelfPlusPlusSkipsOneReevaluationAfterPrevBestCommits) {
+  CoverageGains plain_gains(OverlapCovers());
+  const LazyGreedyRun plain = LazyGreedy(plain_gains, AllNodes(4), 3);
+  EXPECT_EQ(plain.selection.seeds, (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(plain.selection.seed_scores, (std::vector<double>{10, 6, 3}));
+  // Pre-pass 4, round 1 re-scores U and X, round 2 re-scores U.
+  EXPECT_EQ(plain.evaluations, 7u);
+
+  // CELF++: round 1 re-scores U against S + X (X is the heap top then)
+  // and X against S + U. X commits, so round 2 takes U's gain from the
+  // cache: one Gain call fewer, two look-aheads at two evaluations each.
+  CoverageGains pp_gains(OverlapCovers(), /*plus_plus=*/true);
+  const LazyGreedyRun pp = LazyGreedy(pp_gains, AllNodes(4), 3);
+  EXPECT_EQ(pp.selection.seeds, plain.selection.seeds);
+  EXPECT_EQ(pp.selection.seed_scores, plain.selection.seed_scores);
+  EXPECT_EQ(pp_gains.gained.size(), plain_gains.gained.size() - 1);
+  EXPECT_EQ(pp_gains.gain_with_calls, 2);
+  EXPECT_EQ(pp.evaluations, 10u);
+}
+
+TEST(LazyGreedyTest, CancelledTokenDiscardsTheCurrentRound) {
+  // Cancel from inside round 1's first re-score (Gain call 5): the driver
+  // must stop before anything scored after the cancel is committed.
+  CancelToken token;
+  Deadline deadline = Deadline::WorkBudget(1000, &token);
+  CoverageGains gains(OverlapCovers());
+  gains.on_gain = [&] {
+    if (gains.gained.size() == 5) token.Cancel();
+  };
+  const LazyGreedyRun run =
+      LazyGreedy(gains, AllNodes(4), 3, {}, 0.0, &deadline);
+  EXPECT_EQ(run.selection.seeds, (std::vector<NodeId>{0}));
+  EXPECT_EQ(gains.commits, 1);
+  EXPECT_TRUE(run.selection.degraded);
+  EXPECT_EQ(run.selection.stop_status.code(), StatusCode::kCancelled);
+}
+
+TEST(LazyGreedyTest, OneCheckpointBeforeThePrePassAndOnePerLaterRound) {
+  // A budget of B ticks completes B - 1 checkpoints: the pre-pass check
+  // plus one per round after round 0, so k = 3 needs a budget of 4.
+  for (uint64_t budget = 1; budget <= 4; ++budget) {
+    SCOPED_TRACE(budget);
+    Deadline deadline = Deadline::WorkBudget(budget);
+    CoverageGains gains(OverlapCovers());
+    const LazyGreedyRun run =
+        LazyGreedy(gains, AllNodes(4), 3, {}, 0.0, &deadline);
+    const std::size_t rounds = budget - 1;
+    EXPECT_EQ(run.selection.seeds.size(), rounds);
+    EXPECT_EQ(run.selection.degraded, rounds < 3);
+    if (rounds == 0) EXPECT_TRUE(gains.gained.empty());
+  }
 }
 
 }  // namespace

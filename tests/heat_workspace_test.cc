@@ -1,9 +1,8 @@
 // Heat-aware Workspace tests: the exact decay arithmetic, the
 // benefit-per-byte victim ordering (and how it diverges from LRU), the
-// working-set pin in EnforceBudget, the ghost list feeding pre-warm
-// decisions — and the regression test that ApplyGraphDelta re-keying
-// re-enforces the byte budget (patched arenas grow; a churn epoch must
-// not overshoot until the next solve).
+// working-set pin in EnforceBudget — and the regression test that
+// ApplyGraphDelta re-keying re-enforces the byte budget (patched arenas
+// grow; a churn epoch must not overshoot until the next solve).
 
 #include <gtest/gtest.h>
 
@@ -154,75 +153,6 @@ TEST(HeatEvictionTest, PinStopsOverBudgetWhenOnlyPinnedRemain) {
   // rather than thrash the working set.
   EXPECT_EQ(ws.EnforceBudget(0), 0u);
   EXPECT_EQ(ws.num_artifacts(), 2u);
-}
-
-TEST(GhostListTest, EvictionsGhostUnderHeatPolicyOnly) {
-  for (const auto policy : {Workspace::EvictionPolicy::kLru,
-                            Workspace::EvictionPolicy::kHeatBenefit}) {
-    Workspace ws;
-    ws.set_eviction_policy(policy);
-    ws.set_heat_half_life(1u << 20);
-    Add(ws, "a", 2000);
-    Add(ws, "b", 1000);
-    ws.set_max_bytes(1500);
-    ws.EnforceBudget();
-    if (policy == Workspace::EvictionPolicy::kLru) {
-      EXPECT_TRUE(ws.ghosts().empty());
-    } else {
-      ASSERT_EQ(ws.ghosts().size(), 1u);
-      const auto& [key, ghost] = *ws.ghosts().begin();
-      EXPECT_EQ(key, "a");  // 2000 bytes, same heat: lowest benefit/byte
-      EXPECT_EQ(ghost.heat, 1.0);
-      EXPECT_EQ(ghost.bytes, 2000u);
-      EXPECT_EQ(ws.HottestGhost(), "a");
-    }
-  }
-}
-
-TEST(GhostListTest, HottestGhostTieBreaksSmallestKeyAndForgets) {
-  Workspace ws;
-  ws.set_eviction_policy(Workspace::EvictionPolicy::kHeatBenefit);
-  ws.set_heat_half_life(1u << 20);
-  Add(ws, "b");
-  Add(ws, "a");
-  Add(ws, "keeper", 10);
-  ws.set_max_bytes(500);  // only "keeper" survives
-  ws.EnforceBudget();
-  ASSERT_EQ(ws.ghosts().size(), 2u);  // "a" and "b", equal heat
-  EXPECT_EQ(ws.HottestGhost(), "a");  // tie -> smallest key
-  ws.ForgetGhost("a");
-  EXPECT_EQ(ws.HottestGhost(), "b");
-  ws.ForgetGhost("b");
-  EXPECT_EQ(ws.HottestGhost(), "");
-  EXPECT_TRUE(ws.ghosts().empty());
-}
-
-TEST(GhostListTest, ReadmissionErasesTheGhost) {
-  Workspace ws;
-  ws.set_eviction_policy(Workspace::EvictionPolicy::kHeatBenefit);
-  Add(ws, "a", 2000);
-  Add(ws, "b", 1000);
-  ws.set_max_bytes(1500);
-  ws.EnforceBudget();
-  ASSERT_EQ(ws.ghosts().count("a"), 1u);
-  ws.set_max_bytes(0);  // lift the budget so re-admission sticks
-  Add(ws, "a", 2000);
-  EXPECT_EQ(ws.ghosts().count("a"), 0u);
-}
-
-TEST(GhostListTest, CapKeepsAtMost32Ghosts) {
-  Workspace ws;
-  ws.set_eviction_policy(Workspace::EvictionPolicy::kHeatBenefit);
-  ws.set_heat_half_life(1u << 20);
-  Add(ws, "keeper", 10);
-  for (int i = 0; i < 40; ++i) {
-    const std::string key = "g" + std::to_string(100 + i);  // fixed width
-    Add(ws, key, 1000);
-    ws.set_max_bytes(500);
-    ws.EnforceBudget();
-    ws.set_max_bytes(0);
-  }
-  EXPECT_EQ(ws.ghosts().size(), 32u);
 }
 
 // ---------------------------------------------------------------------------

@@ -281,17 +281,16 @@ TEST(RrArenaTest, SnapshotPinsPrefixAcrossAppends) {
 }
 
 TEST(RrArenaTest, ManyTinyAppendsCompactSegmentsAndStayCorrect) {
-  // Serial Generate in dribbles pushes the segment list past
-  // kMaxIndexSegments, forcing compaction merges; selection must keep
-  // matching the from-scratch rebuild throughout.
+  // Appends in dribbles push the segment list past kMaxIndexSegments,
+  // forcing compaction merges; selection must keep matching the
+  // from-scratch rebuild throughout.
   Graph g = GenerateBarabasiAlbert(150, 2, 28).ValueOrDie();
   auto params = MakeUniformIc(g, 0.2);
   RrCollection rr(g, params);
-  Rng rng(95);
   for (int round = 0; round < 3 * static_cast<int>(
                                   RrCollection::kMaxIndexSegments);
        ++round) {
-    rr.Generate(7, rng);
+    rr.GenerateParallel(7, 95 + round);
     if (round % 10 == 9) {
       auto incremental = rr.SelectMaxCoverage(4);
       auto rebuild = rr.SelectMaxCoverageRebuild(4);

@@ -17,8 +17,7 @@ TEST(RrSetsTest, RootAlwaysMember) {
   Graph g = GenerateErdosRenyi(100, 4.0, 1).ValueOrDie();
   auto params = MakeUniformIc(g, 0.1);
   RrCollection rr(g, params);
-  Rng rng(1);
-  rr.Generate(200, rng);
+  rr.GenerateParallel(200, 1);
   EXPECT_EQ(rr.num_sets(), 200u);
   for (std::size_t i = 0; i < rr.num_sets(); ++i) {
     EXPECT_FALSE(rr.set(i).empty());
@@ -29,8 +28,7 @@ TEST(RrSetsTest, ZeroProbabilitySingletons) {
   Graph g = GenerateErdosRenyi(50, 3.0, 2).ValueOrDie();
   auto params = MakeUniformIc(g, 0.0);
   RrCollection rr(g, params);
-  Rng rng(2);
-  rr.Generate(100, rng);
+  rr.GenerateParallel(100, 2);
   for (std::size_t i = 0; i < rr.num_sets(); ++i) {
     EXPECT_EQ(rr.set(i).size(), 1u);  // only the root
   }
@@ -42,8 +40,7 @@ TEST(RrSetsTest, CoverageEstimatesSpreadUnbiased) {
   Graph g = GenerateBarabasiAlbert(80, 2, 3).ValueOrDie();
   auto params = MakeUniformIc(g, 0.2);
   RrCollection rr(g, params);
-  Rng rng(3);
-  rr.Generate(60000, rng);
+  rr.GenerateParallel(60000, 3);
   McOptions mc;
   mc.num_simulations = 60000;
   mc.seed = 4;
@@ -65,8 +62,7 @@ TEST(RrSetsTest, MaxCoverageGreedyOnCraftedSets) {
   Graph g = std::move(b).Build().ValueOrDie();
   auto params = MakeUniformIc(g, 0.0);
   RrCollection rr(g, params);
-  Rng rng(5);
-  rr.Generate(4000, rng);
+  rr.GenerateParallel(4000, 5);
   auto coverage = rr.SelectMaxCoverage(2);
   EXPECT_EQ(coverage.seeds.size(), 2u);
   EXPECT_GT(coverage.covered_fraction, 0.4);  // ~2/4 of uniform roots
@@ -79,8 +75,7 @@ TEST(RrSetsTest, LtModeWalksSinglePath) {
   Graph g = GeneratePath(6).ValueOrDie();
   auto params = MakeLinearThreshold(g);
   RrCollection rr(g, params);
-  Rng rng(6);
-  rr.Generate(500, rng);
+  rr.GenerateParallel(500, 6);
   for (std::size_t i = 0; i < rr.num_sets(); ++i) {
     const auto& set = rr.set(i);
     // Set = {root, root-1, ..., 0}: size == root+1.
@@ -92,8 +87,7 @@ TEST(RrSetsTest, MemoryAccounting) {
   Graph g = GenerateErdosRenyi(200, 4.0, 7).ValueOrDie();
   auto params = MakeUniformIc(g, 0.1);
   RrCollection rr(g, params);
-  Rng rng(8);
-  rr.Generate(1000, rng);
+  rr.GenerateParallel(1000, 8);
   EXPECT_GT(rr.MemoryBytes(), rr.num_sets() * sizeof(NodeId));
   EXPECT_GT(rr.total_entries(), 1000u);
   rr.Clear();

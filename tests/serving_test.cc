@@ -1,6 +1,6 @@
 // HolimServer tests: protocol parsing, bounded-queue admission control,
 // artifact-affinity dispatch order, exact coalesced-build counting,
-// queue-wait deadline charging on an injected clock, ghost pre-warm, the
+// queue-wait deadline charging on an injected clock, the
 // byte-determinism of pipe mode, and the scheduling-never-changes-results
 // contract (heat+affinity vs FIFO+LRU per-id seed parity).
 
@@ -27,7 +27,6 @@ ServerOptions FastOptions() {
   options.affinity = true;
   options.cache_policy = Workspace::EvictionPolicy::kHeatBenefit;
   options.max_cache_bytes = 0;
-  options.prewarm = false;  // tests enable it explicitly
   options.num_sketches = 32;
   options.seed = 7;
   return options;
@@ -226,7 +225,6 @@ TEST(ServerTest, SchedulingNeverChangesResults) {
     options.affinity = optimized;
     options.cache_policy = optimized ? Workspace::EvictionPolicy::kHeatBenefit
                                      : Workspace::EvictionPolicy::kLru;
-    options.prewarm = optimized;
     HolimServer server(options);
     AddTenants(server, 2);
     std::map<uint64_t, std::pair<std::string, double>> by_id;
@@ -247,50 +245,6 @@ TEST(ServerTest, SchedulingNeverChangesResults) {
   const auto baseline = run(false);
   ASSERT_EQ(optimized.size(), stream.size());
   EXPECT_EQ(optimized, baseline);
-}
-
-TEST(ServerTest, PrewarmRebuildsTheHottestGhost) {
-  // Tight per-tenant budget: the WC solve evicts the IC arena (ghosting
-  // it), then a budget raise plus further dispatches lets MaybePrewarm
-  // rebuild IC ahead of demand — so the next IC request is warm without
-  // a counted build.
-  Graph sizing_graph = GenerateSocialGraph(150, 5.0, 100).ValueOrDie();
-  const InfluenceParams sizing_params = MakeUniformIc(sizing_graph);
-  SketchOptions sizing_options;
-  sizing_options.num_snapshots = 32;
-  sizing_options.seed = 7;
-  const SketchOracle probe(sizing_graph, sizing_params, sizing_options);
-
-  ServerOptions options = FastOptions();
-  options.prewarm = true;
-  options.max_cache_bytes = probe.ArenaBytes() + probe.ArenaBytes() / 2;
-  HolimServer server(options);
-  AddTenants(server, 1);
-
-  EXPECT_TRUE(server.Submit(Solve(1, 0, "IC")).ok());
-  ASSERT_TRUE(server.DispatchNext().ok());
-  EXPECT_TRUE(server.Submit(Solve(2, 0, "WC")).ok());
-  ASSERT_TRUE(server.DispatchNext().ok());
-  Workspace& workspace = server.tenant_engine(0).workspace();
-  ASSERT_FALSE(workspace.ghosts().empty()) << "budget never forced a ghost";
-  EXPECT_EQ(server.stats().prewarms, 0u);  // no headroom while tight
-
-  // Budget freed: the next dispatches pre-warm the ghosted IC arena (the
-  // first MaybePrewarm may spend its turn forgetting an unbuildable
-  // selector ghost, so allow a couple of dispatches).
-  workspace.set_max_bytes(0);
-  for (uint64_t id = 3; id < 6 && server.stats().prewarms == 0; ++id) {
-    EXPECT_TRUE(server.Submit(Solve(id, 0, "WC")).ok());
-    ASSERT_TRUE(server.DispatchNext().ok());
-  }
-  EXPECT_GE(server.stats().prewarms, 1u);
-
-  const uint64_t builds_before = server.stats().sketch_builds;
-  EXPECT_TRUE(server.Submit(Solve(9, 0, "IC")).ok());
-  auto warmed = server.DispatchNext();
-  ASSERT_TRUE(warmed.ok());
-  EXPECT_TRUE(warmed->warm_sketch);
-  EXPECT_EQ(server.stats().sketch_builds, builds_before);
 }
 
 TEST(ServerTest, PipeModeIsByteDeterministic) {

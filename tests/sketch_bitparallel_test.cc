@@ -15,6 +15,7 @@
 
 #include "algo/celf.h"
 #include "algo/greedy.h"
+#include "algo/lazy_greedy.h"
 #include "diffusion/sketch_oracle.h"
 #include "graph/generators.h"
 #include "model/influence_params.h"
@@ -161,33 +162,41 @@ TEST(SketchBitParallelTest, OpinionReplayBitwiseEqualsReference) {
   }
 }
 
-// Session-CELF picks exactly the seeds of eager frozen greedy (one-shot
-// evaluations, no session) — gains on the static sample stay exactly
-// submodular integers, so CELF's lazy bound never misranks — and each
-// per-round score is the reference's marginal gain of that seed.
-TEST(SketchBitParallelTest, CelfBitParallelMatchesEagerFrozenGreedy) {
+// Session-CELF picks exactly the seeds, with exactly the scores, of the
+// same lazy driver hill-climbing the reference's worlds (rebuilt from the
+// streams, walked by plain BFS): gains on the static sample stay exactly
+// submodular integers, so the lazy bound never misranks either side.
+TEST(SketchBitParallelTest, CelfBitParallelMatchesReferenceLazyGreedy) {
   Graph g = GenerateBarabasiAlbert(70, 2, 15).ValueOrDie();
   auto params = MakeUniformIc(g, 0.25);
   auto oracle = std::make_shared<const SketchOracle>(g, params, Opts(65, 3));
 
-  auto eager_objective =
-      std::make_shared<SketchSpreadObjective>(oracle, /*use_session=*/false);
-  GreedySelector eager(g, eager_objective, "eager-frozen");
-  auto eager_sel = eager.Select(6).ValueOrDie();
+  class ReferenceGains : public GainOracle {
+   public:
+    explicit ReferenceGains(const Reference& reference)
+        : reference_(reference) {}
+    double Gain(NodeId u) override {
+      return reference_.MarginalGain(committed_, u);
+    }
+    void Commit(NodeId u, double /*gain*/) override {
+      committed_.push_back(u);
+    }
+
+   private:
+    const Reference& reference_;
+    std::vector<NodeId> committed_;
+  };
+  const Reference reference(g, params, 3, 65);
+  ReferenceGains reference_gains(reference);
+  const SeedSelection expected =
+      LazyGreedy(reference_gains, AllNodes(g.num_nodes()), 6).selection;
 
   auto lanes_objective = std::make_shared<SketchSpreadObjective>(oracle);
   CelfSelector lanes_celf(g, lanes_objective, /*plus_plus=*/false,
                           "CELF-bitparallel");
   auto lanes_sel = lanes_celf.Select(6).ValueOrDie();
-  EXPECT_EQ(eager_sel.seeds, lanes_sel.seeds);
-
-  const Reference reference(g, params, 3, 65);
-  std::vector<NodeId> prefix;
-  for (std::size_t i = 0; i < lanes_sel.seeds.size(); ++i) {
-    EXPECT_EQ(lanes_sel.seed_scores[i],
-              reference.MarginalGain(prefix, lanes_sel.seeds[i]));
-    prefix.push_back(lanes_sel.seeds[i]);
-  }
+  EXPECT_EQ(expected.seeds, lanes_sel.seeds);
+  EXPECT_EQ(expected.seed_scores, lanes_sel.seed_scores);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "algo/celf.h"
 #include "algo/greedy.h"
+#include "algo/lazy_greedy.h"
 #include "diffusion/sketch_oracle.h"
 #include "diffusion/spread_estimator.h"
 #include "graph/generators.h"
@@ -150,32 +151,52 @@ TEST(SketchOracleTest, SessionBitwiseEqualsOneShotAcrossCelfRun) {
   }
 }
 
-// CELF over the frozen snapshots picks exactly the seeds of eager greedy
-// over the same snapshots: gains on a static sample are exactly
-// submodular, and both paths break ties toward the smaller node id.
+// One-shot gains over the frozen worlds: every probe re-walks
+// reach(S + u) with Estimate — the baseline the session replaces.
+class EstimateGains : public GainOracle {
+ public:
+  explicit EstimateGains(const SketchOracle& oracle) : oracle_(oracle) {}
+  double Gain(NodeId u) override {
+    seeds_.push_back(u);
+    const double value = oracle_.Estimate(seeds_);
+    seeds_.pop_back();
+    return value - value_;
+  }
+  void Commit(NodeId u, double gain) override {
+    seeds_.push_back(u);
+    value_ += gain;
+  }
+
+ private:
+  const SketchOracle& oracle_;
+  std::vector<NodeId> seeds_;
+  double value_ = 0.0;
+};
+
+// CELF over session probes picks exactly the seeds of lazy greedy over
+// one-shot Estimate calls and of eager session greedy: gains on a static
+// sample are exactly submodular, and every path breaks ties toward the
+// smaller node id.
 TEST(SketchOracleTest, CelfSketchMatchesEagerFrozenGreedy) {
   Graph g = GenerateBarabasiAlbert(70, 2, 15).ValueOrDie();
   auto params = MakeUniformIc(g, 0.25);
   auto oracle = std::make_shared<const SketchOracle>(g, params, Opts(8, 3));
 
-  // Eager reference: legacy GreedySelector over one-shot evaluations of
-  // the same frozen snapshot set (no session).
-  auto eager_objective =
-      std::make_shared<SketchSpreadObjective>(oracle, /*use_session=*/false);
-  GreedySelector eager(g, eager_objective, "eager-frozen");
-  auto eager_sel = eager.Select(6).ValueOrDie();
+  EstimateGains one_shot(*oracle);
+  const std::vector<NodeId> one_shot_seeds =
+      LazyGreedy(one_shot, AllNodes(g.num_nodes()), 6).selection.seeds;
 
   auto session_objective = std::make_shared<SketchSpreadObjective>(oracle);
   CelfSelector celf(g, session_objective, /*plus_plus=*/false, "CELF-sketch");
   auto celf_sel = celf.Select(6).ValueOrDie();
-  EXPECT_EQ(eager_sel.seeds, celf_sel.seeds);
+  EXPECT_EQ(one_shot_seeds, celf_sel.seeds);
 
-  // The session-driven greedy walks the same hill.
+  // The session-driven eager greedy walks the same hill.
   auto greedy_objective = std::make_shared<SketchSpreadObjective>(oracle);
   GreedySelector greedy(g, greedy_objective, "greedy-sketch");
   auto greedy_sel = greedy.Select(6).ValueOrDie();
-  EXPECT_EQ(eager_sel.seeds, greedy_sel.seeds);
-  EXPECT_EQ(eager_sel.seed_scores, greedy_sel.seed_scores);
+  EXPECT_EQ(celf_sel.seeds, greedy_sel.seeds);
+  EXPECT_EQ(celf_sel.seed_scores, greedy_sel.seed_scores);
 
   // Laziness still skips work: far fewer evaluations than eager's k * n.
   EXPECT_LT(celf.last_evaluation_count(), 6u * g.num_nodes() / 2);

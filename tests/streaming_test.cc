@@ -334,7 +334,6 @@ TEST(RrDeltaTest, IncrementalEqualsFreshGenerate) {
   StreamingGraph streaming(base);
   RrCollection patched(base, params, /*track_widths=*/true);
   patched.GenerateParallel(1500, 99);
-  ASSERT_TRUE(patched.replayable());
 
   Rng rng(17);
   for (int step = 0; step < 3; ++step) {
@@ -382,18 +381,6 @@ TEST(RrDeltaTest, MultipleGenerateCallsReplay) {
   ExpectRrEqual(patched, fresh);
 }
 
-TEST(RrDeltaTest, SerialGenerateBlocksPatching) {
-  const Graph base = TestGraph(50, 4);
-  const auto params = MakeUniformIc(base, 0.1);
-  RrCollection rr(base, params);
-  Rng rng(3);
-  rr.Generate(10, rng);
-  EXPECT_FALSE(rr.replayable());
-  EXPECT_FALSE(rr.ApplyDelta(base, params).ok());
-  rr.Clear();
-  EXPECT_TRUE(rr.replayable());  // Clear restores patchability
-}
-
 // ---------------------------------------------------------------------------
 // Workspace key property: the (base fingerprint, delta epoch) token
 // ---------------------------------------------------------------------------
@@ -412,9 +399,10 @@ TEST(WorkspaceDeltaTest, ApplyGraphDeltaPatchesMatchingSketchesOnly) {
   const auto params = MakeUniformIc(base, 0.1);
   const auto other = MakeUniformIc(base, 0.2);
   Workspace workspace;
-  workspace.GetSketchOracle(base, params, Opts(32, 1));
-  workspace.GetSketchOracle(base, params, Opts(32, 2));  // second seed
-  workspace.GetSketchOracle(base, other, Opts(32, 1));   // other fingerprint
+  ASSERT_TRUE(workspace.GetSketchOracle(base, params, Opts(32, 1)).ok());
+  // Second seed, then another fingerprint.
+  ASSERT_TRUE(workspace.GetSketchOracle(base, params, Opts(32, 2)).ok());
+  ASSERT_TRUE(workspace.GetSketchOracle(base, other, Opts(32, 1)).ok());
   ASSERT_EQ(workspace.num_artifacts(), 3u);
 
   const uint64_t fp = FingerprintParams(params);
@@ -428,9 +416,13 @@ TEST(WorkspaceDeltaTest, ApplyGraphDeltaPatchesMatchingSketchesOnly) {
   // The survivors moved to token-carrying keys: a token-less lookup
   // misses (builds fresh), a token lookup hits.
   bool reused = false;
-  workspace.GetSketchOracle(base, params, Opts(32, 1), "g=7@1", &reused);
+  ASSERT_TRUE(
+      workspace.GetSketchOracle(base, params, Opts(32, 1), "g=7@1", &reused)
+          .ok());
   EXPECT_TRUE(reused);
-  workspace.GetSketchOracle(base, params, Opts(32, 2), "g=7@1", &reused);
+  ASSERT_TRUE(
+      workspace.GetSketchOracle(base, params, Opts(32, 2), "g=7@1", &reused)
+          .ok());
   EXPECT_TRUE(reused);
 }
 

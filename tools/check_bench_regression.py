@@ -480,7 +480,7 @@ def gate_serving(baseline, runs, args, failures):
             sys.exit(f"error: baseline lacks a {leg} section; regenerate "
                      "it with the current bench binary")
         for key in ("served", "builds", "warm_sketch_hits", "coalesced",
-                    "prewarms", "expired_in_queue"):
+                    "expired_in_queue"):
             expected = field(base_leg, key, f"{args.baseline} {leg}")
             for value in leg_values(leg, key):
                 if value != expected:

@@ -16,8 +16,8 @@
 //     holimd_cli --mode=client --socket=/tmp/holimd.sock
 //
 // The perf mechanisms are switchable so the same binary is its own
-// baseline: --affinity=false --cache-policy=lru --prewarm=false is the
-// FIFO + plain-LRU configuration the serving bench compares against.
+// baseline: --affinity=false --cache-policy=lru is the FIFO + plain-LRU
+// configuration the serving bench compares against.
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -152,7 +152,6 @@ Status Run(const BenchArgs& args) {
   }
   options.max_cache_bytes =
       static_cast<std::size_t>(cache_mib * 1024.0 * 1024.0);
-  options.prewarm = args.GetBool("prewarm", true);
   options.num_sketches = static_cast<uint32_t>(sketches);
   options.seed = config.seed;
   options.echo_timings = args.GetBool("echo-timings", false);
@@ -210,9 +209,6 @@ int main(int argc, char** argv) {
         args->Declare("max-cache-mib",
                       "per-tenant workspace artifact budget in MiB "
                       "(default 0 = unlimited)");
-        args->Declare("prewarm",
-                      "rebuild the hottest evicted arena when budget "
-                      "frees up (heat policy only; default true)");
         args->Declare("sketches",
                       "sketch-arena snapshot count R per tenant model "
                       "(default 64)");
