@@ -46,13 +46,6 @@ class IcnPositiveSpreadObjective : public McObjective {
   std::shared_ptr<const SketchOracle> sketch_;
 };
 
-/// Monte-Carlo estimate of the expected positive spread under IC-N.
-double EstimateIcnPositiveSpread(const Graph& graph,
-                                 const InfluenceParams& params,
-                                 double quality_factor,
-                                 const std::vector<NodeId>& seeds,
-                                 const McOptions& options = {});
-
 }  // namespace holim
 
 #endif  // HOLIM_ALGO_ICN_OBJECTIVE_H_

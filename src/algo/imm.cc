@@ -109,6 +109,7 @@ Result<SeedSelection> ImmSelector::Select(uint32_t k) {
   stats_.theta = rr.num_sets();
   stats_.rr_memory_bytes = rr.MemoryBytes();
   stats_.rr_index_bytes = rr.IndexMemoryBytes();
+  stats_.rr_row_table_bytes = rr.RowTableMemoryBytes();
 
   auto coverage = rr.Snapshot().SelectMaxCoverage(k, deadline_);
   selection.seeds = std::move(coverage.seeds);

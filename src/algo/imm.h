@@ -50,6 +50,8 @@ class ImmSelector : public SeedSelector {
     std::size_t rr_memory_bytes = 0;
     /// Persistent incremental inverted index on top of the arena.
     std::size_t rr_index_bytes = 0;
+    /// IC/WC skip-and-thin row table (24 bytes per node; 0 under LT).
+    std::size_t rr_row_table_bytes = 0;
   };
   const RunStats& last_run_stats() const { return stats_; }
 
@@ -58,7 +60,9 @@ class ImmSelector : public SeedSelector {
     return {{"lower_bound", stats_.lower_bound},
             {"theta", static_cast<double>(stats_.theta)},
             {"rr_memory_bytes", static_cast<double>(stats_.rr_memory_bytes)},
-            {"rr_index_bytes", static_cast<double>(stats_.rr_index_bytes)}};
+            {"rr_index_bytes", static_cast<double>(stats_.rr_index_bytes)},
+            {"rr_row_table_bytes",
+             static_cast<double>(stats_.rr_row_table_bytes)}};
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "algo/rr_sets.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 
@@ -18,6 +19,24 @@ RrCollection::RrCollection(const Graph& graph, const InfluenceParams& params,
   HOLIM_CHECK(params.probability.size() == graph.num_edges());
   offsets_.push_back(0);
   if (build_index_) cover_count_.assign(graph.num_nodes(), 0);
+  BuildRowTable();
+}
+
+void RrCollection::BuildRowTable() {
+  rows_.clear();
+  if (params_.model == DiffusionModel::kLinearThreshold) return;
+  rows_.resize(graph_->num_nodes());
+  for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
+    double q = 0.0;
+    for (const EdgeId e : graph_->InEdgeIds(v)) q = std::max(q, params_.p(e));
+    RowSampler& row = rows_[v];
+    row.q = std::min(q, 1.0);
+    if (row.q > 0.0 && row.q < 1.0) {
+      const double log_miss = std::log1p(-row.q);
+      row.inv_log_miss = 1.0 / log_miss;
+      row.none_live = std::exp(log_miss * graph_->InDegree(v));
+    }
+  }
 }
 
 void RrCollection::Clear() {
@@ -66,13 +85,32 @@ uint64_t RrCollection::SampleOne(Rng& rng, EpochSet& visited,
         r -= w;
       }
     } else {
-      for (std::size_t i = 0; i < in_neighbors.size(); ++i) {
+      // Skip-and-thin: candidates are a Bernoulli(q) process over the row,
+      // and a candidate e stays live w.p. p(e)/q, so e is live w.p. p(e).
+      const RowSampler& row = rows_[v];
+      auto thin = [&](std::size_t i) {
         const NodeId u = in_neighbors[i];
-        if (visited.Contains(u)) continue;
-        if (rng.NextBernoulli(params_.p(in_edges[i]))) {
-          visited.Insert(u);
-          stack.push_back(u);
-          out.push_back(u);
+        if (visited.Contains(u)) return;
+        const double p = params_.p(in_edges[i]);
+        if (p != row.q && rng.NextDouble() * row.q >= p) return;
+        visited.Insert(u);
+        stack.push_back(u);
+        out.push_back(u);
+      };
+      if (row.q >= 1.0) {
+        for (std::size_t i = 0; i < in_neighbors.size(); ++i) thin(i);
+      } else if (row.q > 0.0) {
+        // U <= (1-q)^d means no candidate at all: no log on that path.
+        const double first = rng.NextDouble();
+        if (first > row.none_live) {
+          const double d = static_cast<double>(in_neighbors.size());
+          // Geometric gaps by inversion; log(0) gives +inf, past the end.
+          double pos = std::floor(std::log(first) * row.inv_log_miss);
+          while (pos < d) {
+            thin(static_cast<std::size_t>(pos));
+            pos += 1.0 + std::floor(std::log(rng.NextDouble()) *
+                                    row.inv_log_miss);
+          }
         }
       }
     }
@@ -88,16 +126,18 @@ Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
   const std::size_t num_blocks =
       (count + kGenerateBlockSize - 1) / kGenerateBlockSize;
 
-  // Shards only schedule blocks onto threads; each shard carries reusable
+  // Tasks only schedule blocks onto threads; each task carries reusable
   // scratch and one output buffer, never RNG state — block seeds depend on
   // the global block index alone, so the merged arena does not depend on
-  // thread count. Blocks are processed in waves of `shards` and merged
-  // after each wave, capping peak transient memory at one wave of buffers
-  // instead of a full second copy of the arena. When shard_counts is on,
-  // each shard additionally accumulates per-node member counts across its
-  // waves — the shard-local partial index reduced after the last wave to
+  // thread count. A wave gives each task a run of kBlocksPerTask
+  // consecutive blocks and merges the tasks' buffers in block order after
+  // the wave, capping peak transient memory at one wave of buffers
+  // instead of a full second copy of the arena. When task_counts is on,
+  // each task additionally accumulates per-node member counts across its
+  // waves — the task-local partial index reduced after the last wave to
   // shape the new index segment without an extra pass over the arena.
-  struct ShardState {
+  // alignas keeps two tasks' hot vector headers off one cache line.
+  struct alignas(64) TaskState {
     EpochSet visited;
     std::vector<NodeId> stack;
     std::vector<NodeId> entries;
@@ -105,22 +145,25 @@ Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
     std::vector<uint64_t> widths;
     std::vector<uint32_t> counts;  // partial index: per-node member counts
   };
-  const std::size_t shards = std::max<std::size_t>(
-      1, std::min<std::size_t>(p.num_threads() * 2, num_blocks));
-  // Shard-local count partials move the index counting pass onto the pool,
-  // but zeroing + reducing them costs O(shards * num_nodes) serial work on
+  const std::size_t tasks = std::max<std::size_t>(
+      1, std::min<std::size_t>(
+             p.num_threads() * 2,
+             (num_blocks + kBlocksPerTask - 1) / kBlocksPerTask));
+  const std::size_t wave_size = tasks * kBlocksPerTask;
+  // Task-local count partials move the index counting pass onto the pool,
+  // but zeroing + reducing them costs O(tasks * num_nodes) serial work on
   // the calling thread; the alternative is a single serial recount pass
   // over the new arena suffix, O(num_nodes + new entries). Partials only
   // win when the append dwarfs that fixed cost (new entries >= count, so
-  // `count >= shards * n` guarantees the counting work moved off-thread at
+  // `count >= tasks * n` guarantees the counting work moved off-thread at
   // least matches the serial overhead added).
-  const bool shard_counts =
+  const bool task_counts =
       build_index_ &&
-      count >= shards * static_cast<std::size_t>(graph_->num_nodes());
-  std::vector<ShardState> shard(shards);
-  for (auto& s : shard) {
-    s.visited.Reset(graph_->num_nodes());
-    if (shard_counts) s.counts.assign(graph_->num_nodes(), 0);
+      count >= tasks * static_cast<std::size_t>(graph_->num_nodes());
+  std::vector<TaskState> task(tasks);
+  for (auto& t : task) {
+    t.visited.Reset(graph_->num_nodes());
+    if (task_counts) t.counts.assign(graph_->num_nodes(), 0);
   }
 
   offsets_.reserve(offsets_.size() + count);
@@ -129,16 +172,16 @@ Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
   const std::size_t offsets_before = offsets_.size();
   const std::size_t widths_before = widths_.size();
   const uint64_t total_width_before = total_width_;
-  std::size_t sets_done = 0;
   for (std::size_t wave_start = 0; wave_start < num_blocks;
-       wave_start += shards) {
-    const std::size_t wave_blocks =
-        std::min(shards, num_blocks - wave_start);
+       wave_start += wave_size) {
+    const std::size_t wave_end = std::min(wave_start + wave_size, num_blocks);
+    const std::size_t wave_tasks =
+        (wave_end - wave_start + kBlocksPerTask - 1) / kBlocksPerTask;
     if (deadline) {
       // One tick per block, charged at the wave boundary: consumption is a
       // function of the block count alone, so the expiry point (and the
       // caller's degradation) is invariant to thread count.
-      Status st = deadline->CheckN(wave_blocks);
+      Status st = deadline->CheckN(wave_end - wave_start);
       if (!st.ok()) {
         // Roll back this call's appends: a partial arena would depend on
         // where the waves were cut, and the index never saw these sets.
@@ -150,61 +193,66 @@ Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
         return st;
       }
     }
-    p.ParallelFor(wave_blocks, [&](std::size_t w) {
-      ShardState& sc = shard[w];
-      sc.entries.clear();
-      sc.sizes.clear();
-      sc.widths.clear();
-      const std::size_t b = wave_start + w;
-      uint64_t state = seed + kGenerateSeedSalt * (b + 1);
-      Rng rng(Rng::SplitMix64(state));
-      const std::size_t lo = b * kGenerateBlockSize;
-      const std::size_t n = std::min(kGenerateBlockSize, count - lo);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t before = sc.entries.size();
-        const uint64_t width =
-            SampleOne(rng, sc.visited, sc.stack, sc.entries);
-        sc.sizes.push_back(
-            static_cast<uint32_t>(sc.entries.size() - before));
-        sc.widths.push_back(width);
-      }
-      if (shard_counts) {
-        for (std::size_t j = 0; j < sc.entries.size(); ++j) {
-          ++sc.counts[sc.entries[j]];
+    p.ParallelFor(wave_tasks, [&](std::size_t t) {
+      TaskState& ts = task[t];
+      ts.entries.clear();
+      ts.sizes.clear();
+      ts.widths.clear();
+      const std::size_t first = wave_start + t * kBlocksPerTask;
+      const std::size_t last = std::min(first + kBlocksPerTask, wave_end);
+      for (std::size_t b = first; b < last; ++b) {
+        uint64_t state = seed + kGenerateSeedSalt * (b + 1);
+        Rng rng(Rng::SplitMix64(state));
+        const std::size_t lo = b * kGenerateBlockSize;
+        const std::size_t n = std::min(kGenerateBlockSize, count - lo);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t before = ts.entries.size();
+          const uint64_t width =
+              SampleOne(rng, ts.visited, ts.stack, ts.entries);
+          ts.sizes.push_back(
+              static_cast<uint32_t>(ts.entries.size() - before));
+          ts.widths.push_back(width);
         }
       }
-    });
-    for (std::size_t w = 0; w < wave_blocks; ++w) {
-      const ShardState& sc = shard[w];
-      entries_.insert(entries_.end(), sc.entries.begin(), sc.entries.end());
-      std::size_t end = offsets_.back();
-      for (std::size_t i = 0; i < sc.sizes.size(); ++i) {
-        end += sc.sizes[i];
-        offsets_.push_back(end);
-        if (track_widths_) widths_.push_back(sc.widths[i]);
-        total_width_ += sc.widths[i];
+      if (task_counts) {
+        for (const NodeId u : ts.entries) ++ts.counts[u];
       }
-      sets_done += sc.sizes.size();
-    }
-    if (wave_start == 0 && sets_done < count) {
+    });
+    if (wave_start == 0) {
       // Project the final arena size from the first wave's mean set size
-      // (+5% slack) so later waves rarely trigger a doubling realloc.
-      const std::size_t wave_entries = entries_.size() - entries_before;
-      const std::size_t projected =
-          entries_before + wave_entries * count / sets_done;
-      entries_.reserve(projected + projected / 20);
+      // (+5% slack when more waves follow) so later waves rarely trigger a
+      // doubling realloc; a call that fits one wave reserves it exactly.
+      std::size_t wave_entries = 0, wave_sets = 0;
+      for (std::size_t t = 0; t < wave_tasks; ++t) {
+        wave_entries += task[t].entries.size();
+        wave_sets += task[t].sizes.size();
+      }
+      std::size_t projected = entries_before + wave_entries * count / wave_sets;
+      if (wave_sets < count) projected += projected / 20;
+      entries_.reserve(projected);
+    }
+    for (std::size_t t = 0; t < wave_tasks; ++t) {
+      const TaskState& ts = task[t];
+      entries_.insert(entries_.end(), ts.entries.begin(), ts.entries.end());
+      std::size_t end = offsets_.back();
+      for (std::size_t i = 0; i < ts.sizes.size(); ++i) {
+        end += ts.sizes[i];
+        offsets_.push_back(end);
+        if (track_widths_) widths_.push_back(ts.widths[i]);
+        total_width_ += ts.widths[i];
+      }
     }
   }
   if (build_index_) {
-    if (shard_counts) {
-      // Reduce the shard partials (order-independent integer sums, so the
-      // result does not depend on shard count) and index the appended sets.
-      for (std::size_t w = 1; w < shards; ++w) {
+    if (task_counts) {
+      // Reduce the task partials (order-independent integer sums, so the
+      // result does not depend on task count) and index the appended sets.
+      for (std::size_t t = 1; t < tasks; ++t) {
         for (NodeId u = 0; u < graph_->num_nodes(); ++u) {
-          shard[0].counts[u] += shard[w].counts[u];
+          task[0].counts[u] += task[t].counts[u];
         }
       }
-      IndexNewSets(shard[0].counts.data());
+      IndexNewSets(task[0].counts.data());
     } else {
       IndexNewSets(nullptr);
     }
@@ -546,6 +594,10 @@ std::size_t RrCollection::MemoryBytes() const {
          widths_.capacity() * sizeof(uint64_t);
 }
 
+std::size_t RrCollection::RowTableMemoryBytes() const {
+  return rows_.capacity() * sizeof(RowSampler);
+}
+
 std::size_t RrCollection::IndexMemoryBytes() const {
   std::size_t bytes = cover_count_.capacity() * sizeof(uint32_t);
   for (const IndexSegment& seg : segments_) {
@@ -614,9 +666,11 @@ Status RrCollection::ApplyDelta(const Graph& new_graph,
   }
 
   // Rebind before the rebuild: dirty blocks resample through SampleOne,
-  // which reads graph_/params_; clean blocks only copy old arena spans.
+  // which reads graph_/params_/rows_; clean blocks only copy old arena
+  // spans.
   graph_ = &new_graph;
   params_ = new_params;
+  BuildRowTable();
   visited_.Reset(n_new);
 
   std::vector<NodeId> new_entries;

@@ -24,6 +24,38 @@ namespace holim {
 /// at most one live in-edge (live-edge equivalence). E[coverage] * n / theta
 /// is an unbiased spread estimator.
 ///
+/// ## Sampling
+///
+/// A set draws its root with NextBounded(n), then runs a DFS over live
+/// in-edges; every node it pops adds its in-degree to the set's width
+/// w(R), whatever the model.
+///
+/// IC/WC rows are sampled by skip-and-thin, in time proportional to the
+/// live in-edges rather than the in-degree. The constructor builds a row
+/// table once: per node v with in-degree d, the row's maximum probability
+/// q (capped at 1), 1/ln(1-q) and (1-q)^d. Candidate positions form a
+/// Bernoulli(q) process over the row, drawn as geometric gaps, and a
+/// candidate e stays live w.p. p(e)/q; so e is live w.p. p(e),
+/// independently, exactly as a per-edge coin would have it. A popped node
+/// consumes, in order:
+///
+///  - q == 0: nothing.
+///  - 0 < q < 1: one uniform U. U <= (1-q)^d means the row has no
+///    candidate (no log is taken). Otherwise the first candidate sits at
+///    floor(ln U / ln(1-q)), and after each candidate one more uniform
+///    gives the gap to the next (the gap that lands past the row end is
+///    drawn too).
+///  - q >= 1: every in-edge is a candidate; no gap draws.
+///
+/// A candidate whose source is already in the set draws nothing. Any other
+/// candidate draws one thinning uniform, before the next gap, unless
+/// p(e) == q: uniform-IC and WC rows never thin. The row table costs 24
+/// bytes per node (RowTableMemoryBytes()) and is rebuilt when ApplyDelta
+/// rebinds the graph.
+///
+/// LT rows keep the one-uniform O(d) scan: one NextDouble per popped node,
+/// walked down the in-row's cumulative weights.
+///
 /// ## Arena layout
 ///
 /// Sets are stored CSR-style in one flat arena instead of one heap
@@ -63,7 +95,7 @@ namespace holim {
 /// doubling-round usage triggers few or no merges.
 ///
 /// In `GenerateParallel` the per-node counts that shape a new segment are
-/// accumulated as shard-local partial indexes on the pool (each shard
+/// accumulated as task-local partial indexes on the pool (each task
 /// counts the members of the blocks it sampled, wave by wave) and reduced
 /// once at the end of the call; the placement pass then scatters set ids in
 /// arena order, so index content — like the arena — is bitwise identical
@@ -102,10 +134,13 @@ namespace holim {
 /// decomposition and block seeds depend only on (count, seed) — never on
 /// the pool size — the resulting arena is bitwise identical for any thread
 /// count, including the inline single-thread pool. Blocks are processed in
-/// waves of one block per shard, with per-shard scratch (EpochSet + DFS
-/// stack) and reusable output buffers merged into the arena in block order
-/// after each wave — peak transient memory is one wave of buffers, not a
-/// second copy of the arena.
+/// waves: each pool task samples a run of kBlocksPerTask consecutive
+/// blocks, up to 2 x threads tasks per wave, with per-task scratch
+/// (EpochSet + DFS stack, one per task, not per block) and reusable output
+/// buffers merged into the arena in block order after each wave — peak
+/// transient memory is one wave of buffers, not a second copy of the
+/// arena. The run length only schedules work; it is not part of the
+/// contract.
 ///
 /// ## Streaming deltas (ApplyDelta)
 ///
@@ -142,7 +177,7 @@ class RrCollection {
 
   /// Appends `count` RR sets sharded across `pool` (nullptr selects
   /// DefaultThreadPool()) under the RNG-sharding contract above, indexing
-  /// the new sets from shard-local partial counts. Output (arena and
+  /// the new sets from task-local partial counts. Output (arena and
   /// index) is independent of the pool's thread count.
   ///
   /// `deadline` (borrowed, may be null) is checked once per *block* at
@@ -263,7 +298,15 @@ class RrCollection {
   /// coverage counts).
   std::size_t IndexMemoryBytes() const;
 
+  /// Bytes held by the IC/WC skip-and-thin row table (24 per node; 0
+  /// under LT). Reported beside MemoryBytes() and IndexMemoryBytes().
+  std::size_t RowTableMemoryBytes() const;
+
  private:
+  /// Consecutive blocks one pool task samples per wave. Scheduling only:
+  /// the arena does not depend on it.
+  static constexpr std::size_t kBlocksPerTask = 8;
+
   /// One CSR index segment covering sets [first_set, first_set + num_sets):
   /// set ids grouped by node, ascending within each node's range.
   struct IndexSegment {
@@ -282,6 +325,16 @@ class RrCollection {
     uint64_t seed = 0;
   };
 
+  /// Skip-and-thin parameters of one node's in-row (see "Sampling").
+  struct RowSampler {
+    double q = 0.0;             // max in-edge probability, capped at 1
+    double inv_log_miss = 0.0;  // 1 / ln(1 - q); set when 0 < q < 1
+    double none_live = 1.0;     // (1 - q)^d; set when 0 < q < 1
+  };
+
+  /// (Re)builds rows_ from graph_/params_; empty under LT.
+  void BuildRowTable();
+
   /// Samples one RR set with `rng`, appending its members to `out`
   /// (root first). Returns the set's width.
   uint64_t SampleOne(Rng& rng, EpochSet& visited, std::vector<NodeId>& stack,
@@ -289,7 +342,7 @@ class RrCollection {
 
   /// Builds one index segment over the not-yet-indexed arena suffix
   /// [indexed_sets_, num_sets()). `new_counts`, when non-null, holds the
-  /// per-node member counts of exactly that suffix (the reduced shard
+  /// per-node member counts of exactly that suffix (the reduced task
   /// partials of GenerateParallel); otherwise they are recounted from the
   /// arena. Updates cover_count_ and runs compaction.
   void IndexNewSets(const uint32_t* new_counts);
@@ -305,6 +358,7 @@ class RrCollection {
   InfluenceParams params_;
   bool track_widths_ = false;
   bool build_index_ = true;
+  std::vector<RowSampler> rows_;      // per node, IC/WC only
   std::vector<NodeId> entries_;       // flat member arena
   std::vector<std::size_t> offsets_;  // num_sets + 1, offsets_[0] == 0
   std::vector<uint64_t> widths_;      // per-set width; empty unless tracked
@@ -317,7 +371,7 @@ class RrCollection {
   std::size_t indexed_sets_ = 0;       // == num_sets() between generate calls
   uint64_t epoch_ = 0;
   // Scratch for ApplyDelta's block replay (GenerateParallel uses
-  // per-shard scratch).
+  // per-task scratch).
   EpochSet visited_;
   std::vector<NodeId> stack_;
 };

@@ -38,7 +38,7 @@ double TimPlusSelector::EstimateKpt(uint32_t k, Rng& rng) {
   // incremental index entirely.
   RrCollection rr(graph_, params_, /*track_widths=*/true,
                   /*build_index=*/false);
-  for (uint32_t i = 1; i + 1 < static_cast<uint32_t>(log2n); ++i) {
+  for (uint32_t i = 1; i < static_cast<uint32_t>(log2n); ++i) {
     const double ci =
         (6.0 * options_.ell * std::log(n) + 6.0 * std::log(log2n)) *
         std::pow(2.0, i);
@@ -154,6 +154,7 @@ Result<SeedSelection> TimPlusSelector::Select(uint32_t k) {
   }
   stats_.rr_memory_bytes = rr.MemoryBytes();
   stats_.rr_index_bytes = rr.IndexMemoryBytes();
+  stats_.rr_row_table_bytes = rr.RowTableMemoryBytes();
   auto coverage = rr.Snapshot().SelectMaxCoverage(k, deadline_);
   selection.seeds = std::move(coverage.seeds);
   if (coverage.deadline_hit) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 
+#include "diffusion/icn_model.h"
 #include "diffusion/independent_cascade.h"
 #include "diffusion/linear_threshold.h"
 #include "diffusion/oc_model.h"
@@ -83,6 +84,23 @@ double EstimateSpread(const Graph& graph, const InfluenceParams& params,
         acc[0] +=
             static_cast<double>(sim.Run(seeds, rng).SpreadCount(seeds.size()));
       }
+    }
+  });
+  return result[0];
+}
+
+double EstimateIcnPositiveSpread(const Graph& graph,
+                                 const InfluenceParams& params,
+                                 double quality_factor,
+                                 const std::vector<NodeId>& seeds,
+                                 const McOptions& options) {
+  if (seeds.empty()) return 0.0;
+  auto result = RunSharded(options, 1, [&](uint32_t lo, uint32_t hi,
+                                           double* acc) {
+    IcnSimulator sim(graph, params, quality_factor);
+    for (uint32_t i = lo; i < hi; ++i) {
+      Rng rng = McSimulationRng(options.seed, i);
+      acc[0] += static_cast<double>(sim.Run(seeds, rng).PositiveSpread());
     }
   });
   return result[0];

@@ -50,6 +50,14 @@ OpinionSpreadEstimate EstimateOpinionSpread(
     const std::vector<NodeId>& seeds, double lambda,
     const McOptions& options = {});
 
+/// Expected *positive* spread under IC-N (diffusion/icn_model.h) with
+/// uniform quality factor `quality_factor`.
+double EstimateIcnPositiveSpread(const Graph& graph,
+                                 const InfluenceParams& params,
+                                 double quality_factor,
+                                 const std::vector<NodeId>& seeds,
+                                 const McOptions& options = {});
+
 /// Expected opinion spread under OC (LT first layer, phi ≡ 1).
 double EstimateOcOpinionSpread(const Graph& graph,
                                const InfluenceParams& influence,

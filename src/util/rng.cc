@@ -4,10 +4,6 @@
 
 namespace holim {
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 uint64_t Rng::SplitMix64(uint64_t& state) {
   uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -18,23 +14,6 @@ uint64_t Rng::SplitMix64(uint64_t& state) {
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(sm);
-}
-
-uint64_t Rng::Next64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 random mantissa bits -> [0,1).
-  return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {

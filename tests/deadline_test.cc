@@ -95,7 +95,7 @@ TEST_F(DeadlineSolveTest, WorkBudgetDegradesToExactPrefixPerAlgorithm) {
       {"easyim", SpreadOracle::kMonteCarlo, 5},
       {"static-greedy", SpreadOracle::kMonteCarlo, 5},
       {"tim+", SpreadOracle::kMonteCarlo, 101},
-      {"imm", SpreadOracle::kMonteCarlo, 49},
+      {"imm", SpreadOracle::kMonteCarlo, 50},
       {"simpath", SpreadOracle::kMonteCarlo, 5, /*lt=*/true},
   };
   for (const Case& c : cases) {

@@ -13,7 +13,8 @@
 //
 // On exact gains sigma is monotone submodular, so LazyGreedy must return
 // the eager arg-max sequence and reach (1 - 1/e) of the brute-force
-// optimum (Nemhauser et al.).
+// optimum (Nemhauser et al.). RR coverage gets the same Hoeffding check,
+// and TIM+/IMM are held to their (1 - 1/e - eps) guarantee.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,10 @@
 #include <utility>
 #include <vector>
 
+#include "algo/imm.h"
 #include "algo/lazy_greedy.h"
+#include "algo/rr_sets.h"
+#include "algo/tim_plus.h"
 #include "diffusion/sketch_oracle.h"
 #include "diffusion/spread_estimator.h"
 #include "graph/graph.h"
@@ -149,11 +153,20 @@ TEST(ExactSpreadTest, EnumeratorMatchesDeterministicReachability) {
   EXPECT_DOUBLE_EQ(ExactSpread(c, MakeLinearThreshold(c), {0}), 3.0);
 }
 
+/// The seed sets every estimator is checked on.
+const std::vector<std::vector<NodeId>> kSeedSets = {
+    {0}, {3}, {0, 5}, {1, 2, 6}};
+
+std::string Where(const InfluenceParams& params,
+                  const std::vector<NodeId>& seeds) {
+  return std::string(DiffusionModelName(params.model)) +
+         " |S|=" + std::to_string(seeds.size()) + " first seed " +
+         std::to_string(seeds[0]);
+}
+
 TEST(ExactSpreadTest, SketchAndMonteCarloWithinHoeffdingRadius) {
   const Graph g = SmallGraph();
   ASSERT_LE(g.num_edges(), 12u);
-  const std::vector<std::vector<NodeId>> seed_sets = {
-      {0}, {3}, {0, 5}, {1, 2, 6}};
   for (const InfluenceParams& params : AllModels(g)) {
     SketchOptions options;
     options.num_snapshots = kSamples;
@@ -162,16 +175,34 @@ TEST(ExactSpreadTest, SketchAndMonteCarloWithinHoeffdingRadius) {
     McOptions mc;
     mc.num_simulations = kSamples;
     mc.seed = 2024;
-    for (const auto& seeds : seed_sets) {
-      const std::string where =
-          std::string(DiffusionModelName(params.model)) + " |S|=" +
-          std::to_string(seeds.size()) + " first seed " +
-          std::to_string(seeds[0]);
+    for (const auto& seeds : kSeedSets) {
+      const std::string where = Where(params, seeds);
       const double exact = ExactSpread(g, params, seeds);
       const double radius = HoeffdingRadius(g, seeds);
       EXPECT_NEAR(oracle.Estimate(seeds), exact, radius) << where;
       EXPECT_NEAR(EstimateSpread(g, params, seeds, mc), exact, radius)
           << where;
+    }
+  }
+}
+
+// RR coverage: an RR set is covered w.p. (sigma(S) + |S|) / n, so n times
+// the covered fraction of theta sets, minus |S|, is an average of theta
+// draws in [0, n] shifted by |S|: Hoeffding radius n * sqrt(ln(2/delta) /
+// 2 theta). IC's distinct per-edge probabilities make every row with more
+// than one in-edge thin its candidates.
+TEST(ExactSpreadTest, RrCoverageWithinHoeffdingRadius) {
+  constexpr std::size_t kTheta = std::size_t{1} << 16;
+  const Graph g = SmallGraph();
+  const double n = g.num_nodes();
+  const double radius = n * std::sqrt(std::log(2.0 / kDelta) / (2.0 * kTheta));
+  for (const InfluenceParams& params : AllModels(g)) {
+    RrCollection rr(g, params, /*track_widths=*/false, /*build_index=*/false);
+    ASSERT_TRUE(rr.GenerateParallel(kTheta, 2025).ok());
+    for (const auto& seeds : kSeedSets) {
+      SCOPED_TRACE(Where(params, seeds));
+      EXPECT_NEAR(n * rr.CoveredFraction(seeds) - seeds.size(),
+                  ExactSpread(g, params, seeds), radius);
     }
   }
 }
@@ -262,6 +293,39 @@ TEST(ExactGreedyTest, LazyEqualsEagerAndReachesTheGreedyBound) {
       ASSERT_EQ(lazy.size(), k);
       const double opt = BruteForceOpt(g, params, k);
       EXPECT_GE(ExactSpread(g, params, lazy), (1.0 - std::exp(-1.0)) * opt);
+    }
+  }
+}
+
+// TIM+ and IMM promise (1 - 1/e - eps) * OPT w.p. 1 - n^-ell; with fixed
+// seeds each run below either meets the bound or is a sampler defect.
+TEST(ExactGreedyTest, TimPlusAndImmReachTheirGuaranteeAgainstBruteForce) {
+  const Graph g = SmallGraph();
+  for (const InfluenceParams& params : AllModels(g)) {
+    for (const uint32_t k : {1u, 2u, 3u}) {
+      const double opt = BruteForceOpt(g, params, k);
+      for (const double eps : {0.1, 0.2}) {
+        for (const uint64_t seed : {7u, 8u, 9u}) {
+          SCOPED_TRACE(std::string(DiffusionModelName(params.model)) +
+                       " k=" + std::to_string(k) + " eps=" +
+                       std::to_string(eps) + " seed=" + std::to_string(seed));
+          const double bound = (1.0 - std::exp(-1.0) - eps) * opt;
+          TimPlusOptions tim_options;
+          tim_options.epsilon = eps;
+          tim_options.seed = seed;
+          TimPlusSelector tim(g, params, tim_options);
+          const auto tim_seeds = tim.Select(k).ValueOrDie().seeds;
+          ASSERT_EQ(tim_seeds.size(), k);
+          EXPECT_GE(ExactSpread(g, params, tim_seeds), bound) << "TIM+";
+          ImmOptions imm_options;
+          imm_options.epsilon = eps;
+          imm_options.seed = seed;
+          ImmSelector imm(g, params, imm_options);
+          const auto imm_seeds = imm.Select(k).ValueOrDie().seeds;
+          ASSERT_EQ(imm_seeds.size(), k);
+          EXPECT_GE(ExactSpread(g, params, imm_seeds), bound) << "IMM";
+        }
+      }
     }
   }
 }

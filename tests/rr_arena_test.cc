@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "algo/imm.h"
@@ -21,7 +22,9 @@ namespace {
 
 // Independent reference implementation of the legacy nested-vector sampler,
 // following the RNG-sharding contract documented in rr_sets.h: block b is
-// sampled sequentially with Rng(SplitMix64(seed + salt * (b + 1))).
+// sampled sequentially with Rng(SplitMix64(seed + salt * (b + 1))). It
+// pins arena layout, block seeding, widths and the draw order of both
+// row samplers.
 std::vector<std::vector<NodeId>> ReferenceSample(const Graph& g,
                                                  const InfluenceParams& params,
                                                  std::size_t count,
@@ -64,13 +67,35 @@ std::vector<std::vector<NodeId>> ReferenceSample(const Graph& g,
             r -= w;
           }
         } else {
-          for (std::size_t j = 0; j < in_neighbors.size(); ++j) {
+          // Skip-and-thin, in the draw order rr_sets.h documents: the row's
+          // max probability q spaces candidates by geometric gaps, and a
+          // candidate e survives w.p. p(e)/q.
+          double q = 0.0;
+          for (const EdgeId e : in_edges) q = std::max(q, params.p(e));
+          q = std::min(q, 1.0);
+          auto thin = [&](std::size_t j) {
             const NodeId u = in_neighbors[j];
-            if (visited[u]) continue;
-            if (rng.NextBernoulli(params.p(in_edges[j]))) {
-              visited[u] = 1;
-              stack.push_back(u);
-              rr.push_back(u);
+            if (visited[u]) return;
+            const double p = params.p(in_edges[j]);
+            if (p != q && rng.NextDouble() * q >= p) return;
+            visited[u] = 1;
+            stack.push_back(u);
+            rr.push_back(u);
+          };
+          const double d = static_cast<double>(in_neighbors.size());
+          if (q >= 1.0) {
+            for (std::size_t j = 0; j < in_neighbors.size(); ++j) thin(j);
+          } else if (q > 0.0) {
+            const double log_miss = std::log1p(-q);
+            const double inv_log_miss = 1.0 / log_miss;
+            const double first = rng.NextDouble();
+            if (first > std::exp(log_miss * d)) {
+              double pos = std::floor(std::log(first) * inv_log_miss);
+              while (pos < d) {
+                thin(static_cast<std::size_t>(pos));
+                pos += 1.0 +
+                       std::floor(std::log(rng.NextDouble()) * inv_log_miss);
+              }
             }
           }
         }
@@ -110,6 +135,14 @@ TEST(RrArenaTest, MatchesLegacyNestedVectorSamplerWc) {
   Graph g = GenerateBarabasiAlbert(200, 3, 22).ValueOrDie();
   auto params = MakeWeightedCascade(g);
   ExpectArenaMatchesReference(g, params, 600, 78);
+}
+
+// Distinct probabilities within a row: candidates below the row's max
+// draw a thinning uniform.
+TEST(RrArenaTest, MatchesLegacyNestedVectorSamplerTrivalency) {
+  Graph g = GenerateBarabasiAlbert(200, 4, 30).ValueOrDie();
+  auto params = MakeTrivalency(g, 31, {0.4, 0.1, 0.02});
+  ExpectArenaMatchesReference(g, params, 600, 80);
 }
 
 TEST(RrArenaTest, MatchesLegacyNestedVectorSamplerLt) {

@@ -84,6 +84,21 @@ TEST(SpreadEstimatorTest, SpreadBitwiseEqualAcrossThreadCounts) {
   }
 }
 
+// IC-N runs on the same per-simulation streams: 1 vs 8 threads, bitwise.
+TEST(SpreadEstimatorTest, IcnPositiveSpreadBitwiseEqualAcrossThreadCounts) {
+  Graph g = GenerateBarabasiAlbert(300, 2, 19).ValueOrDie();
+  auto params = MakeUniformIc(g, 0.05);
+  ThreadPool pool1(1), pool8(8);
+  McOptions mc;
+  mc.num_simulations = 1000;
+  mc.seed = 42;
+  mc.pool = &pool1;
+  const double one = EstimateIcnPositiveSpread(g, params, 0.9, {0, 5}, mc);
+  mc.pool = &pool8;
+  const double eight = EstimateIcnPositiveSpread(g, params, 0.9, {0, 5}, mc);
+  EXPECT_EQ(one, eight);
+}
+
 TEST(SpreadEstimatorTest, OpinionSpreadBitwiseEqualAcrossThreadCounts) {
   Graph g = GenerateBarabasiAlbert(200, 2, 29).ValueOrDie();
   g.BuildEdgeSourceIndex();
