@@ -52,7 +52,7 @@ double TimeSweeps(Scorer& scorer, const EpochSet& excluded, std::size_t reps,
     if (pool == nullptr) {
       scorer.AssignScores(excluded, &scores);
     } else {
-      scorer.AssignScoresParallel(excluded, &scores, pool);
+      scorer.AssignScoresParallel(excluded, &scores, *pool);
     }
   }
   return timer.ElapsedSeconds();

@@ -16,15 +16,17 @@ namespace holim {
 /// Exploits submodularity: a node's marginal gain can only shrink as the
 /// seed set grows, so stale gains in a max-heap are upper bounds and most
 /// re-evaluations are skipped. Both Select and SelectBudgeted are one
-/// LazyGreedy call (algo/lazy_greedy.h), which owns the heap order (larger
-/// gain, then smaller node id), the budget drop, the deadline checkpoints
-/// and the evaluation count; this class only picks the gain oracle.
+/// LazyGreedy call (algo/lazy_greedy.h) on the objective's
+/// Gains(plus_plus): the driver owns the heap order (larger gain, then
+/// smaller node id), the budget drop, the deadline checkpoints and the
+/// evaluation count; the objective owns how a gain is scored.
 ///
-/// When the objective supports an incremental session (SketchSpreadObjective)
-/// gains are session probes and commits: on the frozen snapshot sample
-/// they are exactly submodular, so the seeds equal eager greedy's. Any
-/// other objective is scored by whole-set Evaluate calls, and only there
-/// does `plus_plus` turn on the CELF++ look-ahead cache (paper Appendix
+/// A SketchSpreadObjective hands out session probes and commits: on the
+/// frozen snapshot sample they are exactly submodular, so the seeds equal
+/// eager greedy's. Registered with plus_plus = false over the sketch
+/// arena of R = num_snapshots worlds, this is StaticGreedy (Cheng et al.,
+/// CIKM'13). Every other objective scores whole sets, and only those
+/// answer the CELF++ look-ahead that `plus_plus` turns on (paper Appendix
 /// C): a session probe already costs no more than the cache bookkeeping.
 ///
 /// With a non-submodular objective (the MEO objective) the lazy bound is a
@@ -32,7 +34,8 @@ namespace holim {
 /// baselines in the opinion-aware setting.
 class CelfSelector : public SeedSelector {
  public:
-  /// `plus_plus` toggles the CELF++ look-ahead (whole-set objectives only).
+  /// `plus_plus` asks for the CELF++ look-ahead (whole-set objectives
+  /// only).
   CelfSelector(const Graph& graph, std::shared_ptr<McObjective> objective,
                bool plus_plus = true, std::string name = "CELF++");
 

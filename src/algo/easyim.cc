@@ -18,8 +18,8 @@ void EasyImScorer::AssignScores(const EpochSet& excluded,
 
 void EasyImScorer::AssignScoresParallel(const EpochSet& excluded,
                                         std::vector<double>* scores,
-                                        ThreadPool* pool) {
-  engine_.FullSweep(excluded, scores, pool ? pool : &DefaultThreadPool());
+                                        ThreadPool& pool) {
+  engine_.FullSweep(excluded, scores, &pool);
 }
 
 void EasyImScorer::AssignScoresIncremental(

@@ -70,10 +70,9 @@ class EasyImScorer {
   /// Parallel score assignment: each of the l sweeps is a data-parallel
   /// pass in fixed node blocks (reads prev buffer, writes cur), so sharding
   /// is race-free and bitwise-identical to the serial pass for any thread
-  /// count. Pass nullptr to use the process default pool.
+  /// count.
   void AssignScoresParallel(const EpochSet& excluded,
-                            std::vector<double>* scores,
-                            ThreadPool* pool = nullptr);
+                            std::vector<double>* scores, ThreadPool& pool);
 
   /// Incremental score assignment across greedy rounds: `newly_excluded`
   /// must list exactly the nodes added to `excluded` since the previous

@@ -1,11 +1,64 @@
 #include "algo/greedy.h"
 
-#include <limits>
-
 #include "util/memory.h"
 #include "util/timer.h"
 
 namespace holim {
+
+namespace {
+
+// Whole-set gains: Evaluate(S + u) minus the running sum of committed
+// gains. The one oracle that can score u against S + x, so the one that
+// answers CELF++ look-aheads (when enabled).
+class WholeSetGains : public GainOracle {
+ public:
+  WholeSetGains(McObjective& objective, bool look_ahead)
+      : objective_(objective), look_ahead_(look_ahead) {}
+  double Gain(NodeId u) override {
+    trial_ = seeds_;
+    trial_.push_back(u);
+    return objective_.Evaluate(trial_) - value_;
+  }
+  void Commit(NodeId u, double gain) override {
+    seeds_.push_back(u);
+    value_ += gain;
+  }
+  bool GainWith(NodeId x, NodeId u, double* gain) override {
+    if (!look_ahead_) return false;
+    trial_ = seeds_;
+    trial_.push_back(x);
+    const double base = objective_.Evaluate(trial_);
+    trial_.push_back(u);
+    *gain = objective_.Evaluate(trial_) - base;
+    return true;
+  }
+
+ private:
+  McObjective& objective_;
+  bool look_ahead_;
+  std::vector<NodeId> seeds_;
+  std::vector<NodeId> trial_;
+  double value_ = 0.0;
+};
+
+// Incremental-session gains (sketch objectives): each probe is a
+// near-O(touched) session query and a commit explores the seed's frontier
+// once.
+class SessionGains : public GainOracle {
+ public:
+  explicit SessionGains(SketchOracle::Session& session) : session_(session) {}
+  double Gain(NodeId u) override { return session_.MarginalGain(u); }
+  void Commit(NodeId u, double /*gain*/) override { session_.Commit(u); }
+
+ private:
+  SketchOracle::Session& session_;
+};
+
+}  // namespace
+
+std::unique_ptr<GainOracle> McObjective::Gains(bool look_ahead) {
+  return std::make_unique<WholeSetGains>(*this, look_ahead);
+}
 
 SpreadObjective::SpreadObjective(const Graph& graph,
                                  const InfluenceParams& params,
@@ -47,17 +100,10 @@ double SketchSpreadObjective::Evaluate(const std::vector<NodeId>& seeds) {
   return oracle_->Estimate(seeds);
 }
 
-bool SketchSpreadObjective::StartSession() {
+std::unique_ptr<GainOracle> SketchSpreadObjective::Gains(
+    bool /*look_ahead*/) {
   session_.Reset();
-  return true;
-}
-
-double SketchSpreadObjective::SessionMarginalGain(NodeId u) {
-  return session_.MarginalGain(u);
-}
-
-double SketchSpreadObjective::SessionCommit(NodeId u) {
-  return session_.Commit(u);
+  return std::make_unique<SessionGains>(session_);
 }
 
 GreedySelector::GreedySelector(const Graph& graph,
@@ -70,80 +116,7 @@ Result<SeedSelection> GreedySelector::Select(uint32_t k) {
   if (k > graph_.num_nodes()) {
     return Status::InvalidArgument("k exceeds node count");
   }
-  SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
-  std::vector<char> chosen(graph_.num_nodes(), 0);
-  if (objective_->StartSession()) {
-    // Incremental path (sketch-backed objectives): identical hill-climb —
-    // scan candidates in ascending id, strict improvement — but each
-    // marginal gain is an incremental session probe instead of a whole-set
-    // re-evaluation, and the winner's frontier is committed once.
-    for (uint32_t i = 0; i < k; ++i) {
-      if (deadline_ && !deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
-      NodeId best = kInvalidNode;
-      double best_gain = -std::numeric_limits<double>::infinity();
-      for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-        if (chosen[u]) continue;
-        const double gain = objective_->SessionMarginalGain(u);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = u;
-        }
-      }
-      if (best == kInvalidNode) break;
-      objective_->SessionCommit(best);
-      chosen[best] = 1;
-      selection.seeds.push_back(best);
-      selection.seed_scores.push_back(best_gain);
-    }
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
-  }
-  double current_value = 0.0;
-  std::vector<NodeId> trial;
-  for (uint32_t i = 0; i < k; ++i) {
-    if (deadline_ && !deadline_->Check().ok()) {
-      selection.degraded = true;
-      selection.stop_status = deadline_->status();
-      break;
-    }
-    NodeId best = kInvalidNode;
-    double best_value = -std::numeric_limits<double>::infinity();
-    trial = selection.seeds;
-    trial.push_back(0);  // placeholder slot for the candidate
-    for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-      if (chosen[u]) continue;
-      trial.back() = u;
-      const double value = objective_->Evaluate(trial);
-      if (value > best_value) {
-        best_value = value;
-        best = u;
-      }
-    }
-    if (deadline_ && deadline_->StopRequested()) {
-      // Expiry mid-round (wall clock or cancellation) leaves partial MC
-      // estimates behind this round's scores; discard the round instead of
-      // committing a seed scored on them. Never reached in work-budget
-      // mode, where expiry only lands at the round-top Check.
-      selection.degraded = true;
-      selection.stop_status = deadline_->Check();
-      break;
-    }
-    if (best == kInvalidNode) break;
-    chosen[best] = 1;
-    selection.seeds.push_back(best);
-    selection.seed_scores.push_back(best_value - current_value);
-    current_value = best_value;
-  }
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return Run(k, {}, 0.0);
 }
 
 Result<SeedSelection> GreedySelector::SelectBudgeted(
@@ -155,84 +128,20 @@ Result<SeedSelection> GreedySelector::SelectBudgeted(
   if (!(budget > 0.0)) {
     return Status::InvalidArgument("budget must be positive");
   }
-  SeedSelection selection;
+  return Run(max_seeds, costs, budget);
+}
+
+SeedSelection GreedySelector::Run(uint32_t max_seeds,
+                                  std::span<const double> costs,
+                                  double budget) {
   MemoryMeter meter;
   Timer timer;
-  std::vector<char> chosen(graph_.num_nodes(), 0);
-  double remaining = budget;
-  if (objective_->StartSession()) {
-    // Eager benefit-per-cost rounds: every affordable candidate is probed
-    // each round — the evaluate-everything reference for the lazy CELF
-    // path. With unit costs and budget == k each round degenerates to
-    // Select's hill-climb (gain / 1.0 == gain, same ascending-id strict->
-    // scan), which is the uniform-cost parity contract.
-    while (selection.seeds.size() < max_seeds) {
-      if (deadline_ && !deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
-      NodeId best = kInvalidNode;
-      double best_ratio = -std::numeric_limits<double>::infinity();
-      double best_gain = 0.0;
-      for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-        if (chosen[u] || costs[u] > remaining) continue;
-        const double gain = objective_->SessionMarginalGain(u);
-        const double ratio = gain / costs[u];
-        if (ratio > best_ratio) {
-          best_ratio = ratio;
-          best_gain = gain;
-          best = u;
-        }
-      }
-      if (best == kInvalidNode) break;  // nothing fits the residual budget
-      objective_->SessionCommit(best);
-      chosen[best] = 1;
-      remaining -= costs[best];
-      selection.seeds.push_back(best);
-      selection.seed_scores.push_back(best_gain);
-    }
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
-  }
-  double current_value = 0.0;
-  std::vector<NodeId> trial;
-  while (selection.seeds.size() < max_seeds) {
-    if (deadline_ && !deadline_->Check().ok()) {
-      selection.degraded = true;
-      selection.stop_status = deadline_->status();
-      break;
-    }
-    NodeId best = kInvalidNode;
-    double best_ratio = -std::numeric_limits<double>::infinity();
-    double best_value = 0.0;
-    trial = selection.seeds;
-    trial.push_back(0);  // placeholder slot for the candidate
-    for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-      if (chosen[u] || costs[u] > remaining) continue;
-      trial.back() = u;
-      const double value = objective_->Evaluate(trial);
-      const double ratio = (value - current_value) / costs[u];
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_value = value;
-        best = u;
-      }
-    }
-    if (deadline_ && deadline_->StopRequested()) {
-      // Same mid-round discard as Select's MC path (see above).
-      selection.degraded = true;
-      selection.stop_status = deadline_->Check();
-      break;
-    }
-    if (best == kInvalidNode) break;
-    chosen[best] = 1;
-    remaining -= costs[best];
-    selection.seeds.push_back(best);
-    selection.seed_scores.push_back(best_value - current_value);
-    current_value = best_value;
-  }
+  const std::unique_ptr<GainOracle> gains =
+      objective_->Gains(/*look_ahead=*/false);
+  SeedSelection selection =
+      EagerGreedy(*gains, AllNodes(graph_.num_nodes()), max_seeds, costs,
+                  budget, deadline_)
+          .selection;
   selection.elapsed_seconds = timer.ElapsedSeconds();
   selection.overhead_bytes = meter.OverheadBytes();
   return selection;

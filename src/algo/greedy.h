@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/lazy_greedy.h"
 #include "algo/seed_selector.h"
 #include "diffusion/oi_model.h"
 #include "diffusion/sketch_oracle.h"
@@ -17,8 +18,9 @@
 
 namespace holim {
 
-/// \brief Set-function objective evaluated by Monte Carlo. Both greedy
-/// variants and CELF/CELF++ hill-climb one of these.
+/// \brief Set-function objective a hill-climb maximizes. It hands out
+/// the GainOracle its selector's driver runs on: GreedySelector feeds it
+/// to EagerGreedy, CelfSelector to LazyGreedy (algo/lazy_greedy.h).
 class McObjective {
  public:
   virtual ~McObjective() = default;
@@ -26,21 +28,12 @@ class McObjective {
   /// Expected objective value of the seed set (sigma or sigma_o_lambda).
   virtual double Evaluate(const std::vector<NodeId>& seeds) = 0;
 
-  /// Optional incremental marginal-gain session, implemented by
-  /// snapshot-backed objectives (SketchSpreadObjective). StartSession()
-  /// (re)opens a session with an empty committed seed set and returns true
-  /// when supported; the greedy/CELF selectors then drive
-  /// SessionMarginalGain/SessionCommit instead of whole-set Evaluate
-  /// calls, which turns each marginal-gain query into a near-O(touched)
-  /// incremental probe. Contract, on the objective's own (frozen)
-  /// randomness:
-  ///   SessionMarginalGain(u) == Evaluate(S + u) - Evaluate(S)
-  /// for the committed set S; SessionCommit(u) adds u to S and returns the
-  /// same gain. The default implementation reports no session support and
-  /// the selectors fall back to the Monte-Carlo Evaluate path.
-  virtual bool StartSession() { return false; }
-  virtual double SessionMarginalGain(NodeId /*u*/) { return 0.0; }
-  virtual double SessionCommit(NodeId /*u*/) { return 0.0; }
+  /// A gain oracle starting from the empty seed set. It borrows the
+  /// objective, which must outlive it, and at most one may be in use at a
+  /// time. The default scores whole sets: Gain(u) is Evaluate(S + u) minus
+  /// the running sum of committed gains, and with `look_ahead` it answers
+  /// CELF++'s GainWith at two evaluations each.
+  virtual std::unique_ptr<GainOracle> Gains(bool look_ahead);
 };
 
 /// Opinion-oblivious expected spread sigma(S) (IM objective).
@@ -77,17 +70,16 @@ class EffectiveOpinionObjective : public McObjective {
   McOptions options_;
 };
 
-/// \brief sigma(S) on a frozen set of presampled live-edge snapshots (the
-/// StaticGreedy/sketch estimator family) — the `--oracle=sketch` backend
-/// for GreedySelector/CelfSelector and the spread benches.
+/// \brief sigma(S) on a frozen set of presampled live-edge snapshots: the
+/// `--oracle=sketch` objective of greedy/CELF/CELF++, and StaticGreedy's
+/// (Cheng et al., CIKM'13) whole objective.
 ///
 /// Evaluate() is a one-shot batch reachability count over the oracle's
-/// packed arena; the session API exposes the oracle's activate-once
-/// incremental evaluator, so a full greedy run explores each (snapshot,
-/// node) pair at most once. On the static sample marginal gains are
-/// exactly submodular (integer newly-reachable counts), so CELF's lazy
-/// bound never misranks and CELF picks the same seeds as eager greedy
-/// over the same frozen snapshots.
+/// packed arena. Gains() hands out the oracle's activate-once incremental
+/// session, so a full greedy run explores each (snapshot, node) pair at
+/// most once. On the static sample marginal gains are exactly submodular
+/// (integer newly-reachable counts), so CELF's lazy bound never misranks
+/// and CELF picks the same seeds as eager greedy over the same worlds.
 class SketchSpreadObjective : public McObjective {
  public:
   /// A non-empty `node_weights` (one finite weight >= 0 per node)
@@ -101,9 +93,10 @@ class SketchSpreadObjective : public McObjective {
     return weights_.empty() ? "sigma_sketch" : "sigma_sketch_w";
   }
   double Evaluate(const std::vector<NodeId>& seeds) override;
-  bool StartSession() override;
-  double SessionMarginalGain(NodeId u) override;
-  double SessionCommit(NodeId u) override;
+  /// Session gains on the objective's one Session, reset on every call
+  /// (so a warm re-Select allocates nothing). Never answers look-aheads:
+  /// a session probe costs no more than the CELF++ cache bookkeeping.
+  std::unique_ptr<GainOracle> Gains(bool look_ahead) override;
 
   const SketchOracle& oracle() const { return *oracle_; }
 
@@ -114,12 +107,15 @@ class SketchSpreadObjective : public McObjective {
   SketchOracle::Session session_;
 };
 
-/// \brief Kempe et al.'s GREEDY: k rounds, each evaluating the marginal gain
-/// of every remaining node via Monte Carlo. O(k n r (m+n)) — the gold
+/// \brief Kempe et al.'s GREEDY: k rounds, each scoring the marginal gain
+/// of every remaining node. O(k n r (m+n)) under Monte Carlo, the gold
 /// standard for quality, intractable beyond small graphs (paper Sec. 5).
 ///
-/// With an EffectiveOpinionObjective this is exactly the paper's
-/// Modified-GREEDY (Appendix A, Algorithm 6).
+/// Select and SelectBudgeted are each one EagerGreedy call
+/// (algo/lazy_greedy.h) on the objective's Gains(): the driver owns the
+/// scan order (ties to the smaller node id), the budget skip and the
+/// deadline checkpoints. With an EffectiveOpinionObjective this is
+/// exactly the paper's Modified-GREEDY (Appendix A, Algorithm 6).
 class GreedySelector : public SeedSelector {
  public:
   GreedySelector(const Graph& graph, std::shared_ptr<McObjective> objective,
@@ -128,15 +124,19 @@ class GreedySelector : public SeedSelector {
   std::string name() const override { return name_; }
   Result<SeedSelection> Select(uint32_t k) override;
   /// Eager benefit-per-cost greedy: each round scans every affordable
-  /// candidate's gain/cost ratio (ties toward the smaller node id, like
-  /// Select) and commits the best. The evaluate-everything reference the
-  /// lazy budgeted CELF is benchmarked against. With uniform unit costs
-  /// and budget == k the selection is bitwise-identical to Select(k).
+  /// candidate's gain/cost ratio and commits the best. The
+  /// evaluate-everything reference the lazy budgeted CELF is benchmarked
+  /// against. With uniform unit costs and budget == k the selection is
+  /// bitwise-identical to Select(k).
   Result<SeedSelection> SelectBudgeted(uint32_t max_seeds,
                                        std::span<const double> costs,
                                        double budget) override;
 
  private:
+  /// One EagerGreedy run; empty `costs` is top-k.
+  SeedSelection Run(uint32_t max_seeds, std::span<const double> costs,
+                    double budget);
+
   const Graph& graph_;
   std::shared_ptr<McObjective> objective_;
   std::string name_;

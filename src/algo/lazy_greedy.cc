@@ -1,5 +1,6 @@
 #include "algo/lazy_greedy.h"
 
+#include <limits>
 #include <numeric>
 #include <queue>
 
@@ -17,6 +18,25 @@ struct Entry {
   NodeId with = kInvalidNode;
   double gain_with = 0.0;
 };
+
+// A round-top checkpoint: on expiry records the stop on `out` and returns
+// true.
+bool CheckpointExpired(Deadline* deadline, SeedSelection& out) {
+  if (deadline == nullptr || deadline->Check().ok()) return false;
+  out.degraded = true;
+  out.stop_status = deadline->status();
+  return true;
+}
+
+// Expiry mid-round (wall clock or cancellation): a gain scored after it
+// may rest on a partial evaluation, so the round is discarded. A work
+// budget only expires at a round-top checkpoint.
+bool StopRequestedMidRound(Deadline* deadline, SeedSelection& out) {
+  if (deadline == nullptr || !deadline->StopRequested()) return false;
+  out.degraded = true;
+  out.stop_status = deadline->Check();
+  return true;
+}
 
 // std::priority_queue pops the "largest" element: the larger key, and on
 // equal keys the smaller node id.
@@ -39,11 +59,7 @@ LazyGreedyRun LazyGreedy(GainOracle& oracle,
   auto key_of = [&](NodeId u, double gain) {
     return budgeted ? gain / costs[u] : gain;
   };
-  if (deadline && !deadline->Check().ok()) {
-    out.degraded = true;
-    out.stop_status = deadline->status();
-    return run;
-  }
+  if (CheckpointExpired(deadline, out)) return run;
   std::vector<Entry> entries;
   entries.reserve(candidates.size());
   for (const NodeId u : candidates) {
@@ -58,24 +74,11 @@ LazyGreedyRun LazyGreedy(GainOracle& oracle,
   uint32_t checked_round = 0;  // the pre-pass check covers round 0
   while (out.seeds.size() < max_seeds && !heap.empty()) {
     const uint32_t round = static_cast<uint32_t>(out.seeds.size());
-    if (deadline) {
-      if (round != checked_round) {
-        checked_round = round;
-        if (!deadline->Check().ok()) {
-          out.degraded = true;
-          out.stop_status = deadline->status();
-          break;
-        }
-      }
-      if (deadline->StopRequested()) {
-        // Expiry mid-round (wall clock or cancellation): a gain scored
-        // after it may rest on a partial evaluation. A work budget only
-        // expires at the round-top Check.
-        out.degraded = true;
-        out.stop_status = deadline->Check();
-        break;
-      }
+    if (round != checked_round) {
+      checked_round = round;
+      if (CheckpointExpired(deadline, out)) break;
     }
+    if (StopRequestedMidRound(deadline, out)) break;
     Entry top = heap.top();
     heap.pop();
     if (budgeted && costs[top.node] > remaining) continue;  // never fits
@@ -105,6 +108,45 @@ LazyGreedyRun LazyGreedy(GainOracle& oracle,
     top.key = key_of(top.node, top.gain);
     top.round = round;
     heap.push(top);
+  }
+  return run;
+}
+
+LazyGreedyRun EagerGreedy(GainOracle& oracle,
+                          std::span<const NodeId> candidates,
+                          uint32_t max_seeds, std::span<const double> costs,
+                          double budget, Deadline* deadline) {
+  LazyGreedyRun run;
+  SeedSelection& out = run.selection;
+  const bool budgeted = !costs.empty();
+  std::vector<NodeId> left(candidates.begin(), candidates.end());
+  double remaining = budget;
+  while (out.seeds.size() < max_seeds) {
+    if (CheckpointExpired(deadline, out)) break;
+    std::size_t best = left.size();
+    double best_key = -std::numeric_limits<double>::infinity();
+    double best_gain = 0.0;
+    for (std::size_t i = 0; i < left.size(); ++i) {
+      const NodeId u = left[i];
+      if (budgeted && costs[u] > remaining) continue;
+      ++run.evaluations;
+      const double gain = oracle.Gain(u);
+      const double key = budgeted ? gain / costs[u] : gain;
+      if (key > best_key ||
+          (key == best_key && best < left.size() && u < left[best])) {
+        best = i;
+        best_key = key;
+        best_gain = gain;
+      }
+    }
+    if (StopRequestedMidRound(deadline, out)) break;
+    if (best == left.size()) break;  // nothing left that fits
+    const NodeId u = left[best];
+    oracle.Commit(u, best_gain);
+    if (budgeted) remaining -= costs[u];
+    out.seeds.push_back(u);
+    out.seed_scores.push_back(best_gain);
+    left.erase(left.begin() + static_cast<std::ptrdiff_t>(best));
   }
   return run;
 }

@@ -11,9 +11,10 @@
 
 namespace holim {
 
-/// \brief Marginal-gain oracle hill-climbed by LazyGreedy. It owns the
-/// committed seed set S and how a gain is scored; the driver owns the
-/// order in which candidates are scored and committed.
+/// \brief Marginal-gain oracle hill-climbed by LazyGreedy and EagerGreedy.
+/// It owns the committed seed set S and how a gain is scored; the driver
+/// owns the order in which candidates are scored and committed. Objectives
+/// hand theirs out through McObjective::Gains (algo/greedy.h).
 class GainOracle {
  public:
   virtual ~GainOracle() = default;
@@ -34,7 +35,7 @@ class GainOracle {
   }
 };
 
-/// What one LazyGreedy run committed and what it cost.
+/// What one LazyGreedy or EagerGreedy run committed and what it cost.
 struct LazyGreedyRun {
   /// seeds, seed_scores (each seed's committed gain), and on an early
   /// stop degraded + stop_status; timings and memory are the caller's.
@@ -43,9 +44,9 @@ struct LazyGreedyRun {
   uint64_t evaluations = 0;
 };
 
-/// \brief The lazy-forward (CELF) greedy driver every hill-climbing
-/// baseline runs through (Leskovec et al., KDD'07; CELF++: Goyal et al.,
-/// WWW'11).
+/// \brief The lazy-forward (CELF) greedy driver behind CELF/CELF++,
+/// StaticGreedy and SIMPATH (Leskovec et al., KDD'07; CELF++: Goyal et
+/// al., WWW'11). EagerGreedy below is its evaluate-everything twin.
 ///
 /// One pre-pass scores every candidate (in `candidates` order), then each
 /// round pops the entry with the largest key. A key computed against the
@@ -76,6 +77,30 @@ LazyGreedyRun LazyGreedy(GainOracle& oracle,
                          uint32_t max_seeds,
                          std::span<const double> costs = {},
                          double budget = 0.0, Deadline* deadline = nullptr);
+
+/// \brief The eager greedy driver (Kempe et al.'s GREEDY; the paper's
+/// Modified-GREEDY when the gains are effective opinion): every round
+/// scores every uncommitted candidate that fits and commits the best.
+///
+/// Same rules as LazyGreedy, so on a submodular gain both return the same
+/// seeds:
+///  * **Key and order.** The key is the gain, or gain / cost with `costs`.
+///    Each round scans `candidates` in order and keeps the larger key;
+///    equal keys go to the smaller node id.
+///  * **Budget.** With costs, a candidate whose cost exceeds the residual
+///    budget is skipped unscored; the run ends when nothing fits.
+///  * **Checkpoints.** `deadline` (borrowed, may be null) is checked once
+///    at the top of every round, so k rounds take k checks. A stop
+///    requested mid-round (wall clock or cancellation) discards that
+///    round: its scores may rest on partial evaluations.
+///
+/// Never asks GainWith. Stops after `max_seeds` commits or when no
+/// candidate is left.
+LazyGreedyRun EagerGreedy(GainOracle& oracle,
+                          std::span<const NodeId> candidates,
+                          uint32_t max_seeds,
+                          std::span<const double> costs = {},
+                          double budget = 0.0, Deadline* deadline = nullptr);
 
 /// Every node of an `n`-node graph, ascending: the usual candidate pool.
 std::vector<NodeId> AllNodes(NodeId n);

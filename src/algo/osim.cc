@@ -19,8 +19,8 @@ void OsimScorer::AssignScores(const EpochSet& excluded,
 
 void OsimScorer::AssignScoresParallel(const EpochSet& excluded,
                                       std::vector<double>* scores,
-                                      ThreadPool* pool) {
-  engine_.FullSweep(excluded, scores, pool ? pool : &DefaultThreadPool());
+                                      ThreadPool& pool) {
+  engine_.FullSweep(excluded, scores, &pool);
 }
 
 void OsimScorer::AssignScoresIncremental(

@@ -85,8 +85,7 @@ class OsimScorer {
   /// Parallel variant: fixed-node-block sharding, bitwise-identical to the
   /// serial result for any thread count.
   void AssignScoresParallel(const EpochSet& excluded,
-                            std::vector<double>* scores,
-                            ThreadPool* pool = nullptr);
+                            std::vector<double>* scores, ThreadPool& pool);
 
   /// Incremental variant across greedy rounds; see
   /// EasyImScorer::AssignScoresIncremental for the contract (nullptr pool

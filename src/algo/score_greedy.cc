@@ -215,7 +215,7 @@ ScoreGreedy::IncrementalScoreFn MakeSweepScoreFn(
     if (options.incremental_rescore) {
       scorer.AssignScoresIncremental(excluded, newly, scores, options.pool);
     } else if (options.pool != nullptr) {
-      scorer.AssignScoresParallel(excluded, scores, options.pool);
+      scorer.AssignScoresParallel(excluded, scores, *options.pool);
     } else {
       scorer.AssignScores(excluded, scores);
     }

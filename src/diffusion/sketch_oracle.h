@@ -52,7 +52,8 @@ struct SketchOptions {
 /// w.p. p(e); LT gives each node at most one live in-edge) and answers
 /// every sigma(S) query by reachability over the frozen worlds — the
 /// StaticGreedy/sketch estimator family, the forward-direction sibling of
-/// the RR engine's world reuse (algo/rr_sets.*).
+/// the RR engine's world reuse (algo/rr_sets.*). StaticGreedy itself is
+/// CELF on a session over this arena (engine/algorithms.cc).
 ///
 /// ## Arena layout: word-transposed lane masks
 ///
@@ -285,7 +286,8 @@ class SketchOracle {
   std::size_t ArenaBytes() const;
 
   /// \brief Incremental marginal-gain session: StaticGreedy-style
-  /// activate-once evaluation across a whole greedy run.
+  /// activate-once evaluation across a whole greedy run. Hill-climbers
+  /// reach it through SketchSpreadObjective::Gains (algo/greedy.h).
   ///
   /// The session keeps one persistent activated lane mask per (lane group,
   /// node) — i.e. the per-snapshot activated bitsets, stored transposed so

@@ -10,6 +10,7 @@
 // sync. Keep the shape when adding algorithms.
 
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "algo/asim.h"
@@ -22,7 +23,6 @@
 #include "algo/path_union.h"
 #include "algo/score_greedy.h"
 #include "algo/simpath.h"
-#include "algo/static_greedy.h"
 #include "algo/tim_plus.h"
 #include "engine/registry.h"
 
@@ -37,6 +37,34 @@ ScoreGreedyOptions MakeScoreGreedyOptions(const SolveContext& ctx) {
   return options;
 }
 
+/// sigma (or, for targeted queries, sigma_w) on the Workspace sketch arena
+/// of `num_snapshots` worlds at the request seed: the same artifact the
+/// engine's sketch spread evaluation reads, so the two share one build.
+Result<std::shared_ptr<McObjective>> MakeSketchObjective(
+    const SolveContext& ctx, uint32_t num_snapshots) {
+  const SolveRequest& r = ctx.request;
+  if (num_snapshots == 0) {
+    return Status::InvalidArgument(
+        "the sketch objective needs at least one snapshot");
+  }
+  SketchOptions options;
+  options.num_snapshots = num_snapshots;
+  options.seed = r.seed;
+  options.pool = ctx.pool;
+  options.deadline = ctx.deadline;
+  HOLIM_ASSIGN_OR_RETURN(
+      std::shared_ptr<const SketchOracle> sketch,
+      ctx.workspace.GetSketchOracle(ctx.graph, *r.params, options,
+                                    ctx.graph_token));
+  // The objective copies the weights so the cached selector never dangles
+  // into a caller-owned request vector.
+  std::vector<double> weights = r.query == QueryKind::kTargeted
+                                    ? r.target_weights
+                                    : std::vector<double>{};
+  return std::shared_ptr<McObjective>(std::make_shared<SketchSpreadObjective>(
+      std::move(sketch), std::move(weights)));
+}
+
 /// The objective GREEDY/CELF/CELF++ hill-climb, chosen exactly as
 /// holim_cli's legacy dispatch did: sketch oracle (plain spread only) >
 /// effective-opinion > plain Monte-Carlo spread.
@@ -48,23 +76,7 @@ Result<std::shared_ptr<McObjective>> MakeMcObjective(const SolveContext& ctx) {
           "oracle=sketch supports the plain spread objective only; drop the "
           "opinion layer or use oracle=mc");
     }
-    SketchOptions options;
-    options.num_snapshots = r.EffectiveSketchCount();
-    options.seed = r.seed;
-    options.pool = ctx.pool;
-    options.deadline = ctx.deadline;
-    HOLIM_ASSIGN_OR_RETURN(
-        std::shared_ptr<const SketchOracle> sketch,
-        ctx.workspace.GetSketchOracle(ctx.graph, *r.params, options,
-                                      ctx.graph_token));
-    // Targeted queries hill-climb the weighted objective sigma_w; the
-    // objective copies the weights so the cached selector never dangles
-    // into a caller-owned request vector.
-    std::vector<double> weights =
-        r.query == QueryKind::kTargeted ? r.target_weights
-                                        : std::vector<double>{};
-    return std::shared_ptr<McObjective>(std::make_shared<SketchSpreadObjective>(
-        std::move(sketch), std::move(weights)));
+    return MakeSketchObjective(ctx, r.EffectiveSketchCount());
   }
   McOptions mc;
   mc.num_simulations = r.mc;
@@ -228,14 +240,17 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "static-greedy";
     info.aliases = {"staticgreedy"};
     info.models = "IC, WC, LT";
-    info.artifacts = "live-edge snapshot sample";
+    info.artifacts = "sketch-oracle arena (R = num_snapshots)";
+    info.supported_queries = kHillClimbQueries;
+    // Cheng et al.'s StaticGreedy is lazy greedy over R frozen live-edge
+    // worlds: plain CELF on the sketch session.
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
-      StaticGreedyOptions options;
-      options.num_snapshots = ctx.request.num_snapshots;
-      return std::unique_ptr<SeedSelector>(
-          std::make_unique<StaticGreedySelector>(ctx.graph,
-                                                 *ctx.request.params,
-                                                 options));
+      const uint32_t r = ctx.request.num_snapshots;
+      HOLIM_ASSIGN_OR_RETURN(std::shared_ptr<McObjective> objective,
+                             MakeSketchObjective(ctx, r));
+      return std::unique_ptr<SeedSelector>(std::make_unique<CelfSelector>(
+          ctx.graph, std::move(objective), /*plus_plus=*/false,
+          "StaticGreedy(R=" + std::to_string(r) + ")"));
     };
     registry.Register(std::move(info));
   }

@@ -34,7 +34,7 @@ struct EngineOptions {
 /// The engine dispatches through the global AlgorithmRegistry (every
 /// selector in src/algo/ registers a factory) and owns a Workspace that
 /// caches the expensive artifacts — sketch-oracle arenas and stateful
-/// selector instances (score-sweep tables, StaticGreedy samples) — across
+/// selector instances (score-sweep tables, sketch sessions) — across
 /// successive solves, keyed by the *content* of the model parameters plus
 /// every request knob. A warm solve is bitwise-identical to a cold one
 /// (see Workspace); what it skips is sampling and allocation, which is

@@ -151,15 +151,17 @@ struct SolveRequest {
   double p = 0.1;
   /// Monte-Carlo simulations per objective evaluation / spread estimate.
   uint32_t mc = 200;
-  /// RNG seed for the MC objectives, the sketch oracle, and "random".
+  /// RNG seed for the MC objectives, the sketch oracle (StaticGreedy's
+  /// worlds included), and "random".
   uint64_t seed = 42;
 
   SpreadOracle oracle = SpreadOracle::kMonteCarlo;
   /// Sketch-oracle snapshot count R (0 = use `mc`); only read when
   /// `oracle == kSketch`.
   uint32_t num_sketches = 0;
-  /// StaticGreedy's internal snapshot count (its own sample, distinct from
-  /// the shared sketch oracle by design — the algorithm owns its worlds).
+  /// StaticGreedy's world count R: it runs on the Workspace sketch arena of
+  /// R worlds at `seed`, the same artifact `oracle == kSketch` reads when
+  /// `num_sketches` equals R.
   uint32_t num_snapshots = 100;
 
   /// EaSyIM/OSIM: dirty-frontier incremental rescore between greedy rounds

@@ -224,7 +224,7 @@ Workspace::DeltaPatchStats Workspace::ApplyGraphDelta(
     }
     if (!keep) {
       // Selectors hold graph-shaped internals (RR arenas, sweep tables,
-      // snapshot samples) with no patch path; mismatched-fingerprint
+      // sketch sessions) with no patch path; mismatched-fingerprint
       // sketches were built for params that no longer map onto the new
       // EdgeIds; failed patches are stale. All must go.
       entries_.erase(it);

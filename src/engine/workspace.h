@@ -18,8 +18,9 @@
 namespace holim {
 
 /// \brief Parameter-keyed cache of the expensive solve artifacts — sketch
-/// oracle arenas and stateful selector instances (which in turn own RR
-/// arenas, score-sweep tables, and StaticGreedy snapshot samples) — so a
+/// oracle arenas (the worlds of every sketch objective, StaticGreedy's
+/// included) and stateful selector instances (which in turn own RR arenas
+/// and score-sweep tables) — so a
 /// k-sweep or an algorithm-comparison batch on one graph pays sampling
 /// and state construction once.
 ///
@@ -49,7 +50,7 @@ namespace holim {
 /// against the *current* params fingerprint are patched in place via
 /// SketchOracle::ApplyDelta and re-keyed under the new (fingerprint,
 /// token); every other artifact — selectors (whose internal RR arenas /
-/// score tables / snapshot samples reference the old graph) and sketches
+/// score tables / sketch sessions reference the old graph) and sketches
 /// under a different params fingerprint — is evicted. Patched reuse stays
 /// bitwise-equivalent: ApplyDelta's output is pinned to the cold rebuild.
 ///

@@ -1,5 +1,6 @@
 #include "serving/protocol.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -63,6 +64,7 @@ Result<ProtocolRequest> ParseRequestLine(const std::string& line) {
   }
 
   std::string token;
+  std::vector<std::string> seen_keys;
   while (in >> token) {
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos || eq == 0) {
@@ -73,6 +75,12 @@ Result<ProtocolRequest> ParseRequestLine(const std::string& line) {
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
+    // A repeated key is an error, never "last one wins".
+    if (std::find(seen_keys.begin(), seen_keys.end(), key) !=
+        seen_keys.end()) {
+      return BadToken("duplicate key", key);
+    }
+    seen_keys.push_back(key);
     if (key == "id") {
       HOLIM_ASSIGN_OR_RETURN(request.id, ParseU64(key, value));
     } else if (key == "tenant") {

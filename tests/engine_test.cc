@@ -164,6 +164,38 @@ TEST_F(EngineTest, SketchOracleSolvesAreWarmAfterFirstAndShared) {
   EXPECT_EQ(warm->seeds, cold->seeds);
 }
 
+// StaticGreedy is plain CELF on the shared sketch arena: its
+// R = num_snapshots worlds at the request seed are the ones celf reads
+// under oracle=sketch with num_sketches = R, so that solve is a warm arena
+// hit with the same seeds and scores. A different request seed draws
+// different worlds.
+TEST_F(EngineTest, StaticGreedyIsCelfOnTheSharedSketchArena) {
+  HolimEngine engine(graph_);
+  SolveRequest static_greedy = BaseRequest("static-greedy", 0);
+  static_greedy.num_snapshots = 100;
+  auto sg = engine.Solve(static_greedy);
+  ASSERT_TRUE(sg.ok()) << sg.status().ToString();
+
+  SolveRequest celf = BaseRequest("celf", 0);
+  celf.oracle = SpreadOracle::kSketch;
+  celf.num_sketches = 100;
+  auto warm = engine.Solve(celf);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->warm_sketch);
+  EXPECT_FALSE(warm->warm_selector);
+  EXPECT_EQ(warm->seeds, sg->seeds);
+  EXPECT_EQ(warm->seed_scores, sg->seed_scores);
+  // 2 selectors + 1 shared sketch arena.
+  EXPECT_EQ(engine.workspace().num_artifacts(), 3u);
+
+  SolveRequest reseeded = static_greedy;
+  reseeded.seed = static_greedy.seed + 1;
+  auto other = engine.Solve(reseeded);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_FALSE(other->warm_selector);
+  EXPECT_NE(other->seed_scores, sg->seed_scores);
+}
+
 TEST_F(EngineTest, ClearedWorkspaceReproducesColdResultsExactly) {
   HolimEngine engine(graph_);
   SolveRequest request = BaseRequest("easyim", 0);

@@ -11,10 +11,12 @@
 // seeds are fixed, so the test is deterministic; delta = 1e-9 makes a
 // failure a statement about the estimator, not about luck.
 //
-// On exact gains sigma is monotone submodular, so LazyGreedy must return
-// the eager arg-max sequence and reach (1 - 1/e) of the brute-force
-// optimum (Nemhauser et al.). RR coverage gets the same Hoeffding check,
-// and TIM+/IMM are held to their (1 - 1/e - eps) guarantee.
+// On exact gains sigma is monotone submodular, so LazyGreedy and
+// EagerGreedy must both return the eager arg-max sequence and reach
+// (1 - 1/e) of the brute-force optimum (Nemhauser et al.). RR coverage
+// gets the same Hoeffding check, TIM+/IMM are held to their
+// (1 - 1/e - eps) guarantee, and StaticGreedy to greedy's bound on its
+// sampled worlds.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +33,7 @@
 #include "algo/tim_plus.h"
 #include "diffusion/sketch_oracle.h"
 #include "diffusion/spread_estimator.h"
+#include "engine/holim_engine.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "model/influence_params.h"
@@ -234,10 +237,11 @@ class ExactGains : public GainOracle {
 /// Eager greedy on the same gains: each round scores every uncommitted
 /// node that fits the residual budget (empty `costs`: top-k) and commits
 /// the best key, the first in ascending id on ties.
-std::vector<NodeId> EagerGreedy(const Graph& graph,
-                                const InfluenceParams& params, uint32_t k,
-                                std::span<const double> costs = {},
-                                double budget = 0.0) {
+std::vector<NodeId> ReferenceEagerGreedy(const Graph& graph,
+                                         const InfluenceParams& params,
+                                         uint32_t k,
+                                         std::span<const double> costs = {},
+                                         double budget = 0.0) {
   ExactGains gains(graph, params);
   std::vector<NodeId> seeds;
   std::vector<char> chosen(graph.num_nodes(), 0);
@@ -289,7 +293,7 @@ TEST(ExactGreedyTest, LazyEqualsEagerAndReachesTheGreedyBound) {
       ExactGains gains(g, params);
       const std::vector<NodeId> lazy =
           LazyGreedy(gains, AllNodes(g.num_nodes()), k).selection.seeds;
-      EXPECT_EQ(lazy, EagerGreedy(g, params, k));
+      EXPECT_EQ(lazy, ReferenceEagerGreedy(g, params, k));
       ASSERT_EQ(lazy.size(), k);
       const double opt = BruteForceOpt(g, params, k);
       EXPECT_GE(ExactSpread(g, params, lazy), (1.0 - std::exp(-1.0)) * opt);
@@ -343,10 +347,88 @@ TEST(ExactGreedyTest, BudgetedLazyEqualsEagerWithTwoCostLevels) {
         LazyGreedy(gains, AllNodes(g.num_nodes()), g.num_nodes(), costs,
                    /*budget=*/4.0)
             .selection.seeds;
-    EXPECT_EQ(lazy, EagerGreedy(g, params, g.num_nodes(), costs, 4.0));
+    EXPECT_EQ(lazy,
+              ReferenceEagerGreedy(g, params, g.num_nodes(), costs, 4.0));
     double spent = 0.0;
     for (const NodeId u : lazy) spent += costs[u];
     EXPECT_LE(spent, 4.0);
+  }
+}
+
+// The production eager driver on exact gains is the reference loop above,
+// and (sigma being submodular) the lazy driver too: top-k and under the
+// two-cost budget.
+TEST(ExactGreedyTest, EagerDriverEqualsReferenceAndLazy) {
+  const Graph g = SmallGraph();
+  const std::vector<NodeId> nodes = AllNodes(g.num_nodes());
+  std::vector<double> costs(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) costs[u] = u % 2 ? 2.0 : 1.0;
+  for (const InfluenceParams& params : AllModels(g)) {
+    for (const uint32_t k : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(DiffusionModelName(params.model)) +
+                   " k=" + std::to_string(k));
+      ExactGains eager_gains(g, params);
+      const LazyGreedyRun eager = EagerGreedy(eager_gains, nodes, k);
+      ExactGains lazy_gains(g, params);
+      const LazyGreedyRun lazy = LazyGreedy(lazy_gains, nodes, k);
+      EXPECT_EQ(eager.selection.seeds, ReferenceEagerGreedy(g, params, k));
+      EXPECT_EQ(eager.selection.seeds, lazy.selection.seeds);
+      EXPECT_EQ(eager.selection.seed_scores, lazy.selection.seed_scores);
+    }
+    SCOPED_TRACE(std::string(DiffusionModelName(params.model)) +
+                 " budgeted");
+    ExactGains eager_gains(g, params);
+    const LazyGreedyRun eager =
+        EagerGreedy(eager_gains, nodes, g.num_nodes(), costs, 4.0);
+    ExactGains lazy_gains(g, params);
+    const LazyGreedyRun lazy =
+        LazyGreedy(lazy_gains, nodes, g.num_nodes(), costs, 4.0);
+    EXPECT_EQ(eager.selection.seeds,
+              ReferenceEagerGreedy(g, params, g.num_nodes(), costs, 4.0));
+    EXPECT_EQ(eager.selection.seeds, lazy.selection.seeds);
+  }
+}
+
+// StaticGreedy is greedy on the sketch estimate of R worlds. Counting the
+// seeds, f(S) = sigma(S) + |S| is monotone submodular on every sample, and
+// greedy on sigma - |S| picks exactly greedy-on-f's seeds. If every set T
+// of at most k seeds has |f_hat(T) - f(T)| <= r, then
+//   f(S) >= f_hat(S) - r >= (1 - 1/e) f_hat(OPT) - r
+//        >= (1 - 1/e)(OPT + k) - (2 - 1/e) r.
+// r is the Hoeffding radius of an average of R draws in [0, n],
+// union-bounded over those sets.
+TEST(ExactGreedyTest, StaticGreedyReachesTheSampledGreedyBound) {
+  constexpr uint32_t kWorlds = 1u << 16;
+  const Graph g = SmallGraph();
+  const NodeId n = g.num_nodes();
+  for (const InfluenceParams& params : AllModels(g)) {
+    double subsets = 0.0, choose = 1.0;
+    for (const uint32_t k : {1u, 2u, 3u}) {
+      choose = choose * (n - k + 1) / k;
+      subsets += choose;
+      const double r = n * std::sqrt(std::log(2.0 * subsets / kDelta) /
+                                     (2.0 * kWorlds));
+      const double opt = BruteForceOpt(g, params, k);
+      const double bound = (1.0 - std::exp(-1.0)) * (opt + k) -
+                           (2.0 - std::exp(-1.0)) * r;
+      for (const uint64_t seed : {7u, 8u, 9u}) {
+        SCOPED_TRACE(std::string(DiffusionModelName(params.model)) +
+                     " k=" + std::to_string(k) + " seed=" +
+                     std::to_string(seed));
+        SolveRequest request;
+        request.algorithm = "static-greedy";
+        request.k = k;
+        request.params = &params;
+        request.seed = seed;
+        request.num_snapshots = kWorlds;
+        request.evaluate_spread = false;
+        HolimEngine engine(g);
+        auto result = engine.Solve(request);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_EQ(result->seeds.size(), k);
+        EXPECT_GE(ExactSpread(g, params, result->seeds) + k, bound);
+      }
+    }
   }
 }
 

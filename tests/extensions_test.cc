@@ -8,8 +8,8 @@
 #include "algo/easyim.h"
 #include "algo/icn_objective.h"
 #include "algo/osim.h"
-#include "algo/static_greedy.h"
 #include "diffusion/spread_estimator.h"
+#include "engine/holim_engine.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -82,31 +82,44 @@ TEST(AsimTest, SelectsValidSeeds) {
 }
 
 // -------------------------------------------------------- StaticGreedy --
+// StaticGreedy is plain CELF on the sketch arena of R = num_snapshots
+// worlds, so it is reached through the engine registry. Its scores are
+// sigma(S) - |S|, like every other estimator's.
+
+SolveRequest StaticGreedyRequest(const InfluenceParams& params, uint32_t k,
+                                 uint32_t snapshots = 100) {
+  SolveRequest request;
+  request.algorithm = "static-greedy";
+  request.k = k;
+  request.params = &params;
+  request.num_snapshots = snapshots;
+  return request;
+}
 
 TEST(StaticGreedyTest, HubWinsOnStar) {
   GraphBuilder b(10);
   for (NodeId leaf = 1; leaf < 10; ++leaf) b.AddEdge(0, leaf);
   Graph g = std::move(b).Build().ValueOrDie();
   auto params = MakeUniformIc(g, 0.5);
-  StaticGreedySelector sg(g, params);
-  auto selection = sg.Select(1).ValueOrDie();
-  EXPECT_EQ(selection.seeds[0], 0u);
-  // Gain of the hub ~ 1 + 9 * 0.5.
-  EXPECT_NEAR(selection.seed_scores[0], 5.5, 1.0);
+  HolimEngine engine(g);
+  auto result = engine.Solve(StaticGreedyRequest(params, 1)).ValueOrDie();
+  EXPECT_EQ(result.seeds[0], 0u);
+  // Gain of the hub ~ 9 * 0.5.
+  EXPECT_NEAR(result.seed_scores[0], 4.5, 1.0);
 }
 
 TEST(StaticGreedyTest, MatchesCelfSeedsOnSmallGraph) {
   Graph g = GenerateBarabasiAlbert(60, 2, 3).ValueOrDie();
   auto params = MakeUniformIc(g, 0.2);
-  StaticGreedyOptions options;
-  options.num_snapshots = 400;
-  StaticGreedySelector sg(g, params, options);
+  HolimEngine engine(g);
+  auto sg_sel =
+      engine.Solve(StaticGreedyRequest(params, 3, /*snapshots=*/400))
+          .ValueOrDie();
   McOptions mc;
   mc.num_simulations = 3000;
   mc.seed = 4;
   auto objective = std::make_shared<SpreadObjective>(g, params, mc);
   CelfSelector celf(g, objective, false, "CELF");
-  auto sg_sel = sg.Select(3).ValueOrDie();
   auto celf_sel = celf.Select(3).ValueOrDie();
   // Both optimize the same submodular objective; allow spread-equivalent
   // differences by comparing achieved spread rather than identity.
@@ -118,29 +131,30 @@ TEST(StaticGreedyTest, MatchesCelfSeedsOnSmallGraph) {
 TEST(StaticGreedyTest, LtSnapshotsRespectSingleLiveInEdge) {
   Graph g = GeneratePath(5).ValueOrDie();
   auto params = MakeLinearThreshold(g);
-  StaticGreedyOptions options;
-  options.num_snapshots = 50;
-  StaticGreedySelector sg(g, params, options);
-  auto selection = sg.Select(1).ValueOrDie();
-  // Full-weight chain: node 0 reaches everything in every snapshot.
-  EXPECT_EQ(selection.seeds[0], 0u);
-  EXPECT_NEAR(selection.seed_scores[0], 5.0, 1e-9);
+  HolimEngine engine(g);
+  auto result =
+      engine.Solve(StaticGreedyRequest(params, 1, /*snapshots=*/50))
+          .ValueOrDie();
+  // Full-weight chain: node 0 reaches the other four in every snapshot.
+  EXPECT_EQ(result.seeds[0], 0u);
+  EXPECT_NEAR(result.seed_scores[0], 4.0, 1e-9);
 }
 
 TEST(StaticGreedyTest, SnapshotMemoryAccounted) {
   Graph g = GenerateBarabasiAlbert(100, 3, 5).ValueOrDie();
   auto params = MakeUniformIc(g, 0.3);
-  StaticGreedySelector sg(g, params);
-  (void)sg.Select(2).ValueOrDie();
-  EXPECT_GT(sg.SnapshotBytes(), 0u);
+  HolimEngine engine(g);
+  ASSERT_TRUE(engine.Solve(StaticGreedyRequest(params, 2)).ok());
+  // The worlds live in the Workspace as a sketch arena.
+  EXPECT_GT(engine.workspace().MemoryFootprintBytes(), 0u);
 }
 
 TEST(StaticGreedyTest, RejectsBadK) {
   Graph g = GeneratePath(4).ValueOrDie();
   auto params = MakeUniformIc(g, 0.1);
-  StaticGreedySelector sg(g, params);
-  EXPECT_FALSE(sg.Select(0).ok());
-  EXPECT_FALSE(sg.Select(5).ok());
+  HolimEngine engine(g);
+  EXPECT_FALSE(engine.Solve(StaticGreedyRequest(params, 0)).ok());
+  EXPECT_FALSE(engine.Solve(StaticGreedyRequest(params, 5)).ok());
 }
 
 // ----------------------------------------------------- IC-N objective --
@@ -271,7 +285,7 @@ TEST(OsimParallelTest, BitwiseIdenticalToSerial) {
   std::vector<double> serial_scores, parallel_scores;
   serial.AssignScores(excluded, &serial_scores);
   ThreadPool pool(4);
-  parallel.AssignScoresParallel(excluded, &parallel_scores, &pool);
+  parallel.AssignScoresParallel(excluded, &parallel_scores, pool);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_EQ(serial_scores[u], parallel_scores[u]) << "node " << u;
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <set>
@@ -293,6 +294,92 @@ TEST(LazyGreedyTest, OneCheckpointBeforeThePrePassAndOnePerLaterRound) {
     EXPECT_EQ(run.selection.degraded, rounds < 3);
     if (rounds == 0) EXPECT_TRUE(gains.gained.empty());
   }
+}
+
+// ---------------------------------------------------------------------------
+// EagerGreedy driver contracts, on the same coverage gains.
+// ---------------------------------------------------------------------------
+
+TEST(EagerGreedyTest, EqualKeysCommitTheSmallestId) {
+  // Every key is 1.0; the scan order must not matter, only the ids.
+  CoverageGains gains({{0}, {1}, {2}, {3}, {4}, {5}});
+  const std::vector<NodeId> shuffled = {4, 2, 5, 0, 3, 1};
+  const LazyGreedyRun run = EagerGreedy(gains, shuffled, 3);
+  EXPECT_EQ(run.selection.seeds, (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(run.selection.seed_scores, (std::vector<double>{1, 1, 1}));
+  // Six scores, then five, then four.
+  EXPECT_EQ(run.evaluations, 15u);
+
+  // Budgeted: every ratio is 1.0 and the budget of 6 fits nodes 0, 1 and
+  // 2 exactly; node 3 (cost 4) no longer fits once 0 and 1 are in.
+  CoverageGains ratios({{0}, {1, 2}, {3, 4, 5}, {6, 7, 8, 9}});
+  const std::vector<double> costs = {1, 2, 3, 4};
+  const LazyGreedyRun budgeted = EagerGreedy(
+      ratios, std::vector<NodeId>{3, 1, 0, 2}, 4, costs, /*budget=*/6.0);
+  EXPECT_EQ(budgeted.selection.seeds, (std::vector<NodeId>{0, 1, 2}));
+}
+
+TEST(EagerGreedyTest, OverBudgetCandidateIsNeverCommitted) {
+  // Ratios: node 3 60/6 = 10 but over the whole budget of 5, node 1 9/2,
+  // node 0 10/4, node 2 1/1. Round 0 skips 3 unscored and commits 1
+  // (residual 3); round 1 skips 0 (cost 4) and commits 2 (residual 2);
+  // round 2 finds nothing that fits.
+  std::vector<std::vector<int>> covers(4);
+  for (int i = 0; i < 10; ++i) covers[0].push_back(i);
+  for (int i = 0; i < 9; ++i) covers[1].push_back(100 + i);
+  covers[2] = {200};
+  for (int i = 0; i < 60; ++i) covers[3].push_back(300 + i);
+  CoverageGains gains(covers, /*plus_plus=*/true);
+  const std::vector<double> costs = {4, 2, 1, 6};
+  const LazyGreedyRun run =
+      EagerGreedy(gains, AllNodes(4), 4, costs, /*budget=*/5.0);
+  EXPECT_EQ(run.selection.seeds, (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(run.selection.seed_scores, (std::vector<double>{9, 1}));
+  EXPECT_EQ(gains.gained, (std::vector<NodeId>{0, 1, 2, 2}));
+  EXPECT_EQ(run.evaluations, 4u);
+  EXPECT_FALSE(run.selection.degraded);
+  // The eager driver never asks for look-aheads.
+  EXPECT_EQ(gains.gain_with_calls, 0);
+}
+
+TEST(EagerGreedyTest, OneCheckpointPerRound) {
+  // Round by round: A (10), X (6), U (4 -> 3), then node 3 (1). k = 4
+  // takes four checkpoints, so a budget of 5 ticks completes it and a
+  // budget of B <= 4 completes B - 1 rounds.
+  for (uint64_t budget = 1; budget <= 5; ++budget) {
+    SCOPED_TRACE(budget);
+    Deadline deadline = Deadline::WorkBudget(budget);
+    CoverageGains gains(OverlapCovers());
+    const LazyGreedyRun run =
+        EagerGreedy(gains, AllNodes(4), 4, {}, 0.0, &deadline);
+    const std::size_t rounds = std::min<std::size_t>(budget - 1, 4);
+    EXPECT_EQ(run.selection.seeds.size(), rounds);
+    EXPECT_EQ(gains.commits, static_cast<int>(rounds));
+    EXPECT_EQ(run.selection.degraded, budget <= 4);
+    if (budget == 5) {
+      EXPECT_EQ(run.selection.seeds, (std::vector<NodeId>{0, 1, 2, 3}));
+      EXPECT_EQ(run.selection.seed_scores,
+                (std::vector<double>{10, 6, 3, 1}));
+      EXPECT_EQ(run.evaluations, 10u);
+    }
+  }
+}
+
+TEST(EagerGreedyTest, CancelledTokenDiscardsTheCurrentRound) {
+  // Cancel from inside round 1's first score (Gain call 5): the round
+  // still finishes its scan, but nothing it scored is committed.
+  CancelToken token;
+  Deadline deadline = Deadline::WorkBudget(1000, &token);
+  CoverageGains gains(OverlapCovers());
+  gains.on_gain = [&] {
+    if (gains.gained.size() == 5) token.Cancel();
+  };
+  const LazyGreedyRun run =
+      EagerGreedy(gains, AllNodes(4), 3, {}, 0.0, &deadline);
+  EXPECT_EQ(run.selection.seeds, (std::vector<NodeId>{0}));
+  EXPECT_EQ(gains.commits, 1);
+  EXPECT_TRUE(run.selection.degraded);
+  EXPECT_EQ(run.selection.stop_status.code(), StatusCode::kCancelled);
 }
 
 }  // namespace

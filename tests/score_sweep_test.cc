@@ -56,7 +56,7 @@ TEST(ScoreSweepTest, EasyImBitwiseDeterministicAcrossThreadCounts) {
     ThreadPool pool(threads);
     EasyImScorer scorer(g, params, 4);
     std::vector<double> scores;
-    scorer.AssignScoresParallel(excluded, &scores, &pool);
+    scorer.AssignScoresParallel(excluded, &scores, pool);
     ASSERT_EQ(scores.size(), reference.size());
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       EXPECT_EQ(scores[u], reference[u]) << "node " << u << " threads "
@@ -77,7 +77,7 @@ TEST(ScoreSweepTest, OsimBitwiseDeterministicAcrossThreadCounts) {
     ThreadPool pool(threads);
     OsimScorer scorer(g, influence, opinions, 4);
     std::vector<double> scores;
-    scorer.AssignScoresParallel(excluded, &scores, &pool);
+    scorer.AssignScoresParallel(excluded, &scores, pool);
     ASSERT_EQ(scores.size(), reference.size());
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       EXPECT_EQ(scores[u], reference[u]) << "node " << u << " threads "

@@ -85,6 +85,14 @@ TEST(ProtocolTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseRequestLine("solve k=0").ok());
   EXPECT_FALSE(ParseRequestLine("solve deadline_ms=-1").ok());
   EXPECT_FALSE(ParseRequestLine("ping id=1").ok());  // verb takes no fields
+  // A repeated key is rejected, not overwritten by its last occurrence.
+  const auto twice_id =
+      ParseRequestLine("solve id=8 id=9 tenant=0 model=IC k=5");
+  EXPECT_EQ(twice_id.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseRequestLine("solve id=8 tenant=0 model=IC k=5 k=6")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ServerTest, AdmissionControlRejectsWhenFull) {
