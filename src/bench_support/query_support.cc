@@ -120,17 +120,16 @@ Result<std::vector<NodeId>> ParseSeedList(const std::string& spec,
                                           const Graph& graph) {
   std::vector<NodeId> seeds;
   for (const std::string_view token : SplitTokens(spec, ", \t")) {
-    try {
-      const unsigned long id = std::stoul(std::string(token));
-      if (id >= graph.num_nodes()) {
-        return Status::InvalidArgument("--seeds node id " +
-                                       std::string(token) + " out of range");
-      }
-      seeds.push_back(static_cast<NodeId>(id));
-    } catch (const std::exception&) {
+    uint64_t id = 0;
+    if (!ParseNumber(token, id)) {
       return Status::InvalidArgument("bad --seeds node id: " +
                                      std::string(token));
     }
+    if (id >= graph.num_nodes()) {
+      return Status::InvalidArgument("--seeds node id " +
+                                     std::string(token) + " out of range");
+    }
+    seeds.push_back(static_cast<NodeId>(id));
   }
   if (seeds.empty()) {
     return Status::InvalidArgument("--seeds must list at least one node id");

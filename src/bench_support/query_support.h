@@ -46,7 +46,8 @@ Result<std::vector<double>> MaterializeTargets(const std::string& spec,
                                                uint64_t seed);
 
 /// Parses a `--seeds=` comma-separated node-id list into
-/// SolveRequest::given_seeds (ids validated against the graph).
+/// SolveRequest::given_seeds. Each id must be a whole unsigned decimal
+/// token below the node count; anything else is InvalidArgument.
 Result<std::vector<NodeId>> ParseSeedList(const std::string& spec,
                                           const Graph& graph);
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -12,128 +13,162 @@
 #include "util/string_util.h"
 
 namespace holim {
+namespace {
 
-Result<Graph> ReadEdgeList(const std::string& path,
-                           const EdgeListOptions& options) {
-  std::ifstream in(path);
+/// Rows are parsed straight out of one read buffer of this size, so a
+/// multi-GB SNAP file costs a chunk of extra memory, not a copy of itself.
+constexpr std::size_t kReadChunk = std::size_t{1} << 16;
+
+/// Space, tab and CR separate tokens; LF ends a row.
+bool IsBlank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// Pops the next token off the front of `row`; empty once none is left.
+std::string_view NextToken(std::string_view& row) {
+  std::size_t begin = 0;
+  while (begin < row.size() && IsBlank(row[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < row.size() && !IsBlank(row[end])) ++end;
+  const std::string_view token = row.substr(begin, end - begin);
+  row.remove_prefix(end);
+  return token;
+}
+
+/// Scans an edge list in kReadChunk reads, carrying a row split across two
+/// reads to the front of the buffer (a row longer than the buffer grows
+/// it). Blank rows and rows whose first token starts with '#' or '%' are
+/// skipped. Each other row needs two node-id tokens; they are mapped to
+/// NodeIds (first-appearance order under `options.renumber`, else as
+/// written) and handed to `on_row(u, v, rest)` with the row's remaining
+/// text. Returns the node count.
+template <typename OnRow>
+Result<NodeId> ScanEdgeRows(const std::string& path,
+                            const EdgeListOptions& options, OnRow&& on_row) {
+  std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return Status::IOError("cannot open: " + path);
 
-  std::vector<std::pair<uint64_t, uint64_t>> raw_edges;
   std::unordered_map<uint64_t, NodeId> remap;
-  uint64_t max_id = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string_view sv = StripWhitespace(line);
-    if (sv.empty() || sv[0] == '#' || sv[0] == '%') continue;
-    auto tokens = SplitTokens(sv);
-    if (tokens.size() < 2) {
-      return Status::IOError("malformed edge line: " + line);
+  uint64_t n64 = 0;  // without renumbering: the largest id + 1
+  uint64_t line_number = 0;
+  auto scan_row = [&](std::string_view row) -> Status {
+    ++line_number;
+    std::string_view rest = row;
+    const std::string_view u_token = NextToken(rest);
+    if (u_token.empty() || u_token[0] == '#' || u_token[0] == '%') {
+      return Status::OK();
     }
-    uint64_t u = 0, v = 0;
-    try {
-      u = std::stoull(std::string(tokens[0]));
-      v = std::stoull(std::string(tokens[1]));
-    } catch (...) {
-      return Status::IOError("non-numeric node id in line: " + line);
+    const std::string_view v_token = NextToken(rest);
+    const auto located = [&](StatusCode code, const std::string& what) {
+      return Status(code, what + " at line " + std::to_string(line_number) +
+                              ": " + std::string(row));
+    };
+    if (v_token.empty()) {
+      return located(StatusCode::kIOError, "malformed edge row");
     }
-    raw_edges.emplace_back(u, v);
-    max_id = std::max(max_id, std::max(u, v));
-    if (options.renumber) {
-      if (remap.emplace(u, static_cast<NodeId>(remap.size())).second) {}
-      if (remap.emplace(v, static_cast<NodeId>(remap.size())).second) {}
+    uint64_t raw[2] = {0, 0};
+    if (!ParseNumber(u_token, raw[0]) || !ParseNumber(v_token, raw[1])) {
+      return located(StatusCode::kIOError, "non-numeric node id");
     }
-  }
-  if (in.bad()) {
-    return Status::IOError("read error (truncated stream?): " + path);
+    NodeId ids[2];
+    for (int i = 0; i < 2; ++i) {
+      if (options.renumber) {
+        ids[i] = remap.try_emplace(raw[i], static_cast<NodeId>(remap.size()))
+                     .first->second;
+      } else if (raw[i] >= kInvalidNode) {
+        return Status::OutOfRange("node count exceeds NodeId range");
+      } else {
+        ids[i] = static_cast<NodeId>(raw[i]);
+        n64 = std::max(n64, raw[i] + 1);
+      }
+    }
+    const Status status = on_row(ids[0], ids[1], rest);
+    return status.ok() ? status : located(status.code(), status.message());
+  };
+
+  std::vector<char> buffer(kReadChunk);
+  std::size_t filled = 0;  // buffer[0, filled) holds unscanned bytes
+  while (true) {
+    in.read(buffer.data() + filled,
+            static_cast<std::streamsize>(buffer.size() - filled));
+    if (in.bad()) {
+      return Status::IOError("read error (truncated stream?): " + path);
+    }
+    filled += static_cast<std::size_t>(in.gcount());
+    const bool at_end = !in;  // a short read: the file is exhausted
+    const char* row = buffer.data();
+    const char* const end = buffer.data() + filled;
+    while (const void* newline =
+               std::memchr(row, '\n', static_cast<std::size_t>(end - row))) {
+      const char* const row_end = static_cast<const char*>(newline);
+      HOLIM_RETURN_NOT_OK(
+          scan_row({row, static_cast<std::size_t>(row_end - row)}));
+      row = row_end + 1;
+    }
+    filled = static_cast<std::size_t>(end - row);
+    if (at_end) {
+      if (filled != 0) HOLIM_RETURN_NOT_OK(scan_row({row, filled}));
+      break;
+    }
+    std::memmove(buffer.data(), row, filled);
+    if (filled == buffer.size()) buffer.resize(2 * buffer.size());
   }
 
-  const uint64_t n64 = options.renumber ? remap.size() : max_id + 1;
+  if (options.renumber) n64 = remap.size();
   if (n64 > static_cast<uint64_t>(kInvalidNode)) {
     return Status::OutOfRange("node count exceeds NodeId range");
   }
-  GraphBuilder builder(static_cast<NodeId>(raw_edges.empty() ? 0 : n64));
-  for (auto [u, v] : raw_edges) {
-    NodeId uu = options.renumber ? remap[u] : static_cast<NodeId>(u);
-    NodeId vv = options.renumber ? remap[v] : static_cast<NodeId>(v);
+  return static_cast<NodeId>(n64);
+}
+
+}  // namespace
+
+Result<Graph> ReadEdgeList(const std::string& path,
+                           const EdgeListOptions& options) {
+  std::vector<NodeId> ends;  // u, v per row, in file order
+  auto add_row = [&ends](NodeId u, NodeId v, std::string_view) {
+    ends.push_back(u);
+    ends.push_back(v);
+    return Status::OK();
+  };
+  HOLIM_ASSIGN_OR_RETURN(const NodeId n, ScanEdgeRows(path, options, add_row));
+  GraphBuilder builder(n);
+  for (std::size_t i = 0; i < ends.size(); i += 2) {
     if (options.undirected) {
-      builder.AddUndirectedEdge(uu, vv);
+      builder.AddUndirectedEdge(ends[i], ends[i + 1]);
     } else {
-      builder.AddEdge(uu, vv);
+      builder.AddEdge(ends[i], ends[i + 1]);
     }
   }
+  ends.clear();
+  ends.shrink_to_fit();
   return std::move(builder).Build();
 }
 
 Result<WeightedEdgeList> ReadWeightedEdgeList(const std::string& path,
                                               const EdgeListOptions& options) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IOError("cannot open: " + path);
-
-  struct Row {
-    uint64_t u, v;
-    double p;
-  };
-  std::vector<Row> rows;
-  std::unordered_map<uint64_t, NodeId> remap;
-  uint64_t max_id = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string_view sv = StripWhitespace(line);
-    if (sv.empty() || sv[0] == '#' || sv[0] == '%') continue;
-    auto tokens = SplitTokens(sv);
-    if (tokens.size() < 3) {
-      return Status::IOError("expected 'u v p' row, got: " + line);
-    }
-    Row row;
-    try {
-      row.u = std::stoull(std::string(tokens[0]));
-      row.v = std::stoull(std::string(tokens[1]));
-      row.p = std::stod(std::string(tokens[2]));
-    } catch (...) {
-      return Status::IOError("malformed weighted edge row: " + line);
-    }
-    // NaN fails every comparison, so the range check alone would wave it
-    // through; reject non-finite explicitly.
-    if (!std::isfinite(row.p) || row.p < 0.0 || row.p > 1.0) {
-      return Status::InvalidArgument(
-          "probability not a finite value in [0,1] in: " + line);
-    }
-    rows.push_back(row);
-    max_id = std::max(max_id, std::max(row.u, row.v));
-    if (options.renumber) {
-      remap.emplace(row.u, static_cast<NodeId>(remap.size()));
-      remap.emplace(row.v, static_cast<NodeId>(remap.size()));
-    }
-  }
-  if (in.bad()) {
-    return Status::IOError("read error (truncated stream?): " + path);
-  }
-  const uint64_t n64 = options.renumber ? remap.size() : max_id + 1;
-  if (n64 > static_cast<uint64_t>(kInvalidNode)) {
-    return Status::OutOfRange("node count exceeds NodeId range");
-  }
-  const NodeId n = static_cast<NodeId>(rows.empty() ? 0 : n64);
-
-  // GraphBuilder sorts arcs by (src, dst); build the probability array in
-  // that same order. Duplicate arcs keep the max probability.
   struct Arc {
     NodeId u, v;
     double p;
   };
   std::vector<Arc> arcs;
-  arcs.reserve(rows.size() * (options.undirected ? 2 : 1));
-  for (const Row& row : rows) {
-    const NodeId u =
-        options.renumber ? remap[row.u] : static_cast<NodeId>(row.u);
-    const NodeId v =
-        options.renumber ? remap[row.v] : static_cast<NodeId>(row.v);
-    if (u >= n || v >= n) {
-      return Status::InvalidArgument("endpoint out of range");
+  auto add_row = [&](NodeId u, NodeId v, std::string_view rest) -> Status {
+    const std::string_view token = NextToken(rest);
+    if (token.empty()) return Status::IOError("expected 'u v p' row");
+    double p = 0.0;
+    if (!ParseNumber(token, p)) return Status::IOError("malformed probability");
+    // NaN fails every comparison, so the range check alone would wave it
+    // through; reject non-finite explicitly.
+    if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
+      return Status::InvalidArgument("probability not a finite value in [0,1]");
     }
-    if (u == v) continue;
-    arcs.push_back({u, v, row.p});
-    if (options.undirected) arcs.push_back({v, u, row.p});
-  }
+    if (u == v) return Status::OK();
+    arcs.push_back({u, v, p});
+    if (options.undirected) arcs.push_back({v, u, p});
+    return Status::OK();
+  };
+  HOLIM_ASSIGN_OR_RETURN(const NodeId n, ScanEdgeRows(path, options, add_row));
+
+  // GraphBuilder sorts arcs by (src, dst); build the probability array in
+  // that same order. Duplicate arcs keep the max probability.
   std::sort(arcs.begin(), arcs.end(), [](const Arc& a, const Arc& b) {
     if (a.u != b.u) return a.u < b.u;
     return a.v < b.v;

@@ -1,7 +1,6 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace holim {
 
@@ -13,34 +12,50 @@ Result<Graph> GraphBuilder::Build() && {
     }
   }
 
-  // Sort edges by (src, dst) via index permutation to define stable EdgeIds.
-  std::vector<uint64_t> order(srcs_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint64_t a, uint64_t b) {
-    if (srcs_[a] != srcs_[b]) return srcs_[a] < srcs_[b];
-    return dsts_[a] < dsts_[b];
-  });
-
+  // EdgeIds are positions in (src, dst) order. Counting-sort the arcs by
+  // source, then sort each adjacency run by target: O(m + n) plus the
+  // per-run sorts, instead of one O(m log m) sort over all arcs.
   Graph g;
   g.n_ = n_;
   g.out_offsets_.assign(n_ + 1, 0);
-  g.out_targets_.reserve(srcs_.size());
-
-  NodeId prev_src = kInvalidNode;
-  NodeId prev_dst = kInvalidNode;
-  for (uint64_t idx : order) {
-    const NodeId s = srcs_[idx];
-    const NodeId d = dsts_[idx];
-    if (dedup_) {
-      if (s == d) continue;  // drop self loops
-      if (s == prev_src && d == prev_dst) continue;  // drop duplicates
-    }
-    prev_src = s;
-    prev_dst = d;
-    g.out_targets_.push_back(d);
-    ++g.out_offsets_[s + 1];
-  }
+  for (NodeId s : srcs_) ++g.out_offsets_[s + 1];
   for (NodeId u = 0; u < n_; ++u) g.out_offsets_[u + 1] += g.out_offsets_[u];
+  // Sized to the raw arc count and never reallocated: MemoryFootprintBytes()
+  // counts this capacity, so dedup below must not shrink it.
+  g.out_targets_.resize(srcs_.size());
+  {
+    std::vector<EdgeId> cursor(g.out_offsets_.begin(),
+                               g.out_offsets_.end() - 1);
+    for (std::size_t i = 0; i < srcs_.size(); ++i) {
+      g.out_targets_[cursor[srcs_[i]]++] = dsts_[i];
+    }
+  }
+  srcs_.clear();
+  srcs_.shrink_to_fit();
+  dsts_.clear();
+  dsts_.shrink_to_fit();
+
+  // Sort each run; with dedup, drop self-loops and repeated targets while
+  // compacting in place (the write cursor never passes the read cursor).
+  EdgeId write = 0;
+  EdgeId run_begin = 0;
+  for (NodeId u = 0; u < n_; ++u) {
+    const EdgeId run_end = g.out_offsets_[u + 1];
+    const auto first = g.out_targets_.begin() + run_begin;
+    const auto last = g.out_targets_.begin() + run_end;
+    std::sort(first, last);
+    if (dedup_) {
+      NodeId prev = kInvalidNode;
+      for (auto it = first; it != last; ++it) {
+        if (*it == u || *it == prev) continue;
+        prev = *it;
+        g.out_targets_[write++] = *it;
+      }
+      g.out_offsets_[u + 1] = write;
+    }
+    run_begin = run_end;
+  }
+  if (dedup_) g.out_targets_.resize(write);
 
   // Build in-CSR carrying the out-CSR EdgeIds.
   const EdgeId m = g.out_targets_.size();
@@ -59,11 +74,6 @@ Result<Graph> GraphBuilder::Build() && {
       g.in_edge_ids_[slot] = e;
     }
   }
-
-  srcs_.clear();
-  srcs_.shrink_to_fit();
-  dsts_.clear();
-  dsts_.shrink_to_fit();
   return g;
 }
 

@@ -17,15 +17,6 @@ std::vector<std::string_view> SplitTokens(std::string_view s,
   return out;
 }
 
-std::string_view StripWhitespace(std::string_view s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t' || s[b] == '\r' || s[b] == '\n')) ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\r' ||
-                   s[e - 1] == '\n'))
-    --e;
-  return s.substr(b, e - b);
-}
-
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

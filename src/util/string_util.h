@@ -1,8 +1,10 @@
 #ifndef HOLIM_UTIL_STRING_UTIL_H_
 #define HOLIM_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace holim {
@@ -11,8 +13,15 @@ namespace holim {
 std::vector<std::string_view> SplitTokens(std::string_view s,
                                           std::string_view delims = " \t\r\n");
 
-/// Trims ASCII whitespace from both ends.
-std::string_view StripWhitespace(std::string_view s);
+/// Parses all of `token` as a number with std::from_chars. False when
+/// anything is left over, on a '+' (or a '-' for unsigned T), on leading
+/// blanks and on overflow: "12abc" is not 12.
+template <typename T>
+bool ParseNumber(std::string_view token, T& value) {
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  return ec == std::errc() && ptr == end;
+}
 
 /// True if `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);

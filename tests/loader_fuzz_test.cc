@@ -59,6 +59,21 @@ TEST(EdgeListHardeningTest, NonNumericNodeIdIsIOError) {
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);
 }
 
+// A node id token must parse in full: a numeric prefix, a sign or a hex
+// prefix is an error, not a node.
+TEST(EdgeListHardeningTest, NumericTokensMustParseInFull) {
+  for (const char* bad : {"0 1\n12abc 3\n", "+4 3\n", "0 1\n-1 3\n",
+                          "0x10 3\n", "3 4.0\n", "5\v 6\n"}) {
+    for (bool renumber : {true, false}) {
+      EdgeListOptions options;
+      options.renumber = renumber;
+      auto result = ReadEdgeList(TempFile(bad).path(), options);
+      ASSERT_FALSE(result.ok()) << bad;
+      EXPECT_EQ(result.status().code(), StatusCode::kIOError) << bad;
+    }
+  }
+}
+
 TEST(WeightedEdgeListHardeningTest, NaNProbabilityRejected) {
   // NaN fails every comparison, so a naive [0,1] range check would pass
   // it through into the sampling kernels.
@@ -74,6 +89,16 @@ TEST(WeightedEdgeListHardeningTest, InfinityAndOutOfRangeRejected) {
     auto result = ReadWeightedEdgeList(file.path());
     ASSERT_FALSE(result.ok()) << bad;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(WeightedEdgeListHardeningTest, TokensMustParseInFull) {
+  for (const char* bad : {"0 1 0.5abc\n", "0 1 +0.5\n", "0 1 0.5.5\n",
+                          "12abc 3 0.5\n", "1 -2 0.5\n"}) {
+    TempFile file(bad);
+    auto result = ReadWeightedEdgeList(file.path());
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kIOError) << bad;
   }
 }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_support/query_support.h"
 #include "engine/holim_engine.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -362,6 +363,20 @@ TEST_F(QueryFamilyTest, QueryFieldValidation) {
   bad_seed.given_seeds = {graph_.num_nodes()};
   EXPECT_EQ(engine.Solve(bad_seed).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// --seeds ids must each be a whole unsigned decimal below n.
+TEST(ParseSeedListTest, AcceptsIdListsAndRejectsPartialTokens) {
+  const Graph graph = GeneratePath(10).ValueOrDie();
+  EXPECT_EQ(ParseSeedList("3,5", graph).ValueOrDie(),
+            (std::vector<NodeId>{3, 5}));
+  EXPECT_EQ(ParseSeedList(" 0, 9\t7 ", graph).ValueOrDie(),
+            (std::vector<NodeId>{0, 9, 7}));
+  for (const char* bad : {"3abc,5", "+4", "-1", "0x3", "10", "", " , "}) {
+    auto seeds = ParseSeedList(bad, graph);
+    ASSERT_FALSE(seeds.ok()) << bad;
+    EXPECT_EQ(seeds.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 // SolveResult::stats come back sorted by name (the engine sorts once per

@@ -320,12 +320,6 @@ TEST(StringUtilTest, SplitTokens) {
   EXPECT_EQ(tokens[2], "c");
 }
 
-TEST(StringUtilTest, StripWhitespace) {
-  EXPECT_EQ(StripWhitespace("  x y \r\n"), "x y");
-  EXPECT_EQ(StripWhitespace(""), "");
-  EXPECT_EQ(StripWhitespace(" \t "), "");
-}
-
 TEST(StringUtilTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512.0 B");
   EXPECT_EQ(HumanBytes(1536), "1.5 KiB");
