@@ -92,7 +92,8 @@ class EasyImScorer {
 
   /// Forwards to ScoreSweepEngine::set_incremental_fallback_fraction: the
   /// dirty-frontier fraction of n above which an incremental rescore falls
-  /// back to one full leveled rebuild (bitwise-identical scores).
+  /// back to whole-level passes for the levels its frontier could not
+  /// cover (bitwise-identical scores).
   void set_incremental_fallback_fraction(double fraction) {
     engine_.set_incremental_fallback_fraction(fraction);
   }

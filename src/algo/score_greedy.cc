@@ -222,6 +222,23 @@ ScoreGreedy::IncrementalScoreFn MakeSweepScoreFn(
   };
 }
 
+/// The sweep work between two snapshots of a scorer's cumulative stats,
+/// named for SolveResult::stats.
+std::vector<std::pair<std::string, double>> SweepWorkSince(
+    const ScoreSweepStats& before, const ScoreSweepStats& after) {
+  auto delta = [](uint64_t from, uint64_t to) {
+    return static_cast<double>(to - from);
+  };
+  return {{"fallback_sweeps",
+           delta(before.fallback_sweeps, after.fallback_sweeps)},
+          {"full_sweeps", delta(before.full_sweeps, after.full_sweeps)},
+          {"incremental_sweeps",
+           delta(before.incremental_sweeps, after.incremental_sweeps)},
+          {"nodes_full", delta(before.nodes_full, after.nodes_full)},
+          {"nodes_incremental",
+           delta(before.nodes_incremental, after.nodes_incremental)}};
+}
+
 }  // namespace
 
 EasyImSelector::EasyImSelector(const Graph& graph,
@@ -247,7 +264,9 @@ Result<SeedSelection> EasyImSelector::Select(uint32_t k) {
   }
   driver.set_edge_probability(&params_.probability);
   driver.set_max_hops(scorer_.path_length());
+  const ScoreSweepStats before = scorer_.stats();
   auto result = driver.Select(k);
+  last_run_stats_ = SweepWorkSince(before, scorer_.stats());
   if (result.ok()) result->scratch_bytes = scorer_.ScratchBytes();
   return result;
 }
@@ -280,7 +299,9 @@ Result<SeedSelection> OsimSelector::Select(uint32_t k) {
   }
   driver.set_edge_probability(&influence_.probability);
   driver.set_max_hops(scorer_.path_length());
+  const ScoreSweepStats before = scorer_.stats();
   auto result = driver.Select(k);
+  last_run_stats_ = SweepWorkSince(before, scorer_.stats());
   if (result.ok()) result->scratch_bytes = scorer_.ScratchBytes();
   return result;
 }

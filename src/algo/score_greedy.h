@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/easyim.h"
@@ -48,9 +49,10 @@ struct ScoreGreedyOptions {
   /// holim_cli defaults its --rescore flag to incremental, the
   /// time-figure benches to full (paper methodology).
   bool incremental_rescore = false;
-  /// Hub-aware fallback for the incremental rescore: when a dirty frontier
-  /// exceeds this fraction of n, the scorer abandons frontier bookkeeping
-  /// for one full leveled rebuild (scores stay bitwise identical; see
+  /// Hub-aware fallback for the incremental rescore: when the level-i dirty
+  /// frontier exceeds this fraction of n, the scorer abandons frontier
+  /// bookkeeping and recomputes levels i..l with whole-level passes
+  /// (scores stay bitwise identical; see
   /// ScoreSweepEngine::set_incremental_fallback_fraction). Excluding a hub
   /// on a scale-free graph dirties most of the graph, where the
   /// incremental pass used to run ~1-1.9x SLOWER than a plain full sweep.
@@ -128,6 +130,12 @@ class EasyImSelector : public SeedSelector {
 
   std::string name() const override;
   Result<SeedSelection> Select(uint32_t k) override;
+  /// The sweep work of the last Select: full_sweeps, incremental_sweeps,
+  /// fallback_sweeps, nodes_full and nodes_incremental, each counted over
+  /// that call alone (the scorer's own stats() accumulate across calls).
+  std::vector<std::pair<std::string, double>> LastRunStats() const override {
+    return last_run_stats_;
+  }
   /// The scorer's retained sweep scratch (rolling buffers + incremental
   /// level table), capacity-based.
   std::size_t MemoryFootprintBytes() const override {
@@ -143,6 +151,7 @@ class EasyImSelector : public SeedSelector {
   const InfluenceParams& params_;
   EasyImScorer scorer_;
   ScoreGreedyOptions options_;
+  std::vector<std::pair<std::string, double>> last_run_stats_;
 };
 
 /// OSIM bound to ScoreGREEDY: the paper's MEO algorithm.
@@ -154,6 +163,10 @@ class OsimSelector : public SeedSelector {
 
   std::string name() const override;
   Result<SeedSelection> Select(uint32_t k) override;
+  /// See EasyImSelector::LastRunStats.
+  std::vector<std::pair<std::string, double>> LastRunStats() const override {
+    return last_run_stats_;
+  }
   std::size_t MemoryFootprintBytes() const override {
     return scorer_.ScratchBytes();
   }
@@ -168,6 +181,7 @@ class OsimSelector : public SeedSelector {
   OiBase base_;
   OsimScorer scorer_;
   ScoreGreedyOptions options_;
+  std::vector<std::pair<std::string, double>> last_run_stats_;
 };
 
 }  // namespace holim

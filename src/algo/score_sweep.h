@@ -23,17 +23,21 @@ inline constexpr std::size_t kSweepBlockNodes = 2048;
 /// and the BENCH_scoring.json work-ratio gate. All byte figures follow the
 /// repo-wide accounting convention: allocated capacity(), not size().
 struct ScoreSweepStats {
-  /// Complete l-level passes (rolling or leveled rebuild).
+  /// Passes that recompute whole levels rather than a dirty frontier: each
+  /// FullSweep, each leveled build of the incremental table, and each
+  /// fallback rebuild (which recomputes only the levels it could not cover).
   uint64_t full_sweeps = 0;
   /// Dirty-frontier passes that reused the per-level state.
   uint64_t incremental_sweeps = 0;
-  /// Incremental passes abandoned for a full leveled rebuild because the
-  /// dirty frontier blew past the fallback fraction (hub exclusions on
-  /// scale-free graphs dirty most of the graph, where recompute-everything
-  /// is cheaper than frontier bookkeeping). Each such pass also counts one
-  /// full_sweep (the rebuild that replaced it), not an incremental_sweep.
+  /// Incremental passes whose level-i dirty frontier blew past the fallback
+  /// fraction (hub exclusions on scale-free graphs dirty most of the
+  /// graph, where whole-level passes are cheaper than frontier
+  /// bookkeeping). Such a pass keeps its exact levels 1..i-1, recomputes
+  /// levels i..l in full and counts one full_sweep, not an
+  /// incremental_sweep.
   uint64_t fallback_sweeps = 0;
-  /// Node-level Delta evaluations done by full passes (l * n each).
+  /// Node-level Delta evaluations done by whole-level passes: l * n per
+  /// FullSweep or leveled build, (l - i + 1) * n per fallback at level i.
   uint64_t nodes_full = 0;
   /// Node-level Delta evaluations done by incremental passes.
   uint64_t nodes_incremental = 0;
@@ -130,7 +134,7 @@ class ScoreSweepEngine {
     const NodeId n = graph_.num_nodes();
     EnsureLevelState();
     if (newly == nullptr || !levels_valid_) {
-      RebuildLevels(excluded, pool);
+      RebuildLevels(excluded, 1, pool);
     } else {
       IncrementalPass(excluded, *newly, pool);
     }
@@ -146,8 +150,9 @@ class ScoreSweepEngine {
   void InvalidateLevels() { levels_valid_ = false; }
 
   /// Dirty-frontier size (as a fraction of n) above which an incremental
-  /// pass abandons frontier bookkeeping and rebuilds the level table with
-  /// one full sweep. Scores are bitwise identical either way — this is
+  /// pass abandons frontier bookkeeping: when level i's frontier crosses
+  /// it, levels i..l are recomputed with whole-level passes and every score
+  /// is refolded. Scores are bitwise identical either way — this is
   /// purely a work heuristic for hub-heavy (scale-free) graphs, where
   /// excluding a hub dirties most of the graph and the incremental pass
   /// degrades to a slower full sweep. >= 1 disables the fallback.
@@ -175,27 +180,33 @@ class ScoreSweepEngine {
   std::size_t ScratchBytes() const { return stats().ScratchBytes(); }
 
  private:
+  // Runs block(lo, hi) over [0, count): inline when serial, else sharded
+  // in fixed kSweepBlockNodes ranges so the partition never depends on the
+  // pool size.
+  template <typename Block>
+  static void ForBlocks(std::size_t count, ThreadPool* pool,
+                        const Block& block) {
+    if (pool == nullptr) {
+      block(0, count);
+    } else {
+      pool->ParallelForBlocks(count, kSweepBlockNodes, block);
+    }
+  }
+
   // Level-0 initialisation, sharded like the level passes.
   void InitValues(Value* out, ThreadPool* pool) {
-    const NodeId n = graph_.num_nodes();
-    auto block = [&](std::size_t lo, std::size_t hi) {
+    ForBlocks(graph_.num_nodes(), pool, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t u = lo; u < hi; ++u) {
         out[u] = policy_.Init(static_cast<NodeId>(u));
       }
-    };
-    if (pool == nullptr) {
-      block(0, n);
-    } else {
-      pool->ParallelForBlocks(n, kSweepBlockNodes, block);
-    }
+    });
   }
 
   // One data-parallel level pass: cur[u] = Compute(u, prev) for all nodes,
   // folding the level into `score` when given (rolling mode).
   void SweepLevel(const EpochSet& excluded, uint32_t level, const Value* prev,
                   Value* cur, double* score, ThreadPool* pool) {
-    const NodeId n = graph_.num_nodes();
-    auto block = [&](std::size_t lo, std::size_t hi) {
+    ForBlocks(graph_.num_nodes(), pool, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
         const NodeId u = static_cast<NodeId>(i);
         cur[u] = excluded.Contains(u) ? policy_.Zero()
@@ -204,12 +215,7 @@ class ScoreSweepEngine {
           policy_.AccumulateScore(u, &score[u], cur[u], level);
         }
       }
-    };
-    if (pool == nullptr) {
-      block(0, n);
-    } else {
-      pool->ParallelForBlocks(n, kSweepBlockNodes, block);
-    }
+    });
   }
 
   void MaskExcluded(const EpochSet& excluded, std::vector<double>* scores) {
@@ -233,26 +239,64 @@ class ScoreSweepEngine {
     return levels_.data() + static_cast<std::size_t>(i) * graph_.num_nodes();
   }
 
-  // Full leveled sweep: same values as FullSweep, but materializing every
-  // level so later calls can rescore incrementally.
-  void RebuildLevels(const EpochSet& excluded, ThreadPool* pool) {
+  // u's score over the stored levels 1..last, folded from 0.0 in
+  // increasing-level order like the rolling path (so bitwise identical).
+  double FoldLevels(NodeId u, uint32_t last) {
+    double s = 0.0;
+    for (uint32_t i = 1; i <= last; ++i) {
+      policy_.AccumulateScore(u, &s, Level(i)[u], i);
+    }
+    return s;
+  }
+
+  // Leveled rebuild from level `first` on: same values as FullSweep, but
+  // materializing every level so later calls can rescore incrementally.
+  // Levels below `first` must already be exact for `excluded` (the first
+  // build and the nullptr path pass 1, which also re-initialises level 0).
+  // Every score restarts from its exact prefix 1..first-1, and each
+  // rebuilt level then folds in as it is swept.
+  void RebuildLevels(const EpochSet& excluded, uint32_t first,
+                     ThreadPool* pool) {
     const NodeId n = graph_.num_nodes();
-    std::fill(score_.begin(), score_.end(), 0.0);
-    InitValues(Level(0), pool);
-    for (uint32_t i = 1; i <= l_; ++i) {
+    if (first == 1) InitValues(Level(0), pool);
+    ForBlocks(n, pool, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t u = lo; u < hi; ++u) {
+        score_[u] = FoldLevels(static_cast<NodeId>(u), first - 1);
+      }
+    });
+    for (uint32_t i = first; i <= l_; ++i) {
       SweepLevel(excluded, i, Level(i - 1), Level(i), score_.data(), pool);
     }
     levels_valid_ = true;
     ++stats_.full_sweeps;
-    stats_.nodes_full += static_cast<uint64_t>(l_) * n;
+    stats_.nodes_full += static_cast<uint64_t>(l_ - first + 1) * n;
   }
 
-  // Appends u to `out` (deduped by stamp_). Serial, so the list order is
-  // deterministic regardless of the pool size used for value recomputes.
-  void AddDirty(NodeId u, std::vector<NodeId>* out) {
-    if (stamp_.Contains(u)) return;
-    stamp_.Insert(u);
-    out->push_back(u);
+  // *out = roots ∪ InNeighbors(pulled), deduped serially in discovery order
+  // so the list (and the fixed-block partition over it) is deterministic
+  // regardless of the pool size. Returns false, leaving *out partial, as
+  // soon as the list outgrows `bound`: it only grows, so the fallback
+  // decision is already made.
+  bool CollectFrontier(const std::vector<NodeId>& roots,
+                       const std::vector<NodeId>& pulled, double bound,
+                       std::vector<NodeId>* out) {
+    stamp_.Reset(graph_.num_nodes());
+    out->clear();
+    auto add = [&](NodeId u) {
+      if (stamp_.Contains(u)) return true;
+      stamp_.Insert(u);
+      out->push_back(u);
+      return !(static_cast<double>(out->size()) > bound);
+    };
+    for (NodeId u : roots) {
+      if (!add(u)) return false;
+    }
+    for (NodeId u : pulled) {
+      for (NodeId w : graph_.InNeighbors(u)) {
+        if (!add(w)) return false;
+      }
+    }
+    return true;
   }
 
   // Dirty-frontier pass: recompute exactly the nodes whose value can differ
@@ -260,35 +304,27 @@ class ScoreSweepEngine {
   void IncrementalPass(const EpochSet& excluded,
                        const std::vector<NodeId>& newly, ThreadPool* pool) {
     const NodeId n = graph_.num_nodes();
+    const double bound = incremental_fallback_fraction_ * n;
     // base dirty = X ∪ InNeighbors(X): these see a structural change (the
     // node itself, or one of its out-edge terms, dropped) at EVERY level.
-    stamp_.Reset(n);
-    base_dirty_.clear();
-    for (NodeId x : newly) AddDirty(x, &base_dirty_);
-    for (NodeId x : newly) {
-      for (NodeId w : graph_.InNeighbors(x)) AddDirty(w, &base_dirty_);
-    }
+    // dirty_1 is exactly this set, so a base past the bound falls back at
+    // level 1.
+    bool within = CollectFrontier(newly, newly, bound, &base_dirty_);
     touched_stamp_.Reset(n);
     touched_.clear();
     // Level 0 is Init-only (exclusion-agnostic): nothing changed yet.
     changed_.clear();
     for (uint32_t i = 1; i <= l_; ++i) {
-      // dirty_i = base ∪ InNeighbors(changed_{i-1}), deduped serially so
-      // the list (and the fixed-block partition over it) is deterministic.
-      stamp_.Reset(n);
-      dirty_.clear();
-      for (NodeId u : base_dirty_) AddDirty(u, &dirty_);
-      for (NodeId u : changed_) {
-        for (NodeId w : graph_.InNeighbors(u)) AddDirty(w, &dirty_);
-      }
+      // dirty_i = base ∪ InNeighbors(changed_{i-1}).
+      within = within &&
+               CollectFrontier(base_dirty_, changed_, bound, &dirty_);
       // Hub-aware fallback: once the frontier covers most of the graph,
-      // per-node bookkeeping costs more than recomputing everything.
-      // RebuildLevels rewrites every level and score from scratch, so the
-      // output stays bitwise identical to the incremental path.
-      if (static_cast<double>(dirty_.size()) >
-          incremental_fallback_fraction_ * n) {
+      // per-node bookkeeping costs more than whole-level passes. Levels
+      // 1..i-1 are already exact, so only levels i..l are recomputed; the
+      // refold keeps the output bitwise identical to the incremental path.
+      if (!within) {
         ++stats_.fallback_sweeps;
-        RebuildLevels(excluded, pool);
+        RebuildLevels(excluded, i, pool);
         return;
       }
       // Ascending node order: the recompute then streams the level arrays
@@ -296,7 +332,7 @@ class ScoreSweepEngine {
       std::sort(dirty_.begin(), dirty_.end());
       const Value* prev = Level(i - 1);
       Value* cur = Level(i);
-      auto block = [&](std::size_t lo, std::size_t hi) {
+      ForBlocks(dirty_.size(), pool, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t j = lo; j < hi; ++j) {
           const NodeId u = dirty_[j];
           const Value v = excluded.Contains(u)
@@ -305,12 +341,7 @@ class ScoreSweepEngine {
           changed_flag_[u] = !(v == cur[u]);
           cur[u] = v;
         }
-      };
-      if (pool == nullptr) {
-        block(0, dirty_.size());
-      } else {
-        pool->ParallelForBlocks(dirty_.size(), kSweepBlockNodes, block);
-      }
+      });
       stats_.nodes_incremental += dirty_.size();
       changed_.clear();
       for (NodeId u : dirty_) {
@@ -322,15 +353,8 @@ class ScoreSweepEngine {
         }
       }
     }
-    // Refold the final score of every node with a changed level, in the
-    // same increasing-level order as the rolling path (bitwise identical).
-    for (NodeId u : touched_) {
-      double s = 0.0;
-      for (uint32_t i = 1; i <= l_; ++i) {
-        policy_.AccumulateScore(u, &s, Level(i)[u], i);
-      }
-      score_[u] = s;
-    }
+    // Refold the final score of every node with a changed level.
+    for (NodeId u : touched_) score_[u] = FoldLevels(u, l_);
     ++stats_.incremental_sweeps;
   }
 

@@ -8,8 +8,11 @@
 #include <cstdio>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "engine/workspace.h"
 #include "util/logging.h"
@@ -30,6 +33,35 @@ bool SendAll(int fd, const std::string& data) {
     sent += static_cast<std::size_t>(wrote);
   }
   return true;
+}
+
+/// The one answer an over-long request line gets.
+std::string OverLongLineResponse() {
+  return FormatErrorResponse(
+      0, Status::InvalidArgument("protocol: request line longer than " +
+                                 std::to_string(kMaxRequestLineBytes) +
+                                 " bytes"));
+}
+
+enum class LineRead { kLine, kOverLong, kEnd };
+
+/// Reads one request line (newline stripped) into *line through a
+/// kMaxRequestLineBytes + 1 byte `buffer`. A longer line is consumed
+/// through its newline without being kept, and reads as kOverLong.
+LineRead ReadCappedLine(std::istream& in, std::vector<char>& buffer,
+                        std::string* line) {
+  in.getline(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+  const auto got = static_cast<std::size_t>(in.gcount());
+  if (got == 0 && in.fail()) return LineRead::kEnd;
+  if (in.fail() && !in.eof()) {
+    // getline stopped at the cap with no newline in sight.
+    in.clear();
+    in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    return LineRead::kOverLong;
+  }
+  // gcount counts the newline when one ended the line.
+  line->assign(buffer.data(), in.eof() ? got : got - 1);
+  return LineRead::kLine;
 }
 
 }  // namespace
@@ -268,12 +300,21 @@ void HolimServer::HandleLine(const std::string& line,
 }
 
 Status HolimServer::RunPipe(std::istream& in, std::ostream& out) {
+  // Line-at-a-time reads: a read-ahead would block a closed-loop client
+  // that waits for its answer before sending the next line.
+  std::vector<char> buffer(kMaxRequestLineBytes + 1);
   std::string line;
   std::vector<std::string> lines;
   bool quit = false;
-  while (!quit && std::getline(in, line)) {
+  while (!quit) {
+    const LineRead read = ReadCappedLine(in, buffer, &line);
+    if (read == LineRead::kEnd) break;
     lines.clear();
-    HandleLine(line, &lines, &quit);
+    if (read == LineRead::kOverLong) {
+      lines.push_back(OverLongLineResponse());
+    } else {
+      HandleLine(line, &lines, &quit);
+    }
     for (const std::string& response : lines) out << response << '\n';
     out.flush();
   }
@@ -311,22 +352,43 @@ Status HolimServer::ServeUnixSocket(const std::string& path) {
       return Status::IOError("accept failed on " + path);
     }
     // One client at a time, line-buffered over the raw fd; the protocol
-    // and loop semantics are RunPipe's exactly.
-    std::string buffer;
+    // and loop semantics are RunPipe's exactly. Each read is scanned once,
+    // and `line` holds at most one capped line: an over-long line is
+    // answered when it crosses the cap, then dropped through its newline.
+    std::string line;
+    bool over_long = false;
     std::vector<std::string> lines;
     char chunk[4096];
     ssize_t n = 0;
-    while (!quit && (n = ::read(client, chunk, sizeof(chunk))) > 0) {
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t newline;
-      while (!quit && (newline = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, newline);
-        buffer.erase(0, newline + 1);
+    bool connected = true;
+    while (connected && !quit &&
+           (n = ::read(client, chunk, sizeof(chunk))) > 0) {
+      const char* next = chunk;
+      const char* const end = chunk + n;
+      while (connected && !quit && next != end) {
+        const char* newline = static_cast<const char*>(
+            std::memchr(next, '\n', static_cast<std::size_t>(end - next)));
+        const char* stop = newline != nullptr ? newline : end;
         lines.clear();
-        HandleLine(line, &lines, &quit);
+        if (!over_long) {
+          if (line.size() + static_cast<std::size_t>(stop - next) >
+              kMaxRequestLineBytes) {
+            over_long = true;
+            line.clear();
+            lines.push_back(OverLongLineResponse());
+          } else {
+            line.append(next, stop);
+          }
+        }
+        if (newline != nullptr) {
+          if (!over_long) HandleLine(line, &lines, &quit);
+          line.clear();
+          over_long = false;
+        }
+        next = newline != nullptr ? newline + 1 : end;
         std::string response;
         for (const std::string& l : lines) response += l + "\n";
-        if (!SendAll(client, response)) break;
+        connected = SendAll(client, response);
       }
     }
     if (!quit) {

@@ -1,6 +1,7 @@
 #ifndef HOLIM_SERVING_PROTOCOL_H_
 #define HOLIM_SERVING_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -34,7 +35,15 @@ namespace holim {
 /// Timing fields only appear when the server echoes timings (off by
 /// default): responses are then a pure function of the request stream,
 /// which is what the deterministic pipe-mode smoke diffs.
+///
+/// A request line may hold at most kMaxRequestLineBytes bytes before its
+/// newline. A longer line is answered with one `err id=0 code=2` and
+/// skipped through its newline; the lines after it are served as usual.
 enum class RequestVerb { kSolve, kPing, kStats, kQuit };
+
+/// The request-line cap: far above any real request (a solve line that
+/// sets every field stays under 200 bytes).
+inline constexpr std::size_t kMaxRequestLineBytes = 4096;
 
 /// One parsed request line.
 struct ProtocolRequest {

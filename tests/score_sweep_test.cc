@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/easyim.h"
@@ -326,6 +328,113 @@ TEST(ScoreSweepTest, GreedyEquivalentAcrossFallbackFractions) {
   EXPECT_GE(aggressive_fallbacks, 1u)
       << "hub exclusions never tripped the aggressive fallback";
   EXPECT_EQ(disabled_fallbacks, 0u);
+}
+
+NodeId BiggestHub(const Graph& g) {
+  NodeId hub = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (g.InNeighbors(u).size() > g.InNeighbors(hub).size()) hub = u;
+  }
+  return hub;
+}
+
+// Excludes `hub` after the initial leveled build with the fallback set to
+// `fraction`, which must trip at `fallback_level`; then excludes one more
+// node with the fallback disabled.
+template <typename Scorer>
+void CheckLevelGranularFallback(const Graph& g, NodeId hub, Scorer& scorer,
+                                Scorer& oracle, double fraction,
+                                uint32_t fallback_level) {
+  const uint64_t n = g.num_nodes();
+  const uint32_t l = scorer.path_length();
+  EpochSet excluded = MakeExcluded(g.num_nodes(), {});
+  std::vector<double> scores, full_scores;
+  scorer.set_incremental_fallback_fraction(fraction);
+  scorer.AssignScoresIncremental(excluded, nullptr, &scores, nullptr);
+  const ScoreSweepStats before = scorer.stats();
+
+  std::vector<NodeId> newly = {hub};
+  excluded.Insert(hub);
+  scorer.AssignScoresIncremental(excluded, &newly, &scores, nullptr);
+  oracle.AssignScores(excluded, &full_scores);
+  EXPECT_EQ(scores, full_scores);
+  const ScoreSweepStats fallen = scorer.stats();
+  EXPECT_EQ(fallen.fallback_sweeps, before.fallback_sweeps + 1);
+  EXPECT_EQ(fallen.full_sweeps, before.full_sweeps + 1);
+  EXPECT_EQ(fallen.incremental_sweeps, before.incremental_sweeps);
+  // Levels 1..fallback_level-1 were already exact: only the rest are
+  // recomputed, a whole pass of n nodes each.
+  EXPECT_EQ(fallen.nodes_full - before.nodes_full,
+            (l - fallback_level + 1) * n);
+
+  // The rebuilt table must carry a genuine incremental pass, bit for bit.
+  scorer.set_incremental_fallback_fraction(2.0);
+  newly = {hub == 0 ? NodeId{1} : NodeId{0}};
+  excluded.Insert(newly[0]);
+  scorer.AssignScoresIncremental(excluded, &newly, &scores, nullptr);
+  oracle.AssignScores(excluded, &full_scores);
+  EXPECT_EQ(scores, full_scores);
+  EXPECT_EQ(scorer.stats().incremental_sweeps, fallen.incremental_sweeps + 1);
+  EXPECT_EQ(scorer.stats().fallback_sweeps, fallen.fallback_sweeps);
+  EXPECT_EQ(scorer.stats().nodes_full, fallen.nodes_full);
+}
+
+TEST(ScoreSweepTest, HubFallbackRecomputesOnlyTheLevelsItCouldNotCover) {
+  // Excluding the hub of this graph (in-degree 222) dirties 223 of its
+  // 4000 nodes at level 1, up to 2350 (its 2-hop reverse neighbourhood) at
+  // level 2 and up to 3997 at level 3. So a fallback fraction of 0.3
+  // trips at level 2, and one of 0.8 at level 3.
+  Graph g = GenerateBarabasiAlbert(4000, 4, 33).ValueOrDie();
+  const NodeId hub = BiggestHub(g);
+  ASSERT_EQ(g.InNeighbors(hub).size(), 222u) << "BA generator changed";
+  auto wc = MakeWeightedCascade(g);
+  auto lt = MakeLinearThreshold(g);
+  auto opinions =
+      MakeRandomOpinions(g, OpinionDistribution::kStandardNormal, 35);
+  for (const auto& [fraction, level] :
+       {std::pair{0.3, 2u}, std::pair{0.8, 3u}}) {
+    SCOPED_TRACE("fraction " + std::to_string(fraction));
+    EasyImScorer easyim(g, wc, 3), easyim_oracle(g, wc, 3);
+    CheckLevelGranularFallback(g, hub, easyim, easyim_oracle, fraction,
+                               level);
+    OsimScorer osim(g, lt, opinions, 3), osim_oracle(g, lt, opinions, 3);
+    CheckLevelGranularFallback(g, hub, osim, osim_oracle, fraction, level);
+  }
+}
+
+TEST(ScoreSweepTest, OsimLtGreedyEquivalentAcrossFallbackFractions) {
+  // OSIM under LT at k = 25, where MC-majority activation dirties most of
+  // the graph and most rounds fall back past level 1: the full-recompute
+  // oracle and every fallback fraction must pick identical seeds and
+  // scores.
+  Graph g = GenerateBarabasiAlbert(500, 3, 36).ValueOrDie();
+  auto lt = MakeLinearThreshold(g);
+  auto opinions =
+      MakeRandomOpinions(g, OpinionDistribution::kStandardNormal, 37);
+  auto run = [&](bool incremental, double fraction) {
+    ScoreGreedyOptions options;
+    options.incremental_rescore = incremental;
+    options.rescore_fallback_fraction = fraction;
+    OsimSelector selector(g, lt, opinions, OiBase::kLinearThreshold, 3,
+                          options);
+    auto selection = selector.Select(25).ValueOrDie();
+    return std::pair{selection, selector.scorer().stats()};
+  };
+  const auto [full, full_stats] = run(false, 0.25);
+  for (double fraction : {0.01, 0.25, 2.0}) {
+    SCOPED_TRACE("fraction " + std::to_string(fraction));
+    const auto [inc, stats] = run(true, fraction);
+    EXPECT_EQ(full.seeds, inc.seeds);
+    EXPECT_EQ(full.seed_scores, inc.seed_scores);
+    if (fraction == 0.25) {
+      EXPECT_GT(stats.fallback_sweeps, 12u) << "most rounds should fall back";
+      // At least one fallback kept some exact levels.
+      EXPECT_LT(stats.nodes_full, 3u * g.num_nodes() * stats.full_sweeps);
+    }
+    if (fraction == 2.0) {
+      EXPECT_EQ(stats.fallback_sweeps, 0u);
+    }
+  }
 }
 
 TEST(ScoreSweepTest, LevelStateAllocatedLazily) {

@@ -1,14 +1,22 @@
 // HolimServer tests: protocol parsing, bounded-queue admission control,
 // artifact-affinity dispatch order, exact coalesced-build counting,
 // queue-wait deadline charging on an injected clock, the
-// byte-determinism of pipe mode, and the scheduling-never-changes-results
-// contract (heat+affinity vs FIFO+LRU per-id seed parity).
+// byte-determinism of pipe mode, the scheduling-never-changes-results
+// contract (heat+affinity vs FIFO+LRU per-id seed parity), and the
+// request-line cap in pipe and socket mode.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
@@ -303,6 +311,94 @@ TEST(ServerTest, PipeModeIsByteDeterministic) {
   std::ostringstream out;
   EXPECT_TRUE(server.RunPipe(in, out).ok());
   EXPECT_NE(out.str().find("ok id=8 "), std::string::npos);
+}
+
+/// The line-cap script: a valid solve, a 1 MiB newline-free line and a
+/// valid solve, then the cap's edge before quit: a comment line of
+/// exactly kMaxRequestLineBytes (ignored, like any comment) and one a
+/// byte longer (over-long).
+std::string OverLongScript() {
+  return "solve id=1 tenant=0 model=IC k=4 algo=degreediscount\n" +
+         std::string(1 << 20, 'x') + "\n" +
+         "solve id=2 tenant=0 model=WC k=4 algo=degreediscount\n" + "#" +
+         std::string(kMaxRequestLineBytes - 1, 'c') + "\n" + "#" +
+         std::string(kMaxRequestLineBytes, 'c') + "\nquit\n";
+}
+
+std::string RunPipeScript(const std::string& script) {
+  HolimServer server(FastOptions());
+  AddTenants(server, 1);
+  std::istringstream in(script);
+  std::ostringstream out;
+  EXPECT_TRUE(server.RunPipe(in, out).ok());
+  return out.str();
+}
+
+TEST(ServerTest, OverLongLineIsOneTypedErrorThenResyncs) {
+  const std::string first = RunPipeScript(OverLongScript());
+  EXPECT_EQ(first, RunPipeScript(OverLongScript()));
+  // Solves answer when dispatched (here at quit), so the two over-long
+  // lines' errors come first; every line after them is served as usual.
+  const std::string err = "err id=0 code=2 msg=protocol:_request_line_longer_"
+                          "than_4096_bytes\n";
+  EXPECT_EQ(first.substr(0, 2 * err.size()), err + err) << first;
+  EXPECT_EQ(first.find("err", 2 * err.size()), std::string::npos) << first;
+  const std::size_t ok1 = first.find("ok id=1 ");
+  const std::size_t ok2 = first.find("ok id=2 ");
+  ASSERT_NE(ok1, std::string::npos) << first;
+  ASSERT_NE(ok2, std::string::npos) << first;
+  EXPECT_LT(ok1, ok2);
+  EXPECT_EQ(first.substr(first.size() - 4), "bye\n");
+
+  // An over-long last line with no newline still gets its one answer.
+  EXPECT_EQ(RunPipeScript(std::string(kMaxRequestLineBytes + 1, 'x')), err);
+}
+
+/// Connects to `path`, retrying while the server thread is still binding.
+int ConnectUnix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+TEST(ServerTest, SocketModeAnswersLikePipeModeAcrossReadBoundaries) {
+  // The socket loop scans each read once and holds at most one capped
+  // line; sent in 1000-byte writes, every line (the 1 MiB one included)
+  // spans several reads, and the answers must still be pipe mode's.
+  const std::string script = OverLongScript();
+  const std::string path = testing::TempDir() + "holim_serving_test_" +
+                           std::to_string(::getpid()) + ".sock";
+  HolimServer server(FastOptions());
+  AddTenants(server, 1);
+  std::thread serve(
+      [&] { EXPECT_TRUE(server.ServeUnixSocket(path).ok()); });
+  const int fd = ConnectUnix(path);
+  ASSERT_GE(fd, 0) << "could not connect to " << path;
+  for (std::size_t at = 0; at < script.size(); at += 1000) {
+    const std::size_t len = std::min<std::size_t>(1000, script.size() - at);
+    ASSERT_EQ(::send(fd, script.data() + at, len, MSG_NOSIGNAL),
+              static_cast<ssize_t>(len));
+  }
+  std::string answered;
+  char chunk[4096];
+  ssize_t got = 0;
+  while ((got = ::read(fd, chunk, sizeof(chunk))) > 0) {
+    answered.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  serve.join();
+  EXPECT_EQ(answered, RunPipeScript(script));
 }
 
 }  // namespace

@@ -200,12 +200,21 @@ Status Run(const BenchArgs& args) {
       if (i) seeds += ",";
       seeds += std::to_string(result.seeds[i]);
     }
+    // The selector's own counters (SolveResult::stats), e.g. EaSyIM/OSIM
+    // sweep work or TIM+/IMM theta: deterministic, so before the timings.
+    std::string stats;
+    for (const auto& [name, value] : result.stats) {
+      char number[32];
+      std::snprintf(number, sizeof(number), "%.17g", value);
+      stats += (stats.empty() ? "\"" : ",\"") + name + "\":" + number;
+    }
     std::printf(
         "{\"algorithm\":\"%s\",\"query\":\"%s\",\"k\":%u,"
         "\"seeds\":[%s],\"spread\":%.6f,\"tier\":\"%s\","
         "\"degraded\":%s,\"rounds_completed\":%u,"
         "\"warm_sketch\":%s,\"warm_selector\":%s,"
         "\"sketch_arena_bytes\":%zu,\"workspace_bytes\":%zu,"
+        "\"stats\":{%s},"
         "\"artifact_seconds\":%.6f,\"select_seconds\":%.6f,"
         "\"spread_seconds\":%.6f,\"total_seconds\":%.6f,"
         "\"load_seconds\":%.6f}\n",
@@ -214,7 +223,7 @@ Status Run(const BenchArgs& args) {
         result.degraded ? "true" : "false", result.rounds_completed,
         result.warm_sketch ? "true" : "false",
         result.warm_selector ? "true" : "false", result.sketch_arena_bytes,
-        result.workspace_bytes, result.artifact_seconds,
+        result.workspace_bytes, stats.c_str(), result.artifact_seconds,
         result.select_seconds, result.spread_seconds, result.total_seconds,
         load_seconds);
     return Status::OK();
@@ -392,8 +401,8 @@ int main(int argc, char** argv) {
         args->Declare("stats-json",
                       "after the solve, print ONE machine-readable JSON "
                       "result line (seeds, spread, tier, warm flags, "
-                      "timings) and exit — for harnesses/CI instead of "
-                      "scraping the human output");
+                      "algorithm counters, timings) and exit — for "
+                      "harnesses/CI instead of scraping the human output");
         args->Declare("deadline-ms",
                       "wall-clock solve deadline in milliseconds (default 0 "
                       "= none); see --on-deadline for what expiry does");
