@@ -34,7 +34,8 @@ inline Result<std::shared_ptr<const SketchOracle>> GetBenchSketchOracle(
   options.num_snapshots = config.mc;
   options.seed = config.seed + seed_offset;
   options.record_edge_offsets = record_edge_offsets;
-  return engine.workspace().GetSketchOracle(graph, params, options,
+  return engine.workspace().GetSketchOracle(graph, params,
+                                            FingerprintParams(params), options,
                                             engine.graph_token());
 }
 

@@ -54,8 +54,8 @@ Result<std::shared_ptr<McObjective>> MakeSketchObjective(
   options.deadline = ctx.deadline;
   HOLIM_ASSIGN_OR_RETURN(
       std::shared_ptr<const SketchOracle> sketch,
-      ctx.workspace.GetSketchOracle(ctx.graph, *r.params, options,
-                                    ctx.graph_token));
+      ctx.workspace.GetSketchOracle(ctx.graph, *r.params, ctx.params_fp,
+                                    options, ctx.graph_token));
   // The objective copies the weights so the cached selector never dangles
   // into a caller-owned request vector.
   std::vector<double> weights = r.query == QueryKind::kTargeted

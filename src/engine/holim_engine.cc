@@ -174,13 +174,14 @@ ThreadPool* HolimEngine::PoolFor(uint32_t threads) {
 }
 
 std::string HolimEngine::SelectorKey(const AlgorithmInfo& info,
-                                     const SolveRequest& r) const {
+                                     const SolveRequest& r,
+                                     uint64_t params_fp) const {
   // Every knob that could influence the built selector is in the key; k is
   // deliberately absent (selectors take k at Select time), which is what
   // makes a k-sweep reuse one artifact. Over-keying on knobs an algorithm
   // ignores only costs a cheap rebuild, never correctness.
   std::string key = "selector|" + info.name;
-  key += "|fp=" + std::to_string(FingerprintParams(*r.params));
+  key += "|fp=" + std::to_string(params_fp);
   key += "|op=" + (r.opinions != nullptr
                        ? std::to_string(FingerprintOpinions(*r.opinions))
                        : std::string("-"));
@@ -328,7 +329,8 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   SolveResult result;
   result.query = request.query;
   SolveContext ctx{*graph_, request, workspace_, PoolFor(request.threads),
-                   graph_token(), bounded ? &deadline : nullptr};
+                   graph_token(), /*params_fp=*/0,
+                   bounded ? &deadline : nullptr};
 
   // Artifact acquisition: the cached selector (and, inside the factory,
   // any shared sketch oracle). artifact_seconds covers exactly the
@@ -338,16 +340,19 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   // (affinity-grouped) request is about to reuse.
   const uint64_t pre_solve_tick = workspace_.tick();
   Timer artifact_timer;
-  const std::string sketch_key =
-      SketchOracleKey(FingerprintParams(*request.params),
-                      request.EffectiveSketchCount(), request.seed,
-                      /*record_edge_offsets=*/false, graph_token());
+  // The solve's one params fingerprint: the sketch key, the selector key
+  // and the factory's sketch objective (through ctx) are all built from it.
+  ctx.params_fp = FingerprintParams(*request.params);
+  const std::string sketch_key = SketchOracleKey(
+      ctx.params_fp, request.EffectiveSketchCount(), request.seed,
+      /*record_edge_offsets=*/false, ctx.graph_token);
   if (request.oracle == SpreadOracle::kSketch) {
     // "Warm" = the arena predates this solve (the factory may build it
     // below, which is still a cold build).
     result.warm_sketch = workspace_.PeekSketchOracle(sketch_key) != nullptr;
   }
-  const std::string selector_key = SelectorKey(*info, request);
+  const std::string selector_key =
+      SelectorKey(*info, request, ctx.params_fp);
   SeedSelector* selector = nullptr;
   // Bounded solves that miss the warm cache build an *uncached* selector:
   // a degraded Select can leave algorithm-internal state mid-round, which
@@ -403,8 +408,8 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
       options.pool = ctx.pool;
       HOLIM_ASSIGN_OR_RETURN(
           eval_sketch,
-          workspace_.GetSketchOracle(*graph_, *request.params, options,
-                                     graph_token()));
+          workspace_.GetSketchOracle(*graph_, *request.params, ctx.params_fp,
+                                     options, ctx.graph_token));
     } else {
       eval_sketch = workspace_.PeekSketchOracle(sketch_key);
     }
@@ -523,18 +528,19 @@ Result<SolveResult> HolimEngine::SolveGivenSeeds(const SolveRequest& request,
   Timer artifact_timer;
   std::shared_ptr<const SketchOracle> sketch;
   if (request.oracle == SpreadOracle::kSketch) {
+    const uint64_t params_fp = FingerprintParams(*request.params);
+    const std::string token = graph_token();
     const std::string sketch_key =
-        SketchOracleKey(FingerprintParams(*request.params),
-                        request.EffectiveSketchCount(), request.seed,
-                        /*record_edge_offsets=*/false, graph_token());
+        SketchOracleKey(params_fp, request.EffectiveSketchCount(),
+                        request.seed, /*record_edge_offsets=*/false, token);
     result.warm_sketch = workspace_.PeekSketchOracle(sketch_key) != nullptr;
     SketchOptions options;
     options.num_snapshots = request.EffectiveSketchCount();
     options.seed = request.seed;
     options.pool = PoolFor(request.threads);
     HOLIM_ASSIGN_OR_RETURN(
-        sketch, workspace_.GetSketchOracle(*graph_, *request.params, options,
-                                           graph_token()));
+        sketch, workspace_.GetSketchOracle(*graph_, *request.params,
+                                           params_fp, options, token));
     result.sketch_arena_bytes = sketch->ArenaBytes();
   }
   result.artifact_seconds = artifact_timer.ElapsedSeconds();

@@ -133,9 +133,11 @@ class HolimEngine {
   /// fingerprints + every request knob except k and budget (both are
   /// call-time arguments of the selector). The query kind and the
   /// content fingerprints of node_costs / target_weights / given_seeds
-  /// are folded in.
+  /// are folded in. `params_fp` is the solve's
+  /// FingerprintParams(*request.params).
   std::string SelectorKey(const AlgorithmInfo& info,
-                          const SolveRequest& request) const;
+                          const SolveRequest& request,
+                          uint64_t params_fp) const;
 
   /// The kEvaluate/kExplain path: no selector, score `given_seeds`
   /// through the oracle (sketch session for explain). `total_timer` is

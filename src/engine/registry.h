@@ -28,6 +28,9 @@ struct SolveContext {
   /// Workspace sketch key a factory builds; empty until the engine's graph
   /// advances past epoch 0 (see HolimEngine::graph_token).
   std::string graph_token;
+  /// FingerprintParams(*request.params), taken once by the engine for
+  /// every Workspace key of the solve (see Workspace::GetSketchOracle).
+  uint64_t params_fp = 0;
   /// The solve's deadline (borrowed, may be null — and last on purpose, so
   /// deadline-free aggregate initializations stay valid). Factories thread
   /// it into artifact builds (SketchOptions::deadline, McOptions::deadline);

@@ -2,59 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <utility>
 
+#include "util/content_hash.h"
 #include "util/fault_injection.h"
 
 namespace holim {
 
-namespace {
-
-// FNV-1a over raw bytes. Doubles hash by representation, which is exactly
-// the "bitwise equivalence" the cache contract wants: parameters that
-// differ in any bit are different artifacts.
-uint64_t Fnv1a(const void* data, std::size_t len, uint64_t hash) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-
-uint64_t HashDoubles(const std::vector<double>& values, uint64_t hash) {
-  return values.empty()
-             ? hash
-             : Fnv1a(values.data(), values.size() * sizeof(double), hash);
-}
-
-}  // namespace
-
 uint64_t FingerprintParams(const InfluenceParams& params) {
-  uint64_t hash = kFnvOffset;
-  const uint32_t model = static_cast<uint32_t>(params.model);
-  hash = Fnv1a(&model, sizeof(model), hash);
-  return HashDoubles(params.probability, hash);
+  const auto& p = params.probability;
+  return ContentHash()
+      .Word(static_cast<uint64_t>(params.model))
+      .Bytes(p.data(), p.size() * sizeof(double))
+      .value();
 }
 
 uint64_t FingerprintOpinions(const OpinionParams& opinions) {
-  uint64_t hash = kFnvOffset;
-  hash = HashDoubles(opinions.opinion, hash);
-  return HashDoubles(opinions.interaction, hash);
+  const auto& o = opinions.opinion;
+  const auto& phi = opinions.interaction;
+  return ContentHash()
+      .Bytes(o.data(), o.size() * sizeof(double))
+      .Bytes(phi.data(), phi.size() * sizeof(double))
+      .value();
 }
 
 uint64_t FingerprintDoubles(const std::vector<double>& values) {
-  return HashDoubles(values, kFnvOffset);
+  return ContentHash()
+      .Bytes(values.data(), values.size() * sizeof(double))
+      .value();
 }
 
 uint64_t FingerprintNodes(const std::vector<NodeId>& nodes) {
-  return nodes.empty() ? kFnvOffset
-                       : Fnv1a(nodes.data(), nodes.size() * sizeof(NodeId),
-                               kFnvOffset);
+  return ContentHash()
+      .Bytes(nodes.data(), nodes.size() * sizeof(NodeId))
+      .value();
 }
 
 std::string SketchOracleKey(uint64_t params_fingerprint, uint32_t snapshots,
@@ -99,10 +81,9 @@ double Workspace::BenefitPerByte(const std::string& key) const {
 }
 
 Result<std::shared_ptr<const SketchOracle>> Workspace::GetSketchOracle(
-    const Graph& graph, const InfluenceParams& params,
+    const Graph& graph, const InfluenceParams& params, uint64_t params_fp,
     const SketchOptions& options, const std::string& graph_token,
     bool* reused) {
-  const uint64_t params_fp = FingerprintParams(params);
   const std::string key =
       SketchOracleKey(params_fp, options.num_snapshots, options.seed,
                       options.record_edge_offsets, graph_token);

@@ -27,9 +27,10 @@ namespace holim {
 /// ## Cache keys & invalidation
 ///
 /// Keys are explicit strings built by HolimEngine from the *content*
-/// fingerprint of the model parameters (FNV-1a over the probability /
-/// opinion vectors — see FingerprintParams) plus every request knob that
-/// can influence the artifact (RNG seed, sample budget, algorithm
+/// fingerprint of the model parameters (a word-at-a-time ContentHash over
+/// the probability / opinion vectors — see FingerprintParams), taken once
+/// per solve and handed to every key built for it, plus every request knob
+/// that can influence the artifact (RNG seed, sample budget, algorithm
 /// options). A key either matches exactly — and reuse is bitwise-
 /// equivalent to a cold build, because every artifact is a deterministic
 /// pure function of its key (the RNG-sharding contracts of the RR engine,
@@ -92,11 +93,13 @@ class Workspace {
   explicit Workspace(std::size_t max_bytes = 0) : max_bytes_(max_bytes) {}
 
   /// Returns the sketch oracle for `options`, building and caching it on
-  /// a miss. The key is derived HERE from (params content, options,
-  /// graph token) — see SketchOracleKey — so a caller cannot hand in
-  /// options that disagree with the key they are cached under. `reused`
-  /// (optional) reports whether the artifact was served warm. A failed
-  /// build is a typed error, never an abort:
+  /// a miss. The key is derived HERE from (`params_fp`, options, graph
+  /// token) — see SketchOracleKey — so a caller cannot hand in options that
+  /// disagree with the key they are cached under. `params_fp` must be
+  /// FingerprintParams(params): like ApplyGraphDelta, the workspace takes
+  /// the caller's fingerprint so a solve hashes its params once, not once
+  /// per artifact. `reused` (optional) reports whether the artifact was
+  /// served warm. A failed build is a typed error, never an abort:
   ///  * an armed "workspace/sketch" fault injection point fires here;
   ///  * a deadline in `options` that expires mid-sampling aborts the build
   ///    (the oracle's build_status) — the partial artifact is NOT cached;
@@ -106,7 +109,7 @@ class Workspace {
   /// Cached entries always store options with deadline = nullptr — the
   /// deadline dies with the solve that carried it.
   Result<std::shared_ptr<const SketchOracle>> GetSketchOracle(
-      const Graph& graph, const InfluenceParams& params,
+      const Graph& graph, const InfluenceParams& params, uint64_t params_fp,
       const SketchOptions& options, const std::string& graph_token = "",
       bool* reused = nullptr);
 
@@ -263,25 +266,26 @@ class Workspace {
   uint64_t evictions_ = 0;
 };
 
-/// Content fingerprint of the first-layer model (FNV-1a over the model
-/// kind and the probability vector) — the params component of every
+/// Content fingerprint of the first-layer model (ContentHash over the
+/// model kind and the probability vector) — the params component of every
 /// Workspace key. Exact: any parameter change changes the key and misses
-/// the cache.
+/// the cache. It reads every probability, so a solve takes it once and
+/// passes the value on.
 uint64_t FingerprintParams(const InfluenceParams& params);
 
 /// Content fingerprint of the opinion layer (initial opinions +
-/// interaction probabilities).
+/// interaction probabilities, each folded with its length).
 uint64_t FingerprintOpinions(const OpinionParams& opinions);
 
 /// Content fingerprint of an arbitrary double vector — the query-family
 /// request fields (node costs, target weights) folded into Workspace keys.
-/// Same FNV-1a-over-representation convention as FingerprintParams: any
+/// Same hash-the-representation convention as FingerprintParams: any
 /// bit-level change misses the cache.
 uint64_t FingerprintDoubles(const std::vector<double>& values);
 
 /// Content fingerprint of a node-id vector (kEvaluate/kExplain given
 /// seed sets). Order-sensitive, matching explain's order-dependent
-/// contributions.
+/// contributions; the length is folded in, so a trailing node 0 counts.
 uint64_t FingerprintNodes(const std::vector<NodeId>& nodes);
 
 /// Canonical workspace key of a sketch-oracle artifact — shared by the

@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "util/content_hash.h"
+
 namespace holim {
 
 namespace {
@@ -206,27 +208,15 @@ Result<InfluenceParams> ApplyDeltaToParams(const Graph& old_graph,
 }
 
 uint64_t FingerprintGraph(const Graph& graph) {
-  uint64_t hash = 0xCBF29CE484222325ULL;
-  const auto mix = [&hash](const void* data, std::size_t len) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      hash ^= bytes[i];
-      hash *= 0x100000001B3ULL;
-    }
-  };
-  const NodeId n = graph.num_nodes();
-  mix(&n, sizeof(n));
-  for (NodeId u = 0; u < n; ++u) {
-    const EdgeId begin = graph.OutEdgeBegin(u);
-    mix(&begin, sizeof(begin));
+  ContentHash hash;
+  hash.Word(graph.num_nodes());
+  // Each adjacency run with its byte length: the runs spell out both the
+  // out-offsets and the out-targets.
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    const std::span<const NodeId> targets = graph.OutNeighbors(u);
+    hash.Bytes(targets.data(), targets.size_bytes());
   }
-  const EdgeId m = graph.num_edges();
-  mix(&m, sizeof(m));
-  for (EdgeId e = 0; e < m; ++e) {
-    const NodeId target = graph.EdgeTarget(e);
-    mix(&target, sizeof(target));
-  }
-  return hash;
+  return hash.value();
 }
 
 StreamingGraph::StreamingGraph(const Graph& base)

@@ -87,9 +87,10 @@ Result<InfluenceParams> ApplyDeltaToParams(const Graph& old_graph,
                                            const Graph& new_graph,
                                            const ResolvedDelta& resolved);
 
-/// Content fingerprint of the adjacency structure (FNV-1a over n,
-/// out-offsets, out-targets). Two graphs with equal CSR contents collide by
-/// construction; distinct topologies collide with FNV's usual odds.
+/// Content fingerprint of the adjacency structure (ContentHash over n and
+/// each node's out-target run with its length, which together spell out
+/// the out-CSR). Two graphs with equal CSR contents collide by
+/// construction; distinct topologies collide with a 64-bit hash's odds.
 uint64_t FingerprintGraph(const Graph& graph);
 
 /// \brief Epoch chain over a base Graph: apply deltas, keep the previous

@@ -81,10 +81,12 @@ Status HolimServer::AddTenant(Graph graph) {
   }
   // All three first-layer models up front: SolveRequest borrows params by
   // pointer, so they must live as long as the engine, and building them
-  // here keeps Execute allocation-free on the model axis.
-  tenant->params.emplace("IC", MakeUniformIc(tenant->graph));
-  tenant->params.emplace("WC", MakeWeightedCascade(tenant->graph));
-  tenant->params.emplace("LT", MakeLinearThreshold(tenant->graph));
+  // here keeps Execute allocation-free on the model axis. Their
+  // fingerprints wait for each model's first admission (ArenaKeyFor), so
+  // start-up pays no hashing.
+  tenant->models["IC"].params = MakeUniformIc(tenant->graph);
+  tenant->models["WC"].params = MakeWeightedCascade(tenant->graph);
+  tenant->models["LT"].params = MakeLinearThreshold(tenant->graph);
   EngineOptions engine_options;
   engine_options.max_cache_bytes = options_.max_cache_bytes;
   tenant->engine =
@@ -99,16 +101,18 @@ HolimEngine& HolimServer::tenant_engine(uint32_t tenant) {
   return *tenants_[tenant]->engine;
 }
 
-std::string HolimServer::ArenaKeyFor(const Tenant& tenant,
-                                     const ProtocolRequest& request) const {
+std::string HolimServer::ArenaKeyFor(Tenant& tenant,
+                                     const ProtocolRequest& request) {
   // Mirrors HolimEngine::Solve's sketch key exactly (same fingerprint,
   // R, seed, no edge offsets, current graph token) — the affinity
   // scheduler and the coalescing counter key on the same artifact the
-  // engine will fetch.
-  return SketchOracleKey(
-      FingerprintParams(tenant.params.at(request.model)),
-      options_.num_sketches, options_.seed,
-      /*record_edge_offsets=*/false, tenant.engine->graph_token());
+  // engine will fetch. A tenant's params never change, so each model is
+  // hashed once per process.
+  Model& model = tenant.models.at(request.model);
+  if (!model.fingerprint) model.fingerprint = FingerprintParams(model.params);
+  return SketchOracleKey(*model.fingerprint, options_.num_sketches,
+                         options_.seed, /*record_edge_offsets=*/false,
+                         tenant.engine->graph_token());
 }
 
 Status HolimServer::Submit(const ProtocolRequest& request) {
@@ -166,7 +170,8 @@ HolimServer::Pending HolimServer::PopNext() {
 
 Result<ProtocolReply> HolimServer::Execute(const Pending& pending) {
   Tenant& tenant = *tenants_[pending.request.tenant];
-  const InfluenceParams& params = tenant.params.at(pending.request.model);
+  const InfluenceParams& params =
+      tenant.models.at(pending.request.model).params;
 
   SolveRequest request;
   request.algorithm = pending.request.algo;

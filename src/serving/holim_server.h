@@ -6,6 +6,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -153,9 +154,15 @@ class HolimServer {
   HolimEngine& tenant_engine(uint32_t tenant);
 
  private:
+  struct Model {
+    InfluenceParams params;
+    /// FingerprintParams(params), taken on the model's first admission.
+    std::optional<uint64_t> fingerprint;
+  };
+
   struct Tenant {
     Graph graph;
-    std::map<std::string, InfluenceParams> params;  // "IC"/"WC"/"LT"
+    std::map<std::string, Model> models;  // "IC"/"WC"/"LT"
     std::unique_ptr<HolimEngine> engine;
   };
 
@@ -172,9 +179,9 @@ class HolimServer {
     return options_.clock ? *options_.clock : *Clock::Real();
   }
 
-  /// The Workspace key of the sketch arena `request` will use.
-  std::string ArenaKeyFor(const Tenant& tenant,
-                          const ProtocolRequest& request) const;
+  /// The Workspace key of the sketch arena `request` will use. Fingerprints
+  /// the request's model on its first use.
+  std::string ArenaKeyFor(Tenant& tenant, const ProtocolRequest& request);
 
   /// Removes and returns the next request to run: the affinity pick when
   /// enabled, else the FIFO front. Queue must be non-empty.

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 namespace holim {
 
@@ -29,8 +30,21 @@ Deadline Deadline::AfterMillis(double millis, const Clock* clock,
   d.mode_ = Mode::kWall;
   d.clock_ = clock ? clock : Clock::Real();
   d.token_ = token;
-  d.deadline_nanos_ =
-      d.clock_->NowNanos() + static_cast<int64_t>(millis * 1e6);
+  // Saturate at the clock's maximum rather than overflow into the past: a
+  // budget beyond ~292 years of nanoseconds (1e300 ms is a valid finite
+  // request) never expires. The maximum rounds up to 2^63 as a double, so
+  // any smaller budget fits in int64.
+  constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+  const int64_t now = d.clock_->NowNanos();
+  const double nanos = millis * 1e6;
+  if (!(nanos > 0.0)) {
+    d.deadline_nanos_ = now;  // no budget (zero, negative or NaN): due now
+  } else if (nanos >= static_cast<double>(kNever)) {
+    d.deadline_nanos_ = kNever;
+  } else {
+    const int64_t budget = static_cast<int64_t>(nanos);
+    d.deadline_nanos_ = now > kNever - budget ? kNever : now + budget;
+  }
   return d;
 }
 

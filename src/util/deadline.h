@@ -76,7 +76,9 @@ class Deadline {
   Deadline() = default;
 
   /// Wall-clock deadline `millis` from now on `clock` (Real() if null),
-  /// optionally also observing `token` (borrowed; may be null).
+  /// optionally also observing `token` (borrowed; may be null). A deadline
+  /// past the clock's range saturates at its maximum, so a huge finite
+  /// `millis` never expires; zero, negative or NaN `millis` is due now.
   static Deadline AfterMillis(double millis, const Clock* clock = nullptr,
                               const CancelToken* token = nullptr);
 

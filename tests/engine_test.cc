@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -92,7 +95,8 @@ TEST_F(EngineTest, SolveMatchesDirectCallColdWarmAndAcrossThreads) {
       // engine or workspace in the loop.
       Workspace scratch_workspace;
       SolveContext ctx{graph_, request, scratch_workspace,
-                       threads == 0 ? nullptr : &direct_pool};
+                       threads == 0 ? nullptr : &direct_pool,
+                       /*graph_token=*/"", FingerprintParams(params_)};
       auto built = info->factory(ctx);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       auto direct = (*built)->Select(request.k);
@@ -338,6 +342,57 @@ TEST_F(EngineTest, ParamsFingerprintInvalidatesExactly) {
   auto eps_b = engine.Solve(request);
   ASSERT_TRUE(eps_b.ok());
   EXPECT_FALSE(eps_b->warm_selector);
+}
+
+TEST_F(EngineTest, ParamsFingerprintSeesEveryBit) {
+  const InfluenceParams& base = params_;
+  const uint64_t base_fp = FingerprintParams(base);
+  const std::size_t m = base.probability.size();
+  ASSERT_GT(m, 2u);
+  const auto flipped = [&base](std::initializer_list<std::size_t> entries,
+                               uint64_t bit) {
+    InfluenceParams out = base;
+    for (const std::size_t e : entries) {
+      out.probability[e] = std::bit_cast<double>(
+          std::bit_cast<uint64_t>(out.probability[e]) ^ bit);
+    }
+    return FingerprintParams(out);
+  };
+  // Every single-bit flip of the first, a middle and the last entry.
+  for (const std::size_t e : {std::size_t{0}, m / 2, m - 1}) {
+    for (int bit = 0; bit < 64; ++bit) {
+      EXPECT_NE(flipped({e}, uint64_t{1} << bit), base_fp)
+          << "entry " << e << " bit " << bit;
+    }
+  }
+  // Sign bits of two entries: a plain xor-then-multiply step keeps each
+  // flip in bit 63, where the second cancels the first.
+  const uint64_t sign = uint64_t{1} << 63;
+  EXPECT_NE(flipped({0, 1}, sign), base_fp);
+  EXPECT_NE(flipped({0, m / 2}, sign), base_fp);
+  EXPECT_NE(flipped({1, m - 1}, sign), base_fp);
+
+  // The model kind alone moves the fingerprint.
+  InfluenceParams relabeled = base;
+  relabeled.model = DiffusionModel::kWeightedCascade;
+  ASSERT_NE(relabeled.model, base.model);
+  EXPECT_NE(FingerprintParams(relabeled), base_fp);
+}
+
+TEST(FingerprintTest, NodeListsFoldTheirLength) {
+  // A trailing node 0 adds only zero bytes; the folded length tells the
+  // lists apart. Odd lengths end in a zero-padded partial word.
+  EXPECT_NE(FingerprintNodes({1, 2}), FingerprintNodes({1, 2, 0}));
+  EXPECT_NE(FingerprintNodes({7}), FingerprintNodes({7, 0}));
+  EXPECT_NE(FingerprintNodes({1, 2, 3}), FingerprintNodes({1, 2, 3, 0}));
+  EXPECT_NE(FingerprintNodes({1, 2, 3}), FingerprintNodes({1, 2, 4}));
+  EXPECT_NE(FingerprintNodes({}), FingerprintNodes({0}));
+  EXPECT_NE(FingerprintNodes({1, 2}), FingerprintNodes({2, 1}));
+  EXPECT_EQ(FingerprintNodes({1, 2, 3}), FingerprintNodes({1, 2, 3}));
+  // Equal bytes split differently between the two opinion vectors.
+  OpinionParams a{{0.5, 0.25}, {0.75}};
+  OpinionParams b{{0.5}, {0.25, 0.75}};
+  EXPECT_NE(FingerprintOpinions(a), FingerprintOpinions(b));
 }
 
 }  // namespace

@@ -354,6 +354,37 @@ TEST(ServerTest, OverLongLineIsOneTypedErrorThenResyncs) {
   EXPECT_EQ(RunPipeScript(std::string(kMaxRequestLineBytes + 1, 'x')), err);
 }
 
+TEST(ServerTest, HugeDeadlineAnswersLikeNoDeadline) {
+  // 1e300 ms is a valid finite deadline far past the clock's range. It
+  // must saturate, not wrap into the past: the solve answers exactly as
+  // without a deadline (tier full), and it leaves the warm selector cached.
+  const std::string solve = "solve id=1 tenant=0 model=WC k=4 algo=easyim";
+  const std::string bounded = solve + " deadline_ms=1e300";
+  const std::string plain_out = RunPipeScript(solve + "\nquit\n");
+  EXPECT_EQ(RunPipeScript(bounded + "\nquit\n"), plain_out);
+  EXPECT_NE(plain_out.find(" degraded=0 tier=full "), std::string::npos)
+      << plain_out;
+
+  // Warm: a plain solve caches the selector, the bounded one reuses it
+  // without degrading, and the next plain solve still finds it warm.
+  const std::string out = RunPipeScript(
+      solve + "\n" +
+      "solve id=2 tenant=0 model=WC k=4 algo=easyim deadline_ms=1e300\n" +
+      "solve id=3 tenant=0 model=WC k=4 algo=easyim\nquit\n");
+  const std::string seeds =
+      plain_out.substr(plain_out.find(" seeds="),
+                       plain_out.find('\n') - plain_out.find(" seeds="));
+  for (const char* id : {"2", "3"}) {
+    const std::string tag = std::string("ok id=") + id + " ";
+    const std::size_t at = out.find(tag);
+    ASSERT_NE(at, std::string::npos) << out;
+    const std::string line = out.substr(at, out.find('\n', at) - at);
+    EXPECT_NE(line.find(" warm_selector=1 "), std::string::npos) << line;
+    EXPECT_NE(line.find(" degraded=0 tier=full" + seeds), std::string::npos)
+        << line;
+  }
+}
+
 /// Connects to `path`, retrying while the server thread is still binding.
 int ConnectUnix(const std::string& path) {
   sockaddr_un addr{};

@@ -398,14 +398,17 @@ TEST(WorkspaceDeltaTest, ApplyGraphDeltaPatchesMatchingSketchesOnly) {
   const Graph base = TestGraph(80, 6);
   const auto params = MakeUniformIc(base, 0.1);
   const auto other = MakeUniformIc(base, 0.2);
+  const uint64_t fp = FingerprintParams(params);
   Workspace workspace;
-  ASSERT_TRUE(workspace.GetSketchOracle(base, params, Opts(32, 1)).ok());
+  ASSERT_TRUE(workspace.GetSketchOracle(base, params, fp, Opts(32, 1)).ok());
   // Second seed, then another fingerprint.
-  ASSERT_TRUE(workspace.GetSketchOracle(base, params, Opts(32, 2)).ok());
-  ASSERT_TRUE(workspace.GetSketchOracle(base, other, Opts(32, 1)).ok());
+  ASSERT_TRUE(workspace.GetSketchOracle(base, params, fp, Opts(32, 2)).ok());
+  ASSERT_TRUE(workspace
+                  .GetSketchOracle(base, other, FingerprintParams(other),
+                                   Opts(32, 1))
+                  .ok());
   ASSERT_EQ(workspace.num_artifacts(), 3u);
 
-  const uint64_t fp = FingerprintParams(params);
   const auto stats = workspace.ApplyGraphDelta(
       fp, fp, "g=7@1", [&](SketchOracle& sketch) {
         return sketch.ApplyDelta(base, params);  // no-op patch (same graph)
@@ -416,13 +419,15 @@ TEST(WorkspaceDeltaTest, ApplyGraphDeltaPatchesMatchingSketchesOnly) {
   // The survivors moved to token-carrying keys: a token-less lookup
   // misses (builds fresh), a token lookup hits.
   bool reused = false;
-  ASSERT_TRUE(
-      workspace.GetSketchOracle(base, params, Opts(32, 1), "g=7@1", &reused)
-          .ok());
+  ASSERT_TRUE(workspace
+                  .GetSketchOracle(base, params, fp, Opts(32, 1), "g=7@1",
+                                   &reused)
+                  .ok());
   EXPECT_TRUE(reused);
-  ASSERT_TRUE(
-      workspace.GetSketchOracle(base, params, Opts(32, 2), "g=7@1", &reused)
-          .ok());
+  ASSERT_TRUE(workspace
+                  .GetSketchOracle(base, params, fp, Opts(32, 2), "g=7@1",
+                                   &reused)
+                  .ok());
   EXPECT_TRUE(reused);
 }
 

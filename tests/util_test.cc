@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
+#include <string>
 #include <thread>
 
 #include <memory>
@@ -164,6 +166,37 @@ TEST(DeadlineTest, WallClockExpiresOnManualClock) {
   clock.Set(0);
   EXPECT_TRUE(deadline.StopRequested());
   EXPECT_EQ(deadline.Check().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(DeadlineTest, HugeBudgetsSaturateInsteadOfExpiring) {
+  // 9.3e12 ms is just past the int64 nanosecond range (~9.22e18 ns) and
+  // 1e300 ms far past it; an unchecked conversion wrapped both into the
+  // past, so the first checkpoint tripped. Saturated, they never expire.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const double millis : {1e300, 9.3e12}) {
+    for (const int64_t start : {int64_t{0}, int64_t{1} << 62}) {
+      SCOPED_TRACE(std::to_string(millis) + " ms from " +
+                   std::to_string(start));
+      ManualClock clock(start);
+      Deadline deadline = Deadline::AfterMillis(millis, &clock);
+      EXPECT_TRUE(deadline.Check().ok());
+      clock.Set(kMax - 1);
+      EXPECT_FALSE(deadline.StopRequested());
+      EXPECT_TRUE(deadline.Check().ok());
+    }
+  }
+  // A budget that fits on its own but not on top of `now` saturates too.
+  ManualClock late(kMax - 10);
+  Deadline near_end = Deadline::AfterMillis(1.0, &late);
+  late.Advance(9);
+  EXPECT_TRUE(near_end.Check().ok());
+
+  // No budget at all is due at once, as a deadline in the past is.
+  for (const double millis : {0.0, -1.0, -1e300, std::nan("")}) {
+    ManualClock clock(1000);
+    Deadline due = Deadline::AfterMillis(millis, &clock);
+    EXPECT_EQ(due.Check().code(), StatusCode::kDeadlineExceeded) << millis;
+  }
 }
 
 TEST(DeadlineTest, CancelTokenTripsEitherMode) {
