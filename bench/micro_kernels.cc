@@ -208,21 +208,6 @@ void BM_RrSelectMaxCoverage(benchmark::State& state) {
 }
 BENCHMARK(BM_RrSelectMaxCoverage)->Args({10000, 20000})->Args({100000, 50000});
 
-void BM_RrSelectMaxCoverageRebuild(benchmark::State& state) {
-  // Legacy path: rebuilds the transient inverted index on every call.
-  const Fixture& f = GetFixture(state.range(0));
-  RrCollection rr(f.graph, f.params, /*track_widths=*/false,
-                  /*build_index=*/false);
-  rr.GenerateParallel(static_cast<std::size_t>(state.range(1)), 3, nullptr);
-  for (auto _ : state) {
-    auto coverage = rr.SelectMaxCoverageRebuild(50);
-    benchmark::DoNotOptimize(coverage.seeds.data());
-  }
-}
-BENCHMARK(BM_RrSelectMaxCoverageRebuild)
-    ->Args({10000, 20000})
-    ->Args({100000, 50000});
-
 }  // namespace
 }  // namespace holim
 

@@ -11,30 +11,24 @@ namespace holim {
 
 RrCollection::RrCollection(const Graph& graph, const InfluenceParams& params,
                            bool track_widths, bool build_index)
-    : graph_(&graph),
+    : graph_(graph),
       params_(params),
       track_widths_(track_widths),
-      build_index_(build_index),
-      visited_(graph.num_nodes()) {
+      build_index_(build_index) {
   HOLIM_CHECK(params.probability.size() == graph.num_edges());
   offsets_.push_back(0);
   if (build_index_) cover_count_.assign(graph.num_nodes(), 0);
-  BuildRowTable();
-}
-
-void RrCollection::BuildRowTable() {
-  rows_.clear();
-  if (params_.model == DiffusionModel::kLinearThreshold) return;
-  rows_.resize(graph_->num_nodes());
-  for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
+  if (params.model == DiffusionModel::kLinearThreshold) return;
+  rows_.resize(graph.num_nodes());
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     double q = 0.0;
-    for (const EdgeId e : graph_->InEdgeIds(v)) q = std::max(q, params_.p(e));
+    for (const EdgeId e : graph.InEdgeIds(v)) q = std::max(q, params.p(e));
     RowSampler& row = rows_[v];
     row.q = std::min(q, 1.0);
     if (row.q > 0.0 && row.q < 1.0) {
       const double log_miss = std::log1p(-row.q);
       row.inv_log_miss = 1.0 / log_miss;
-      row.none_live = std::exp(log_miss * graph_->InDegree(v));
+      row.none_live = std::exp(log_miss * graph.InDegree(v));
     }
   }
 }
@@ -45,17 +39,16 @@ void RrCollection::Clear() {
   widths_.clear();
   total_width_ = 0;
   segments_.clear();
-  if (build_index_) cover_count_.assign(graph_->num_nodes(), 0);
+  if (build_index_) cover_count_.assign(graph_.num_nodes(), 0);
   indexed_sets_ = 0;
-  records_.clear();
   ++epoch_;  // outstanding snapshots would dangle; invalidate them
 }
 
 uint64_t RrCollection::SampleOne(Rng& rng, EpochSet& visited,
                                  std::vector<NodeId>& stack,
                                  std::vector<NodeId>& out) const {
-  const NodeId root = static_cast<NodeId>(rng.NextBounded(graph_->num_nodes()));
-  visited.Reset(graph_->num_nodes());
+  const NodeId root = static_cast<NodeId>(rng.NextBounded(graph_.num_nodes()));
+  visited.Reset(graph_.num_nodes());
   stack.clear();
   visited.Insert(root);
   stack.push_back(root);
@@ -65,9 +58,9 @@ uint64_t RrCollection::SampleOne(Rng& rng, EpochSet& visited,
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    width += graph_->InDegree(v);
-    auto in_neighbors = graph_->InNeighbors(v);
-    auto in_edges = graph_->InEdgeIds(v);
+    width += graph_.InDegree(v);
+    auto in_neighbors = graph_.InNeighbors(v);
+    auto in_edges = graph_.InEdgeIds(v);
     if (lt) {
       // Live-edge: v keeps at most one live in-edge, chosen w.p. w(u,v).
       double r = rng.NextDouble();
@@ -121,7 +114,6 @@ uint64_t RrCollection::SampleOne(Rng& rng, EpochSet& visited,
 Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
                                       ThreadPool* pool, Deadline* deadline) {
   if (count == 0) return Status::OK();
-  records_.push_back({num_sets(), count, seed});
   ThreadPool& p = pool ? *pool : DefaultThreadPool();
   const std::size_t num_blocks =
       (count + kGenerateBlockSize - 1) / kGenerateBlockSize;
@@ -159,11 +151,11 @@ Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
   // least matches the serial overhead added).
   const bool task_counts =
       build_index_ &&
-      count >= tasks * static_cast<std::size_t>(graph_->num_nodes());
+      count >= tasks * static_cast<std::size_t>(graph_.num_nodes());
   std::vector<TaskState> task(tasks);
   for (auto& t : task) {
-    t.visited.Reset(graph_->num_nodes());
-    if (task_counts) t.counts.assign(graph_->num_nodes(), 0);
+    t.visited.Reset(graph_.num_nodes());
+    if (task_counts) t.counts.assign(graph_.num_nodes(), 0);
   }
 
   offsets_.reserve(offsets_.size() + count);
@@ -189,7 +181,6 @@ Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
         offsets_.resize(offsets_before);
         widths_.resize(widths_before);
         total_width_ = total_width_before;
-        records_.pop_back();
         return st;
       }
     }
@@ -248,7 +239,7 @@ Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
       // Reduce the task partials (order-independent integer sums, so the
       // result does not depend on task count) and index the appended sets.
       for (std::size_t t = 1; t < tasks; ++t) {
-        for (NodeId u = 0; u < graph_->num_nodes(); ++u) {
+        for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
           task[0].counts[u] += task[t].counts[u];
         }
       }
@@ -265,7 +256,7 @@ void RrCollection::IndexNewSets(const uint32_t* new_counts) {
   const std::size_t total = num_sets();
   if (first == total) return;
   HOLIM_CHECK(total <= std::numeric_limits<uint32_t>::max());
-  const NodeId n = graph_->num_nodes();
+  const NodeId n = graph_.num_nodes();
   std::vector<uint32_t> recount;
   if (new_counts == nullptr) {
     recount.assign(n, 0);
@@ -299,7 +290,7 @@ void RrCollection::IndexNewSets(const uint32_t* new_counts) {
 }
 
 void RrCollection::CompactSegments() {
-  const NodeId n = graph_->num_nodes();
+  const NodeId n = graph_.num_nodes();
   while (segments_.size() > kMaxIndexSegments) {
     std::size_t best = 0;
     std::size_t best_sets = std::numeric_limits<std::size_t>::max();
@@ -372,7 +363,7 @@ RrCollection::CoverageResult RrCollection::CoverageSnapshot::SelectMaxCoverage(
   CoverageResult result;
   const std::size_t num = limit_;
   if (num == 0) return result;
-  const NodeId n = rr_->graph_->num_nodes();
+  const NodeId n = rr_->graph_.num_nodes();
 
   // Re-counts a node's uncovered sets against the live segments, stopping
   // at this snapshot's pinned bound (per-node lists are ascending, and so
@@ -502,79 +493,10 @@ RrCollection::CoverageResult RrCollection::CoverageSnapshot::SelectMaxCoverage(
   return result;
 }
 
-RrCollection::CoverageResult RrCollection::SelectMaxCoverageRebuild(
-    uint32_t k) const {
-  CoverageResult result;
-  const std::size_t num = num_sets();
-  if (num == 0) return result;
-  // Transient flat inverted index over the whole arena: node -> set ids.
-  std::vector<uint32_t> degree(graph_->num_nodes(), 0);
-  for (NodeId u : entries_) ++degree[u];
-  std::vector<std::size_t> index_offsets(graph_->num_nodes() + 1, 0);
-  for (NodeId u = 0; u < graph_->num_nodes(); ++u) {
-    index_offsets[u + 1] = index_offsets[u] + degree[u];
-  }
-  std::vector<uint32_t> membership(entries_.size());
-  std::vector<std::size_t> cursor(index_offsets.begin(),
-                                  index_offsets.end() - 1);
-  for (std::size_t s = 0; s < num; ++s) {
-    for (std::size_t j = offsets_[s]; j < offsets_[s + 1]; ++j) {
-      membership[cursor[entries_[j]]++] = static_cast<uint32_t>(s);
-    }
-  }
-
-  std::priority_queue<Candidate> heap;
-  for (NodeId u = 0; u < graph_->num_nodes(); ++u) {
-    if (degree[u] > 0) heap.push({degree[u], u});
-  }
-
-  std::vector<char> set_covered(num, 0);
-  std::vector<char> selected(graph_->num_nodes(), 0);
-  std::size_t covered = 0;
-  while (result.seeds.size() < k && !heap.empty()) {
-    Candidate top = heap.top();
-    heap.pop();
-    if (selected[top.node]) continue;
-    uint32_t fresh = 0;
-    for (std::size_t j = index_offsets[top.node];
-         j < index_offsets[top.node + 1]; ++j) {
-      if (!set_covered[membership[j]]) ++fresh;
-    }
-    if (fresh == 0) continue;  // nothing uncovered left under this node
-    if (!heap.empty()) {
-      const Candidate& next = heap.top();
-      if (Candidate{fresh, top.node} < next) {
-        heap.push({fresh, top.node});
-        continue;
-      }
-    }
-    result.seeds.push_back(top.node);
-    selected[top.node] = 1;
-    for (std::size_t j = index_offsets[top.node];
-         j < index_offsets[top.node + 1]; ++j) {
-      const uint32_t s = membership[j];
-      if (!set_covered[s]) {
-        set_covered[s] = 1;
-        ++covered;
-      }
-    }
-  }
-  // All sets covered (or no positive-gain node left): pad with arbitrary
-  // distinct nodes, as the legacy selector did.
-  for (NodeId u = 0; u < graph_->num_nodes() && result.seeds.size() < k; ++u) {
-    if (!selected[u]) {
-      result.seeds.push_back(u);
-      selected[u] = 1;
-    }
-  }
-  result.covered_fraction = static_cast<double>(covered) / num;
-  return result;
-}
-
 double RrCollection::CoveredFraction(const std::vector<NodeId>& seeds) const {
   const std::size_t num = num_sets();
   if (num == 0) return 0.0;
-  std::vector<char> is_seed(graph_->num_nodes(), 0);
+  std::vector<char> is_seed(graph_.num_nodes(), 0);
   for (NodeId s : seeds) is_seed[s] = 1;
   std::size_t covered = 0;
   for (std::size_t s = 0; s < num; ++s) {
@@ -605,144 +527,6 @@ std::size_t RrCollection::IndexMemoryBytes() const {
              seg.sets.capacity() * sizeof(uint32_t);
   }
   return bytes;
-}
-
-Status RrCollection::ApplyDelta(const Graph& new_graph,
-                                const InfluenceParams& new_params) {
-  if (new_params.probability.size() != new_graph.num_edges()) {
-    return Status::InvalidArgument(
-        "params/graph edge count mismatch: " +
-        std::to_string(new_params.probability.size()) + " probabilities vs " +
-        std::to_string(new_graph.num_edges()) + " edges");
-  }
-  if (new_params.model != params_.model) {
-    return Status::InvalidArgument(
-        "diffusion model changed across the delta; rebuild the collection");
-  }
-  const Graph& old_graph = *graph_;
-  const NodeId n_old = old_graph.num_nodes();
-  const NodeId n_new = new_graph.num_nodes();
-
-  // A block replays identically iff no popped node's in-row changed — the
-  // popped nodes are exactly the set members. A node-count change shifts
-  // the root draw NextBounded(n) of every set, so everything goes dirty.
-  std::vector<uint8_t> node_dirty(n_new, 1);
-  if (n_new == n_old) {
-    for (NodeId v = 0; v < n_new; ++v) {
-      const auto old_src = old_graph.InNeighbors(v);
-      const auto new_src = new_graph.InNeighbors(v);
-      bool is_dirty = old_src.size() != new_src.size();
-      if (!is_dirty) {
-        const auto old_ids = old_graph.InEdgeIds(v);
-        const auto new_ids = new_graph.InEdgeIds(v);
-        for (std::size_t i = 0; i < old_src.size(); ++i) {
-          if (old_src[i] != new_src[i] ||
-              params_.p(old_ids[i]) != new_params.p(new_ids[i])) {
-            is_dirty = true;
-            break;
-          }
-        }
-      }
-      node_dirty[v] = is_dirty ? 1 : 0;
-    }
-  }
-
-  // One pass over the arena: per-set affected flag + per-set width (width
-  // is the in-degree sum over members; clean members keep their in-degree,
-  // so clean sets keep their width even when widths_ is not stored).
-  const std::size_t total = num_sets();
-  std::vector<uint8_t> set_affected(total, 0);
-  std::vector<uint64_t> set_width(total, 0);
-  for (std::size_t s = 0; s < total; ++s) {
-    bool affected = false;
-    uint64_t width = 0;
-    for (std::size_t j = offsets_[s]; j < offsets_[s + 1]; ++j) {
-      const NodeId v = entries_[j];
-      affected |= node_dirty[v] != 0;
-      width += old_graph.InDegree(v);
-    }
-    set_affected[s] = affected ? 1 : 0;
-    set_width[s] = width;
-  }
-
-  // Rebind before the rebuild: dirty blocks resample through SampleOne,
-  // which reads graph_/params_/rows_; clean blocks only copy old arena
-  // spans.
-  graph_ = &new_graph;
-  params_ = new_params;
-  BuildRowTable();
-  visited_.Reset(n_new);
-
-  std::vector<NodeId> new_entries;
-  std::vector<std::size_t> new_offsets;
-  std::vector<uint64_t> new_widths;
-  new_entries.reserve(entries_.size());
-  new_offsets.reserve(offsets_.size());
-  new_offsets.push_back(0);
-  if (track_widths_) new_widths.reserve(total);
-  total_width_ = 0;
-  std::vector<NodeId> block_buffer;
-  std::vector<uint32_t> block_sizes;
-  std::vector<uint64_t> block_widths;
-  for (const GenerateRecord& rec : records_) {
-    const std::size_t num_blocks =
-        (rec.count + kGenerateBlockSize - 1) / kGenerateBlockSize;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      const std::size_t lo = rec.first_set + b * kGenerateBlockSize;
-      const std::size_t hi =
-          std::min(lo + kGenerateBlockSize, rec.first_set + rec.count);
-      bool block_dirty = false;
-      for (std::size_t s = lo; s < hi && !block_dirty; ++s) {
-        block_dirty = set_affected[s] != 0;
-      }
-      if (!block_dirty) {
-        new_entries.insert(new_entries.end(), entries_.begin() + offsets_[lo],
-                           entries_.begin() + offsets_[hi]);
-        for (std::size_t s = lo; s < hi; ++s) {
-          new_offsets.push_back(new_offsets.back() +
-                                (offsets_[s + 1] - offsets_[s]));
-          if (track_widths_) new_widths.push_back(set_width[s]);
-          total_width_ += set_width[s];
-        }
-        continue;
-      }
-      // Resample the whole block from its recorded seed — the exact draw
-      // sequence GenerateParallel would produce on the new graph.
-      uint64_t state = rec.seed + kGenerateSeedSalt * (b + 1);
-      Rng rng(Rng::SplitMix64(state));
-      block_buffer.clear();
-      block_sizes.clear();
-      block_widths.clear();
-      for (std::size_t s = lo; s < hi; ++s) {
-        const std::size_t before = block_buffer.size();
-        const uint64_t width = SampleOne(rng, visited_, stack_, block_buffer);
-        block_sizes.push_back(
-            static_cast<uint32_t>(block_buffer.size() - before));
-        block_widths.push_back(width);
-      }
-      new_entries.insert(new_entries.end(), block_buffer.begin(),
-                         block_buffer.end());
-      for (std::size_t i = 0; i < block_sizes.size(); ++i) {
-        new_offsets.push_back(new_offsets.back() + block_sizes[i]);
-        if (track_widths_) new_widths.push_back(block_widths[i]);
-        total_width_ += block_widths[i];
-      }
-    }
-  }
-  entries_ = std::move(new_entries);
-  offsets_ = std::move(new_offsets);
-  widths_ = std::move(new_widths);
-
-  // The old segments' per-node grouping is stale wherever a set changed
-  // membership (and n may have grown); rebuild the index as one segment.
-  segments_.clear();
-  indexed_sets_ = 0;
-  if (build_index_) {
-    cover_count_.assign(n_new, 0);
-    IndexNewSets(nullptr);
-  }
-  ++epoch_;  // outstanding snapshots view pre-delta set ids; invalidate
-  return Status::OK();
 }
 
 }  // namespace holim

@@ -50,8 +50,7 @@ namespace holim {
 /// A candidate whose source is already in the set draws nothing. Any other
 /// candidate draws one thinning uniform, before the next gap, unless
 /// p(e) == q: uniform-IC and WC rows never thin. The row table costs 24
-/// bytes per node (RowTableMemoryBytes()) and is rebuilt when ApplyDelta
-/// rebinds the graph.
+/// bytes per node (RowTableMemoryBytes()).
 ///
 /// LT rows keep the one-uniform O(d) scan: one NextDouble per popped node,
 /// walked down the in-row's cumulative weights.
@@ -115,10 +114,10 @@ namespace holim {
 ///    (its set ids would dangle). `valid()` reports whether the snapshot's
 ///    epoch still matches.
 ///
-/// `SelectMaxCoverage(k)` is shorthand for `Snapshot().SelectMaxCoverage(k)`;
-/// `SelectMaxCoverageRebuild(k)` is the legacy from-scratch path (rebuilds a
-/// transient index on every call) kept as the reference baseline for tests
-/// and the `incremental_select` microbenchmark section.
+/// `SelectMaxCoverage(k)` is shorthand for `Snapshot().SelectMaxCoverage(k)`.
+/// The from-scratch path (a transient index rebuilt on every call) lives in
+/// tests/coverage_reference.h, as the reference for tests and the baseline
+/// of the `incremental_select` microbenchmark section.
 ///
 /// ## RNG-sharding contract (GenerateParallel)
 ///
@@ -141,16 +140,6 @@ namespace holim {
 /// transient memory is one wave of buffers, not a second copy of the
 /// arena. The run length only schedules work; it is not part of the
 /// contract.
-///
-/// ## Streaming deltas (ApplyDelta)
-///
-/// The same contract makes the collection patchable after a graph delta:
-/// each GenerateParallel call records (first_set, count, seed), and a
-/// block's draw sequence depends only on its seed and on the in-rows of
-/// the nodes its DFS pops — which are exactly the sets' members. After a
-/// delta, a block replays bitwise identically unless some member's in-row
-/// changed, so ApplyDelta copies clean blocks' arena spans verbatim and
-/// resamples only dirty blocks from their recorded seeds.
 class RrCollection {
  public:
   /// Sets sampled per RNG block in GenerateParallel. Part of the
@@ -166,12 +155,13 @@ class RrCollection {
   /// cheap merges of the small early segments occur.
   static constexpr std::size_t kMaxIndexSegments = 24;
 
+  /// `graph` and `params` are borrowed and must outlive the collection.
   /// `track_widths` additionally records the per-set width w(R) (8 bytes
   /// per set), needed only by TIM+'s KPT estimation; total_width() is
   /// always maintained. `build_index = false` disables the incremental
-  /// inverted index (Snapshot()/SelectMaxCoverage become unavailable;
-  /// SelectMaxCoverageRebuild still works) — used by callers that only
-  /// sample, e.g. TIM+'s KPT rounds and the rebuild-baseline bench path.
+  /// inverted index (Snapshot()/SelectMaxCoverage become unavailable) —
+  /// used by callers that only sample, e.g. TIM+'s KPT rounds and the
+  /// rebuild-baseline bench path.
   RrCollection(const Graph& graph, const InfluenceParams& params,
                bool track_widths = false, bool build_index = true);
 
@@ -192,25 +182,8 @@ class RrCollection {
                           Deadline* deadline = nullptr);
 
   /// Drops all sets and index segments (keeps capacity) and bumps the
-  /// epoch, invalidating every outstanding CoverageSnapshot. Also clears
-  /// the generate records.
+  /// epoch, invalidating every outstanding CoverageSnapshot.
   void Clear();
-
-  /// \brief Patches the collection onto a post-delta graph: sets whose
-  /// members all kept their in-rows are copied verbatim; every RNG block
-  /// containing an affected set is resampled from its recorded seed.
-  ///
-  /// The result — arena, widths, index — is bitwise identical to a fresh
-  /// collection built on `new_graph` by replaying the same
-  /// GenerateParallel(count, seed) calls. The inverted index is rebuilt as
-  /// a single segment and the epoch is bumped (outstanding snapshots are
-  /// invalidated). `new_graph` must outlive this collection; `new_params`
-  /// is copied. A node-count change shifts every root draw, so it
-  /// resamples all blocks (still from the recorded seeds).
-  ///
-  /// Fails with InvalidArgument — leaving the collection untouched — if
-  /// params/graph sizes mismatch or the diffusion model changed.
-  Status ApplyDelta(const Graph& new_graph, const InfluenceParams& new_params);
 
   std::size_t num_sets() const { return offsets_.size() - 1; }
   /// Zero-copy view of set i; the root is element 0. Invalidated by
@@ -280,12 +253,6 @@ class RrCollection {
   /// node id.
   CoverageResult SelectMaxCoverage(uint32_t k) const;
 
-  /// Legacy from-scratch path: rebuilds a transient inverted index over
-  /// the whole arena on every call, then runs the same CELF. O(total
-  /// entries) per call; kept as the reference/baseline for tests and the
-  /// bench's incremental_select comparison. Works without build_index.
-  CoverageResult SelectMaxCoverageRebuild(uint32_t k) const;
-
   /// Fraction of sets that contain at least one of `seeds`.
   double CoveredFraction(const std::vector<NodeId>& seeds) const;
 
@@ -316,24 +283,12 @@ class RrCollection {
     std::vector<uint32_t> sets;     // set ids grouped by node
   };
 
-  /// One GenerateParallel call: sets [first_set, first_set + count) were
-  /// sampled under `seed` with the block decomposition of the RNG-sharding
-  /// contract. ApplyDelta replays dirty blocks from these.
-  struct GenerateRecord {
-    std::size_t first_set = 0;
-    std::size_t count = 0;
-    uint64_t seed = 0;
-  };
-
   /// Skip-and-thin parameters of one node's in-row (see "Sampling").
   struct RowSampler {
     double q = 0.0;             // max in-edge probability, capped at 1
     double inv_log_miss = 0.0;  // 1 / ln(1 - q); set when 0 < q < 1
     double none_live = 1.0;     // (1 - q)^d; set when 0 < q < 1
   };
-
-  /// (Re)builds rows_ from graph_/params_; empty under LT.
-  void BuildRowTable();
 
   /// Samples one RR set with `rng`, appending its members to `out`
   /// (root first). Returns the set's width.
@@ -351,11 +306,8 @@ class RrCollection {
   /// segment count is back under kMaxIndexSegments.
   void CompactSegments();
 
-  // Re-bindable: ApplyDelta pivots these onto the post-delta epoch. The
-  // params are an owned copy so the collection survives the caller's
-  // per-epoch param objects going away.
-  const Graph* graph_;
-  InfluenceParams params_;
+  const Graph& graph_;
+  const InfluenceParams& params_;
   bool track_widths_ = false;
   bool build_index_ = true;
   std::vector<RowSampler> rows_;      // per node, IC/WC only
@@ -363,17 +315,11 @@ class RrCollection {
   std::vector<std::size_t> offsets_;  // num_sets + 1, offsets_[0] == 0
   std::vector<uint64_t> widths_;      // per-set width; empty unless tracked
   uint64_t total_width_ = 0;
-  // Replay log for ApplyDelta (see class comment).
-  std::vector<GenerateRecord> records_;
   // Incremental inverted index (see class comment).
   std::vector<IndexSegment> segments_;
   std::vector<uint32_t> cover_count_;  // per node: #indexed sets containing it
   std::size_t indexed_sets_ = 0;       // == num_sets() between generate calls
   uint64_t epoch_ = 0;
-  // Scratch for ApplyDelta's block replay (GenerateParallel uses
-  // per-task scratch).
-  EpochSet visited_;
-  std::vector<NodeId> stack_;
 };
 
 }  // namespace holim

@@ -49,7 +49,9 @@ int BenchMain(int argc, char** argv, const std::string& description,
                 args.HelpText(argv[0]).c_str());
     return 0;
   }
-  std::printf("%s\n", description.c_str());
+  // stdout carries only what the body prints: holimd's pipe mode answers
+  // in protocol lines alone.
+  std::fprintf(stderr, "%s\n", description.c_str());
   st = body(args);
   if (!st.ok()) {
     std::fprintf(stderr, "FAILED: %s\n", st.ToString().c_str());

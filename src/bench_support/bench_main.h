@@ -19,8 +19,9 @@ namespace holim {
 int ExitCodeForStatus(const Status& status);
 
 /// Uniform entry point for figure/table binaries: parses flags (declaring
-/// the common set), prints --help, runs `body`, and converts a non-OK
-/// Status into the message on stderr plus ExitCodeForStatus's exit code.
+/// the common set), prints --help on stdout, prints `description` as a
+/// banner on stderr, runs `body`, and converts a non-OK Status into the
+/// message on stderr plus ExitCodeForStatus's exit code.
 int BenchMain(int argc, char** argv, const std::string& description,
               const std::function<Status(const BenchArgs&)>& body,
               const std::function<void(BenchArgs*)>& declare_extra = nullptr);

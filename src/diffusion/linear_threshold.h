@@ -16,7 +16,7 @@ namespace holim {
 /// Each run samples fresh thresholds theta_v ~ U(0,1). A node v activates
 /// once the summed weights of its active in-neighbors reach theta_v; weights
 /// are w(u,v) = params.p(edge) (the paper uses 1/indeg(v)). Kempe's live-edge
-/// equivalence is exercised separately in live_edge.h and validated by tests.
+/// equivalence is checked against a live-edge simulator in diffusion_lt_test.
 class LtSimulator {
  public:
   LtSimulator(const Graph& graph, const InfluenceParams& params);

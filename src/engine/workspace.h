@@ -19,10 +19,10 @@ namespace holim {
 
 /// \brief Parameter-keyed cache of the expensive solve artifacts — sketch
 /// oracle arenas (the worlds of every sketch objective, StaticGreedy's
-/// included) and stateful selector instances (which in turn own RR arenas
-/// and score-sweep tables) — so a
-/// k-sweep or an algorithm-comparison batch on one graph pays sampling
-/// and state construction once.
+/// included) and stateful selector instances (which in turn own
+/// score-sweep tables; TIM+/IMM build their RR arenas inside each solve)
+/// — so a k-sweep or an algorithm-comparison batch on one graph pays
+/// sampling and state construction once.
 ///
 /// ## Cache keys & invalidation
 ///
@@ -50,8 +50,8 @@ namespace holim {
 /// When the engine's graph advances an epoch, sketch artifacts built
 /// against the *current* params fingerprint are patched in place via
 /// SketchOracle::ApplyDelta and re-keyed under the new (fingerprint,
-/// token); every other artifact — selectors (whose internal RR arenas /
-/// score tables / sketch sessions reference the old graph) and sketches
+/// token); every other artifact — selectors (whose score tables / sketch
+/// sessions reference the old graph) and sketches
 /// under a different params fingerprint — is evicted. Patched reuse stays
 /// bitwise-equivalent: ApplyDelta's output is pinned to the cold rebuild.
 ///

@@ -11,8 +11,8 @@
 // classification) and materialized into a brand-new Graph whose CSR is
 // bitwise identical to what GraphBuilder would produce on the edited edge
 // list. StreamingGraph owns the epoch chain and keeps the previous epoch's
-// graph alive so artifact patchers (SketchOracle::ApplyDelta,
-// RrCollection::ApplyDelta) can diff old vs new rows while splicing.
+// graph alive so the artifact patcher (SketchOracle::ApplyDelta) can diff
+// old vs new rows while splicing.
 
 #include <cstdint>
 #include <memory>

@@ -1,6 +1,7 @@
 #include "serving/protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -37,7 +38,8 @@ Result<double> ParseMillis(const std::string& key, const std::string& value) {
   } catch (...) {
     return BadToken("bad number for " + key, value);
   }
-  if (consumed != value.size() || !(out >= 0.0)) {
+  // isfinite also refuses nan, whose comparisons are all false.
+  if (consumed != value.size() || !std::isfinite(out) || out < 0.0) {
     return BadToken("bad number for " + key, value);
   }
   return out;

@@ -58,8 +58,9 @@ struct ProtocolRequest {
 };
 
 /// Parses one protocol line (verb + key=value fields). InvalidArgument on
-/// an unknown verb, unknown key, malformed number, or out-of-range value;
-/// the message names the offending token.
+/// an unknown verb, unknown key, malformed number, or out-of-range value
+/// (deadline_ms must be finite and >= 0); the message names the offending
+/// token.
 Result<ProtocolRequest> ParseRequestLine(const std::string& line);
 
 /// What a dispatched solve answers with — the response-relevant slice of

@@ -1,13 +1,88 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "diffusion/cascade.h"
 #include "diffusion/linear_threshold.h"
-#include "diffusion/live_edge.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "model/influence_params.h"
+#include "util/rng.h"
 
 namespace holim {
 namespace {
+
+/// Test-only live-edge form of LT (Kempe's equivalence, paper Sec. 3.3):
+/// each node keeps at most one live in-edge, edge (u, v) with probability
+/// w(u,v) and none with probability 1 - sum_u w(u,v); a node activates iff
+/// a seed reaches it over live edges. It shares no code with LtSimulator,
+/// so the two forms' spreads can be compared.
+class LiveEdgeSimulator {
+ public:
+  LiveEdgeSimulator(const Graph& graph, const InfluenceParams& params)
+      : graph_(graph),
+        params_(params),
+        active_(graph.num_nodes()),
+        live_choice_(graph.num_nodes(), -1),
+        live_sampled_(graph.num_nodes()) {}
+
+  /// The in-CSR position of v's live in-edge, or -1 for none.
+  int64_t SampleLiveInEdge(NodeId v, Rng& rng) const {
+    const auto edge_ids = graph_.InEdgeIds(v);
+    if (edge_ids.empty()) return -1;
+    double r = rng.NextDouble();
+    for (std::size_t i = 0; i < edge_ids.size(); ++i) {
+      const double w = params_.p(edge_ids[i]);
+      if (r < w) return static_cast<int64_t>(i);
+      r -= w;
+    }
+    return -1;
+  }
+
+  /// BFS from `seeds` over live arcs, sampling each reached node's live
+  /// in-edge on first contact.
+  const Cascade& Run(std::span<const NodeId> seeds, Rng& rng) {
+    active_.Reset(graph_.num_nodes());
+    live_sampled_.Reset(graph_.num_nodes());
+    cascade_.order.clear();
+    for (const NodeId s : seeds) {
+      if (active_.Contains(s)) continue;
+      active_.Insert(s);
+      cascade_.order.push_back({s, kSeedActivation, 0});
+    }
+    for (std::size_t head = 0; head < cascade_.order.size(); ++head) {
+      const Activation current = cascade_.order[head];
+      const auto neighbors = graph_.OutNeighbors(current.node);
+      const EdgeId base = graph_.OutEdgeBegin(current.node);
+      for (std::size_t i = 0; i < neighbors.size(); ++i) {
+        const NodeId v = neighbors[i];
+        if (active_.Contains(v)) continue;
+        if (!live_sampled_.Contains(v)) {
+          live_sampled_.Insert(v);
+          live_choice_[v] = SampleLiveInEdge(v, rng);
+        }
+        if (live_choice_[v] < 0) continue;
+        const EdgeId live =
+            graph_.InEdgeIds(v)[static_cast<std::size_t>(live_choice_[v])];
+        if (live == base + i) {
+          active_.Insert(v);
+          cascade_.order.push_back({v, live, current.step + 1});
+        }
+      }
+    }
+    return cascade_;
+  }
+
+ private:
+  const Graph& graph_;
+  const InfluenceParams& params_;
+  Cascade cascade_;
+  EpochSet active_;
+  std::vector<int64_t> live_choice_;  // per node, valid once sampled
+  EpochSet live_sampled_;
+};
 
 TEST(LtSimulatorTest, SingleInEdgeWithFullWeightAlwaysFires) {
   // 0 -> 1: w = 1/indeg(1) = 1 >= theta always (theta < 1 a.s.).

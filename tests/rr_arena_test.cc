@@ -11,6 +11,7 @@
 #include "algo/imm.h"
 #include "algo/rr_sets.h"
 #include "algo/tim_plus.h"
+#include "coverage_reference.h"
 #include "diffusion/spread_estimator.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -19,6 +20,8 @@
 
 namespace holim {
 namespace {
+
+using coverage_reference::SelectMaxCoverageRebuild;
 
 // Independent reference implementation of the legacy nested-vector sampler,
 // following the RNG-sharding contract documented in rr_sets.h: block b is
@@ -268,14 +271,14 @@ TEST(RrArenaTest, IncrementalSelectMatchesFromScratchRebuild) {
     RrCollection rr(g, params);
     rr.GenerateParallel(800, 91, &pool);
     auto incremental1 = rr.Snapshot().SelectMaxCoverage(6);
-    auto rebuild1 = rr.SelectMaxCoverageRebuild(6);
+    auto rebuild1 = SelectMaxCoverageRebuild(rr, g.num_nodes(), 6);
     EXPECT_EQ(incremental1.seeds, rebuild1.seeds) << threads << " threads";
     EXPECT_DOUBLE_EQ(incremental1.covered_fraction,
                      rebuild1.covered_fraction);
 
     rr.GenerateParallel(700, 92, &pool);
     auto incremental2 = rr.Snapshot().SelectMaxCoverage(6);
-    auto rebuild2 = rr.SelectMaxCoverageRebuild(6);
+    auto rebuild2 = SelectMaxCoverageRebuild(rr, g.num_nodes(), 6);
     EXPECT_EQ(incremental2.seeds, rebuild2.seeds) << threads << " threads";
     EXPECT_DOUBLE_EQ(incremental2.covered_fraction,
                      rebuild2.covered_fraction);
@@ -285,7 +288,7 @@ TEST(RrArenaTest, IncrementalSelectMatchesFromScratchRebuild) {
     RrCollection scratch(g, params);
     scratch.GenerateParallel(800, 91, &pool);
     scratch.GenerateParallel(700, 92, &pool);
-    auto from_scratch = scratch.SelectMaxCoverageRebuild(6);
+    auto from_scratch = SelectMaxCoverageRebuild(scratch, g.num_nodes(), 6);
     EXPECT_EQ(incremental2.seeds, from_scratch.seeds);
     EXPECT_DOUBLE_EQ(incremental2.covered_fraction,
                      from_scratch.covered_fraction);
@@ -326,7 +329,7 @@ TEST(RrArenaTest, ManyTinyAppendsCompactSegmentsAndStayCorrect) {
     rr.GenerateParallel(7, 95 + round);
     if (round % 10 == 9) {
       auto incremental = rr.SelectMaxCoverage(4);
-      auto rebuild = rr.SelectMaxCoverageRebuild(4);
+      auto rebuild = SelectMaxCoverageRebuild(rr, g.num_nodes(), 4);
       EXPECT_EQ(incremental.seeds, rebuild.seeds) << "round " << round;
       EXPECT_DOUBLE_EQ(incremental.covered_fraction,
                        rebuild.covered_fraction);

@@ -165,13 +165,10 @@ class ScriptGenerator {
   /// Fields that parse but whose solve is answered with an err line: an
   /// unknown tenant (refused at admission), or an engine-side error.
   std::vector<std::string> ServedWithError() {
-    switch (rng_.NextBounded(4)) {
+    switch (rng_.NextBounded(3)) {
       case 0:
         return With(ValidFields(), "tenant=" + Pick({"1", "4294967295"}));
       case 1:
-        return With(ValidFields(),
-                    "deadline_ms=" + Pick({"inf", "infinity", "INF"}));
-      case 2:
         return With(ValidFields(), "algo=" + Pick({"nosuchalgo", "celf\x01"}));
       default:
         return With(ValidFields(), "query=" + Pick({"evaluate", "explain",
@@ -200,6 +197,7 @@ class ScriptGenerator {
                                   "k=-1", "k=", "model=XX", "tenant="}));
       default:
         return With(fields, "deadline_ms=" + Pick({"nan", "NaN", "-nan", "-1",
+                                                   "inf", "infinity", "INF",
                                                    "-inf", "1e999", "0x",
                                                    "5ms", ""}));
     }

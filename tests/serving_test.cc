@@ -92,6 +92,14 @@ TEST(ProtocolTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseRequestLine("solve model=XX").ok());
   EXPECT_FALSE(ParseRequestLine("solve k=0").ok());
   EXPECT_FALSE(ParseRequestLine("solve deadline_ms=-1").ok());
+  // A deadline must be finite: inf is refused at parse, as nan is.
+  for (const char* bad : {"inf", "infinity", "INF", "+inf", "nan"}) {
+    EXPECT_EQ(ParseRequestLine(std::string("solve deadline_ms=") + bad)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
   EXPECT_FALSE(ParseRequestLine("ping id=1").ok());  // verb takes no fields
   // A repeated key is rejected, not overwritten by its last occurrence.
   const auto twice_id =
@@ -382,6 +390,23 @@ TEST(ServerTest, HugeDeadlineAnswersLikeNoDeadline) {
     EXPECT_NE(line.find(" warm_selector=1 "), std::string::npos) << line;
     EXPECT_NE(line.find(" degraded=0 tier=full" + seeds), std::string::npos)
         << line;
+  }
+}
+
+TEST(ServerTest, InfiniteDeadlineIsAParseErrorNotAFailedSolve) {
+  // The line is answered at once with one typed error; it never takes a
+  // queue slot, so it counts neither as admitted nor as failed.
+  for (const char* inf : {"inf", "infinity", "INF"}) {
+    const std::string out = RunPipeScript(
+        std::string("solve id=5 tenant=0 model=IC k=4 deadline_ms=") + inf +
+        "\nstats\nquit\n");
+    EXPECT_EQ(out.rfind("err id=0 code=2 ", 0), 0u) << out;
+    EXPECT_EQ(out.find("err", 1), std::string::npos) << out;
+    EXPECT_NE(out.find("\nstats tenants=1 admitted=0 rejected=0 served=0 "
+                       "failed=0 "),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.substr(out.size() - 4), "bye\n");
   }
 }
 

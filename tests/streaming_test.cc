@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "algo/rr_sets.h"
 #include "engine/holim_engine.h"
 #include "engine/workspace.h"
 #include "graph/delta.h"
@@ -305,80 +304,6 @@ TEST(SketchDeltaTest, RejectsModelChangeAndSizeMismatch) {
   // The failed calls left the oracle untouched.
   const SketchOracle cold(base, ic, Opts(32));
   ExpectOraclesBitwiseEqual(oracle, cold, base.num_nodes());
-}
-
-// ---------------------------------------------------------------------------
-// RrCollection::ApplyDelta — block replay == fresh generate, bitwise
-// ---------------------------------------------------------------------------
-
-void ExpectRrEqual(const RrCollection& patched, const RrCollection& fresh) {
-  ASSERT_EQ(patched.num_sets(), fresh.num_sets());
-  EXPECT_EQ(patched.total_entries(), fresh.total_entries());
-  EXPECT_EQ(patched.total_width(), fresh.total_width());
-  for (std::size_t s = 0; s < fresh.num_sets(); ++s) {
-    const auto a = patched.set(s);
-    const auto b = fresh.set(s);
-    ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
-              std::vector<NodeId>(b.begin(), b.end()))
-        << "set " << s;
-  }
-  const auto sel_a = patched.SelectMaxCoverage(10);
-  const auto sel_b = fresh.SelectMaxCoverage(10);
-  EXPECT_EQ(sel_a.seeds, sel_b.seeds);
-  EXPECT_EQ(sel_a.covered_fraction, sel_b.covered_fraction);
-}
-
-TEST(RrDeltaTest, IncrementalEqualsFreshGenerate) {
-  const Graph base = TestGraph();
-  InfluenceParams params = MakeWeightedCascade(base);
-  StreamingGraph streaming(base);
-  RrCollection patched(base, params, /*track_widths=*/true);
-  patched.GenerateParallel(1500, 99);
-
-  Rng rng(17);
-  for (int step = 0; step < 3; ++step) {
-    const GraphDelta delta = MakeRandomDelta(streaming.graph(), 40, rng);
-    auto resolved = ResolveDelta(streaming.graph(), delta);
-    ASSERT_TRUE(resolved.ok());
-    ASSERT_TRUE(streaming.ApplyResolved(*resolved).ok());
-    auto next_params = ApplyDeltaToParams(streaming.previous(), params,
-                                          streaming.graph(), *resolved);
-    ASSERT_TRUE(next_params.ok());
-    params = std::move(*next_params);
-
-    const Status st = patched.ApplyDelta(streaming.graph(), params);
-    ASSERT_TRUE(st.ok()) << st.message();
-    RrCollection fresh(streaming.graph(), params, /*track_widths=*/true);
-    fresh.GenerateParallel(1500, 99);
-    ExpectRrEqual(patched, fresh);
-    for (std::size_t s = 0; s < fresh.num_sets(); ++s) {
-      ASSERT_EQ(patched.set_width(s), fresh.set_width(s)) << "set " << s;
-    }
-  }
-}
-
-TEST(RrDeltaTest, MultipleGenerateCallsReplay) {
-  const Graph base = TestGraph(150, 8);
-  InfluenceParams params = MakeUniformIc(base, 0.05);
-  StreamingGraph streaming(base);
-  RrCollection patched(base, params);
-  patched.GenerateParallel(600, 1);
-  patched.GenerateParallel(900, 2);  // second record, distinct seed
-
-  Rng rng(5);
-  const GraphDelta delta = MakeRandomDelta(base, 60, rng);
-  auto resolved = ResolveDelta(base, delta);
-  ASSERT_TRUE(resolved.ok());
-  ASSERT_TRUE(streaming.ApplyResolved(*resolved).ok());
-  auto next_params =
-      ApplyDeltaToParams(base, params, streaming.graph(), *resolved);
-  ASSERT_TRUE(next_params.ok());
-  ASSERT_TRUE(patched.ApplyDelta(streaming.graph(), *next_params).ok());
-
-  RrCollection fresh(streaming.graph(), *next_params);
-  fresh.GenerateParallel(600, 1);
-  fresh.GenerateParallel(900, 2);
-  ExpectRrEqual(patched, fresh);
 }
 
 // ---------------------------------------------------------------------------

@@ -59,20 +59,15 @@ Dispatches on the baseline's "bench" field:
         attribution), gated like select_speedup.
 
   * "streaming" (BENCH_streaming.json, from bench_micro_streaming):
-      - solve.parity and rr.arena_match — booleans the bench itself
-        HOLIM_CHECKs per churn step (warm post-delta solve bitwise equal
-        to a cold rebuild; patched RR arena equal to a fresh replay). The
+      - solve.parity — a boolean the bench itself HOLIM_CHECKs per churn
+        step (warm post-delta solve bitwise equal to a cold rebuild). The
         binary aborts on violation, so a written JSON always carries
-        true; the gate re-asserts them as exact contracts anyway.
-      - solve.speedup — incremental (ApplyDelta + warm re-solve) vs
-        full-rebuild wall time over the churn sequence; a timing ratio,
-        gated like select_speedup PLUS an absolute floor of 3.0x (the
-        streaming layer's reason to exist; below that, rebuilding wins
-        once noise is accounted for).
-      - rr.speedup — RR block-replay vs fresh GenerateParallel under
-        single-edge churn; a timing ratio, gated like select_speedup
-        (no absolute floor: hub-touching updates legitimately degrade
-        toward full resample on a BA graph).
+        true; the gate re-asserts it as an exact contract anyway.
+      - solve.speedup — incremental (HolimEngine::ApplyDelta patching the
+        sketch arena + warm re-solve) vs full-rebuild wall time over the
+        churn sequence; a timing ratio, gated like select_speedup PLUS an
+        absolute floor of 3.0x (the streaming layer's reason to exist;
+        below that, rebuilding wins once noise is accounted for).
       - artifacts.patched / artifacts.evicted — exact per-sequence
         artifact migration counts; any drift means Workspace delta
         patching or the engine's eviction protocol changed.
@@ -398,14 +393,12 @@ def gate_query_family(baseline, runs, args, failures):
 
 def gate_streaming(baseline, runs, args, failures):
     check_geometry(baseline, runs, ("nodes", "snapshots", "k", "batches",
-                                    "ops_per_batch", "rr_ops_per_batch",
-                                    "theta", "seed", "p"))
+                                    "ops_per_batch", "seed", "p"))
 
     base_solve = baseline.get("solve")
-    base_rr = baseline.get("rr")
     base_artifacts = baseline.get("artifacts")
-    if base_solve is None or base_rr is None or base_artifacts is None:
-        sys.exit("error: baseline lacks solve/rr/artifacts sections; "
+    if base_solve is None or base_artifacts is None:
+        sys.exit("error: baseline lacks solve/artifacts sections; "
                  "regenerate it with the current bench binary")
 
     def section_values(section, key):
@@ -418,13 +411,12 @@ def gate_streaming(baseline, runs, args, failures):
             values.append(row[key])
         return values
 
-    # Exact contracts: the parity booleans and the artifact migration
+    # Exact contracts: the parity boolean and the artifact migration
     # counts — fail regardless of threshold.
-    for section, key in (("solve", "parity"), ("rr", "arena_match")):
-        for value in section_values(section, key):
-            if value is not True:
-                failures.append(f"{section}.{key}: {value} != true "
-                                "(exact parity contract)")
+    for value in section_values("solve", "parity"):
+        if value is not True:
+            failures.append(f"solve.parity: {value} != true "
+                            "(exact parity contract)")
     for key in ("patched", "evicted"):
         expected = field(base_artifacts, key, f"{args.baseline} artifacts")
         for value in section_values("artifacts", key):
@@ -443,10 +435,6 @@ def gate_streaming(baseline, runs, args, failures):
         failures.append(f"solve.speedup best-of-{len(solve_speedups)} "
                         f"{max(solve_speedups):.2f} < 3.00 (absolute "
                         "incremental-vs-rebuild floor)")
-    gate_timing_ratio("rr.speedup",
-                      field(base_rr, "speedup", f"{args.baseline} rr"),
-                      section_values("rr", "speedup"), args.threshold,
-                      args.jitter_limit, failures)
 
 
 def gate_serving(baseline, runs, args, failures):
