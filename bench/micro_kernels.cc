@@ -75,7 +75,7 @@ void BM_EasyImScorePassParallel(benchmark::State& state) {
   excluded.Reset(f.graph.num_nodes());
   std::vector<double> scores;
   for (auto _ : state) {
-    scorer.AssignScoresParallel(excluded, &scores, pool);
+    scorer.AssignScores(excluded, &scores, &pool);
     benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(state.iterations() * 3 *
@@ -94,7 +94,7 @@ void BM_OsimScorePassParallel(benchmark::State& state) {
   excluded.Reset(f.graph.num_nodes());
   std::vector<double> scores;
   for (auto _ : state) {
-    scorer.AssignScoresParallel(excluded, &scores, pool);
+    scorer.AssignScores(excluded, &scores, &pool);
     benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(state.iterations() * 3 *

@@ -204,7 +204,7 @@ Status Run(const BenchArgs& args) {
     incremental_path = RunSelectRounds(
         rr, rounds, round_sets, seed,
         [select_k](RrCollection& c) {
-          return c.Snapshot().SelectMaxCoverage(select_k);
+          return c.SelectMaxCoverage(select_k);
         });
     index_bytes_per_set =
         static_cast<double>(rr.IndexMemoryBytes()) / rr.num_sets();

@@ -49,11 +49,7 @@ double TimeSweeps(Scorer& scorer, const EpochSet& excluded, std::size_t reps,
   std::vector<double> scores;
   Timer timer;
   for (std::size_t r = 0; r < reps; ++r) {
-    if (pool == nullptr) {
-      scorer.AssignScores(excluded, &scores);
-    } else {
-      scorer.AssignScoresParallel(excluded, &scores, *pool);
-    }
+    scorer.AssignScores(excluded, &scores, pool);
   }
   return timer.ElapsedSeconds();
 }

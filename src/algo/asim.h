@@ -2,10 +2,9 @@
 #define HOLIM_ALGO_ASIM_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "algo/seed_selector.h"
+#include "algo/score_greedy.h"
+#include "algo/score_sweep.h"
 #include "diffusion/cascade.h"
 #include "graph/graph.h"
 #include "model/influence_params.h"
@@ -24,29 +23,58 @@ struct AsimOptions {
   double damping = 0.1;
 };
 
-/// \brief ASIM — score nodes by damped counts of length-<=l walks.
-///
-/// Recursion: C_i(u) = sum_{v in Out(u)} (1 + C_{i-1}(v)), score(u) =
-/// sum_i damping^i * (walks of length i). Equivalent to EaSyIM when all
-/// edge probabilities equal `damping`; differs under WC/LT weights, which
-/// is exactly the gap EaSyIM closes. Included as the lineage baseline for
-/// the ablation benches.
-class AsimSelector : public SeedSelector {
+/// ASIM's recurrence bound to the shared sweep kernel: EaSyIM's fold with
+/// the per-hop damping in place of the edge probability p(u,v),
+///   C_i(u) = sum_{v in Out(u)} damping * (1 + C_{i-1}(v)),
+/// final score = C_l(u).
+class AsimSweepPolicy {
  public:
-  AsimSelector(const Graph& graph, const InfluenceParams& params,
-               const AsimOptions& options = {});
+  using Value = double;
 
-  std::string name() const override;
-  Result<SeedSelection> Select(uint32_t k) override;
+  AsimSweepPolicy(const Graph& graph, double damping, uint32_t l)
+      : graph_(graph), damping_(damping), l_(l) {}
 
-  /// Exposed for tests: damped walk-count score per node with exclusions.
-  void AssignScores(const EpochSet& excluded, std::vector<double>* scores);
+  Value Zero() const { return 0.0; }
+  Value Init(NodeId) const { return 0.0; }
+
+  Value Compute(NodeId u, const Value* prev, const EpochSet& excluded) const {
+    double acc = 0.0;
+    for (NodeId v : graph_.OutNeighbors(u)) {
+      if (excluded.Contains(v)) continue;
+      acc += damping_ * (1.0 + prev[v]);
+    }
+    return acc;
+  }
+
+  void AccumulateScore(NodeId, double* score, const Value& v,
+                       uint32_t level) const {
+    if (level == l_) *score = v;
+  }
 
  private:
   const Graph& graph_;
-  const InfluenceParams& params_;
-  AsimOptions options_;
-  std::vector<double> prev_, cur_;
+  double damping_;
+  uint32_t l_;
+};
+
+/// \brief ASIM score assignment: damped counts of length-<=l walks,
+/// score(u) = sum_i damping^i * (walks of length i from u). Equivalent to
+/// EaSyIM when every edge probability equals `damping`; differs under
+/// WC/LT weights, which is exactly the gap EaSyIM closes. Same scorer API
+/// as EasyImScorer (see algo/score_sweep.h).
+class AsimScorer : public ScoreSweepEngine<AsimSweepPolicy> {
+ public:
+  AsimScorer(const Graph& graph, const AsimOptions& options);
+};
+
+/// \brief ASIM bound to ScoreGREEDY, growing V(a) by expected reach (its
+/// activation strategy, whatever `greedy` asks for). Included as the
+/// lineage baseline for the ablation benches.
+class AsimSelector : public ScoreSweepSelector<AsimScorer> {
+ public:
+  AsimSelector(const Graph& graph, const InfluenceParams& params,
+               const AsimOptions& options = {},
+               const ScoreGreedyOptions& greedy = {});
 };
 
 }  // namespace holim

@@ -2,13 +2,11 @@
 #define HOLIM_ALGO_EASYIM_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "algo/score_sweep.h"
 #include "diffusion/cascade.h"
 #include "graph/graph.h"
 #include "model/influence_params.h"
-#include "util/thread_pool.h"
 
 namespace holim {
 
@@ -55,59 +53,12 @@ class EasyImSweepPolicy {
 /// at u, where a walk's weight is the product of its edge probabilities,
 /// computed over G(V \ excluded, E). The full pass runs in O(l(m+n)) time
 /// and O(n) extra space — the linear-space/time property that makes the
-/// algorithm scalable (paper Sec. 3.2.1). All three entry points produce
-/// bitwise-identical scores; they differ only in execution strategy (see
-/// algo/score_sweep.h for the kernel's determinism contract).
-class EasyImScorer {
+/// algorithm scalable (paper Sec. 3.2.1). The scorer API (AssignScores,
+/// AssignScoresIncremental, ScratchBytes, stats) is the shared sweep
+/// kernel's; see algo/score_sweep.h for its determinism contract.
+class EasyImScorer : public ScoreSweepEngine<EasyImSweepPolicy> {
  public:
   EasyImScorer(const Graph& graph, const InfluenceParams& params, uint32_t l);
-
-  /// Computes Delta_l for every node into `scores` (resized to n).
-  /// Nodes in `excluded` are removed from the graph for this computation
-  /// (their score is set to -infinity so they are never re-picked).
-  void AssignScores(const EpochSet& excluded, std::vector<double>* scores);
-
-  /// Parallel score assignment: each of the l sweeps is a data-parallel
-  /// pass in fixed node blocks (reads prev buffer, writes cur), so sharding
-  /// is race-free and bitwise-identical to the serial pass for any thread
-  /// count.
-  void AssignScoresParallel(const EpochSet& excluded,
-                            std::vector<double>* scores, ThreadPool& pool);
-
-  /// Incremental score assignment across greedy rounds: `newly_excluded`
-  /// must list exactly the nodes added to `excluded` since the previous
-  /// call (nullptr forces a full rebuild of the per-level state). Only
-  /// nodes within l reverse hops of the new exclusions are recomputed;
-  /// output is bitwise identical to AssignScores. Trades the oracle path's
-  /// O(n) space for O(l n) per-level state (allocated on first use).
-  /// `pool == nullptr` runs serially (same convention as AssignScores, so
-  /// incremental-vs-full timing comparisons are not confounded by
-  /// threading); pass a pool explicitly to shard the recomputes.
-  void AssignScoresIncremental(const EpochSet& excluded,
-                               const std::vector<NodeId>* newly_excluded,
-                               std::vector<double>* scores,
-                               ThreadPool* pool = nullptr);
-
-  uint32_t path_length() const { return engine_.path_length(); }
-
-  /// Forwards to ScoreSweepEngine::set_incremental_fallback_fraction: the
-  /// dirty-frontier fraction of n above which an incremental rescore falls
-  /// back to whole-level passes for the levels its frontier could not
-  /// cover (bitwise-identical scores).
-  void set_incremental_fallback_fraction(double fraction) {
-    engine_.set_incremental_fallback_fraction(fraction);
-  }
-
-  /// Extra working memory beyond the graph/params (capacity-based, see
-  /// ScoreSweepStats): the two O(n) rolling buffers, plus the incremental
-  /// level table once AssignScoresIncremental has been used.
-  std::size_t ScratchBytes() const { return engine_.ScratchBytes(); }
-
-  /// Work/memory counters of the underlying sweep kernel.
-  const ScoreSweepStats& stats() const { return engine_.stats(); }
-
- private:
-  ScoreSweepEngine<EasyImSweepPolicy> engine_;
 };
 
 }  // namespace holim

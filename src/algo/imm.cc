@@ -83,7 +83,7 @@ Result<SeedSelection> ImmSelector::Select(uint32_t k) {
     }
     // The snapshot CELF runs against the incrementally maintained index, so
     // this round only paid indexing for the sets appended above.
-    auto coverage = rr.Snapshot().SelectMaxCoverage(k);
+    auto coverage = rr.SelectMaxCoverage(k);
     const double estimate = n * coverage.covered_fraction;
     if (estimate >= (1.0 + eps_prime) * x) {
       lb = estimate / (1.0 + eps_prime);
@@ -111,7 +111,7 @@ Result<SeedSelection> ImmSelector::Select(uint32_t k) {
   stats_.rr_index_bytes = rr.IndexMemoryBytes();
   stats_.rr_row_table_bytes = rr.RowTableMemoryBytes();
 
-  auto coverage = rr.Snapshot().SelectMaxCoverage(k, deadline_);
+  auto coverage = rr.SelectMaxCoverage(k, deadline_);
   selection.seeds = std::move(coverage.seeds);
   if (coverage.deadline_hit) {
     // Committed prefix seeds are valid greedy max-coverage output.

@@ -2,14 +2,12 @@
 #define HOLIM_ALGO_OSIM_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "algo/score_sweep.h"
 #include "diffusion/cascade.h"
 #include "graph/graph.h"
 #include "model/influence_params.h"
 #include "model/opinion_params.h"
-#include "util/thread_pool.h"
 
 namespace holim {
 
@@ -69,46 +67,14 @@ class OsimSweepPolicy {
 };
 
 /// \brief OSIM score assignment (paper Algorithm 5) — the opinion-aware
-/// extension of EaSyIM, on the same shared sweep kernel (see easyim.h and
-/// algo/score_sweep.h for the execution strategies and the determinism
-/// contract). Same O(l(m+n)) time / O(n) space contract as EaSyIM on the
-/// full-sweep paths (Sec. 3.2.2); the incremental path keeps O(l n) state.
-class OsimScorer {
+/// extension of EaSyIM, on the same shared sweep kernel (see
+/// algo/score_sweep.h for the scorer API and the determinism contract).
+/// Same O(l(m+n)) time / O(n) space contract as EaSyIM on the full-sweep
+/// path (Sec. 3.2.2); the incremental path keeps O(l n) state.
+class OsimScorer : public ScoreSweepEngine<OsimSweepPolicy> {
  public:
   OsimScorer(const Graph& graph, const InfluenceParams& influence,
              const OpinionParams& opinions, uint32_t l);
-
-  /// Computes Delta_l for every node into `scores`. Excluded nodes are
-  /// removed from the graph and get -infinity.
-  void AssignScores(const EpochSet& excluded, std::vector<double>* scores);
-
-  /// Parallel variant: fixed-node-block sharding, bitwise-identical to the
-  /// serial result for any thread count.
-  void AssignScoresParallel(const EpochSet& excluded,
-                            std::vector<double>* scores, ThreadPool& pool);
-
-  /// Incremental variant across greedy rounds; see
-  /// EasyImScorer::AssignScoresIncremental for the contract (nullptr pool
-  /// = serial).
-  void AssignScoresIncremental(const EpochSet& excluded,
-                               const std::vector<NodeId>* newly_excluded,
-                               std::vector<double>* scores,
-                               ThreadPool* pool = nullptr);
-
-  uint32_t path_length() const { return engine_.path_length(); }
-
-  /// See EasyImScorer::set_incremental_fallback_fraction.
-  void set_incremental_fallback_fraction(double fraction) {
-    engine_.set_incremental_fallback_fraction(fraction);
-  }
-
-  /// Extra working memory beyond graph/params/opinions (capacity-based).
-  std::size_t ScratchBytes() const { return engine_.ScratchBytes(); }
-
-  const ScoreSweepStats& stats() const { return engine_.stats(); }
-
- private:
-  ScoreSweepEngine<OsimSweepPolicy> engine_;
 };
 
 }  // namespace holim

@@ -14,15 +14,15 @@ constexpr NodeId kDenseLimit = 4096;
 
 /// a ∪ b for independent event probabilities.
 inline double ProbUnion(double a, double b) { return a + b - a * b; }
-}  // namespace
 
-PathUnionScorer::PathUnionScorer(const Graph& graph,
-                                 const InfluenceParams& params, uint32_t l)
-    : graph_(graph), params_(params), l_(l) {}
-
-Result<std::vector<std::vector<double>>> PathUnionScorer::WalkUnionMatrix()
-    const {
-  const NodeId n = graph_.num_nodes();
+/// Algorithm 3's dense iteration: PU starts as the identity, and each of
+/// the l rounds takes PU ⊗ M and zeroes the diagonal. Returns the final
+/// PU; when `delta` is given, it also accumulates each round's row sums
+/// of PU into it (line 10).
+Result<std::vector<std::vector<double>>> IterateWalkUnion(
+    const Graph& graph, const InfluenceParams& params, uint32_t l,
+    std::vector<double>* delta) {
+  const NodeId n = graph.num_nodes();
   if (n > kDenseLimit) {
     return Status::OutOfRange("PathUnion is dense; n exceeds " +
                               std::to_string(kDenseLimit));
@@ -30,17 +30,18 @@ Result<std::vector<std::vector<double>>> PathUnionScorer::WalkUnionMatrix()
   // M[u][v] = p(u,v); PU starts as identity (paper line 1).
   std::vector<std::vector<double>> M(n, std::vector<double>(n, 0.0));
   for (NodeId u = 0; u < n; ++u) {
-    const EdgeId base = graph_.OutEdgeBegin(u);
-    auto neighbors = graph_.OutNeighbors(u);
+    const EdgeId base = graph.OutEdgeBegin(u);
+    auto neighbors = graph.OutNeighbors(u);
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      M[u][neighbors[i]] = params_.p(base + i);
+      M[u][neighbors[i]] = params.p(base + i);
     }
   }
   std::vector<std::vector<double>> pu(n, std::vector<double>(n, 0.0));
   for (NodeId u = 0; u < n; ++u) pu[u][u] = 1.0;
+  if (delta != nullptr) delta->assign(n, 0.0);
 
   std::vector<std::vector<double>> next(n, std::vector<double>(n, 0.0));
-  for (uint32_t round = 1; round <= l_; ++round) {
+  for (uint32_t round = 1; round <= l; ++round) {
     // next = pu ⊗ M with union-combination across intermediates (Eq. 1).
     for (NodeId i = 0; i < n; ++i) {
       for (NodeId j = 0; j < n; ++j) {
@@ -54,47 +55,29 @@ Result<std::vector<std::vector<double>>> PathUnionScorer::WalkUnionMatrix()
     }
     std::swap(pu, next);
     for (NodeId v = 0; v < n; ++v) pu[v][v] = 0.0;  // lines 5-7
+    if (delta != nullptr) {
+      for (NodeId u = 0; u < n; ++u) {
+        for (NodeId v = 0; v < n; ++v) (*delta)[u] += pu[u][v];
+      }
+    }
   }
   return pu;
 }
+}  // namespace
+
+PathUnionScorer::PathUnionScorer(const Graph& graph,
+                                 const InfluenceParams& params, uint32_t l)
+    : graph_(graph), params_(params), l_(l) {}
+
+Result<std::vector<std::vector<double>>> PathUnionScorer::WalkUnionMatrix()
+    const {
+  return IterateWalkUnion(graph_, params_, l_, nullptr);
+}
 
 Result<std::vector<double>> PathUnionScorer::AssignScores() const {
-  const NodeId n = graph_.num_nodes();
-  if (n > kDenseLimit) {
-    return Status::OutOfRange("PathUnion is dense; n exceeds " +
-                              std::to_string(kDenseLimit));
-  }
-  // Delta_i(u) accumulates row sums of PU after each round (line 10). We
-  // re-run the iteration to accumulate per-round contributions.
-  std::vector<std::vector<double>> M(n, std::vector<double>(n, 0.0));
-  for (NodeId u = 0; u < n; ++u) {
-    const EdgeId base = graph_.OutEdgeBegin(u);
-    auto neighbors = graph_.OutNeighbors(u);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      M[u][neighbors[i]] = params_.p(base + i);
-    }
-  }
-  std::vector<std::vector<double>> pu(n, std::vector<double>(n, 0.0));
-  for (NodeId u = 0; u < n; ++u) pu[u][u] = 1.0;
-  std::vector<double> delta(n, 0.0);
-  std::vector<std::vector<double>> next(n, std::vector<double>(n, 0.0));
-  for (uint32_t round = 1; round <= l_; ++round) {
-    for (NodeId i = 0; i < n; ++i) {
-      for (NodeId j = 0; j < n; ++j) {
-        double acc = 0.0;
-        for (NodeId k = 0; k < n; ++k) {
-          const double term = pu[i][k] * M[k][j];
-          if (term != 0.0) acc = ProbUnion(acc, term);
-        }
-        next[i][j] = acc;
-      }
-    }
-    std::swap(pu, next);
-    for (NodeId v = 0; v < n; ++v) pu[v][v] = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = 0; v < n; ++v) delta[u] += pu[u][v];
-    }
-  }
+  // Delta_i(u) accumulates row sums of PU after each round (line 10).
+  std::vector<double> delta;
+  HOLIM_RETURN_NOT_OK(IterateWalkUnion(graph_, params_, l_, &delta).status());
   return delta;
 }
 

@@ -41,7 +41,6 @@ void RrCollection::Clear() {
   segments_.clear();
   if (build_index_) cover_count_.assign(graph_.num_nodes(), 0);
   indexed_sets_ = 0;
-  ++epoch_;  // outstanding snapshots would dangle; invalidate them
 }
 
 uint64_t RrCollection::SampleOne(Rng& rng, EpochSet& visited,
@@ -328,17 +327,6 @@ void RrCollection::CompactSegments() {
   }
 }
 
-RrCollection::CoverageSnapshot RrCollection::Snapshot() const {
-  HOLIM_CHECK(build_index_) << "constructed with build_index = false";
-  HOLIM_CHECK(indexed_sets_ == num_sets());
-  return CoverageSnapshot(this, epoch_, num_sets());
-}
-
-RrCollection::CoverageResult RrCollection::SelectMaxCoverage(
-    uint32_t k) const {
-  return Snapshot().SelectMaxCoverage(k);
-}
-
 namespace {
 
 /// CELF heap entry: a stale upper bound on the node's marginal gain (gains
@@ -355,28 +343,22 @@ struct Candidate {
 
 }  // namespace
 
-RrCollection::CoverageResult RrCollection::CoverageSnapshot::SelectMaxCoverage(
+RrCollection::CoverageResult RrCollection::SelectMaxCoverage(
     uint32_t k, Deadline* deadline) const {
-  HOLIM_CHECK(valid()) << "stale CoverageSnapshot: collection Cleared "
-                       << "(snapshot epoch " << epoch_ << ", live epoch "
-                       << rr_->epoch_ << ")";
+  HOLIM_CHECK(build_index_) << "constructed with build_index = false";
+  HOLIM_CHECK(indexed_sets_ == num_sets());
   CoverageResult result;
-  const std::size_t num = limit_;
+  const std::size_t num = num_sets();
   if (num == 0) return result;
-  const NodeId n = rr_->graph_.num_nodes();
+  const NodeId n = graph_.num_nodes();
 
-  // Re-counts a node's uncovered sets against the live segments, stopping
-  // at this snapshot's pinned bound (per-node lists are ascending, and so
-  // are segment ranges, so both cutoffs are early exits).
+  // Re-counts a node's uncovered sets against the live segments.
   std::vector<char> set_covered(num, 0);
   auto fresh_gain = [&](NodeId u) {
     uint32_t fresh = 0;
-    for (const IndexSegment& seg : rr_->segments_) {
-      if (seg.first_set >= num) break;
+    for (const IndexSegment& seg : segments_) {
       for (uint32_t j = seg.offsets[u]; j < seg.offsets[u + 1]; ++j) {
-        const uint32_t s = seg.sets[j];
-        if (s >= num) break;
-        if (!set_covered[s]) ++fresh;
+        if (!set_covered[seg.sets[j]]) ++fresh;
       }
     }
     return fresh;
@@ -384,9 +366,7 @@ RrCollection::CoverageResult RrCollection::CoverageSnapshot::SelectMaxCoverage(
 
   // CELF lazy greedy: take the candidate with the largest stale upper
   // bound, refresh its gain, and select only when the refreshed gain still
-  // beats every remaining bound. cover_count_ counts every indexed set —
-  // for a snapshot older than the latest append that is an over-estimate,
-  // which CELF tolerates (upper bounds are refreshed before any selection).
+  // beats every remaining bound.
   //
   // Instead of heapifying all candidates (the dominant cost of a round:
   // O(candidates) comparison-heavy sift-downs), candidates are counting-
@@ -398,7 +378,7 @@ RrCollection::CoverageResult RrCollection::CoverageSnapshot::SelectMaxCoverage(
   uint32_t max_count = 0;
   std::size_t num_candidates = 0;
   for (NodeId u = 0; u < n; ++u) {
-    const uint32_t c = rr_->cover_count_[u];
+    const uint32_t c = cover_count_[u];
     if (c > 0) ++num_candidates;
     max_count = std::max(max_count, c);
   }
@@ -409,14 +389,14 @@ RrCollection::CoverageResult RrCollection::CoverageSnapshot::SelectMaxCoverage(
   // below keeps ids ascending within each level (the Candidate heap order).
   std::vector<std::size_t> ge(max_count + 2, 0);
   for (NodeId u = 0; u < n; ++u) {
-    if (rr_->cover_count_[u] > 0) ++ge[rr_->cover_count_[u]];
+    if (cover_count_[u] > 0) ++ge[cover_count_[u]];
   }
   for (uint32_t c = max_count; c >= 1; --c) ge[c] += ge[c + 1];
   std::vector<NodeId> sorted(num_candidates);
   {
     std::vector<std::size_t> cursor(ge.begin() + 1, ge.end());  // [c] = ge[c+1]
     for (NodeId u = 0; u < n; ++u) {
-      const uint32_t c = rr_->cover_count_[u];
+      const uint32_t c = cover_count_[u];
       if (c > 0) sorted[cursor[c]++] = u;
     }
   }
@@ -432,7 +412,7 @@ RrCollection::CoverageResult RrCollection::CoverageSnapshot::SelectMaxCoverage(
     Candidate top;
     bool from_heap;
     if (next_sorted < sorted.size()) {
-      top = {rr_->cover_count_[sorted[next_sorted]], sorted[next_sorted]};
+      top = {cover_count_[sorted[next_sorted]], sorted[next_sorted]};
       from_heap = !refreshed.empty() && top < refreshed.top();
       if (from_heap) top = refreshed.top();
     } else {
@@ -450,7 +430,7 @@ RrCollection::CoverageResult RrCollection::CoverageSnapshot::SelectMaxCoverage(
     Candidate next{0, 0};
     bool have_next = false;
     if (next_sorted < sorted.size()) {
-      next = {rr_->cover_count_[sorted[next_sorted]], sorted[next_sorted]};
+      next = {cover_count_[sorted[next_sorted]], sorted[next_sorted]};
       have_next = true;
     }
     if (!refreshed.empty() && (!have_next || next < refreshed.top())) {
@@ -468,12 +448,10 @@ RrCollection::CoverageResult RrCollection::CoverageSnapshot::SelectMaxCoverage(
     }
     result.seeds.push_back(top.node);
     selected[top.node] = 1;
-    for (const IndexSegment& seg : rr_->segments_) {
-      if (seg.first_set >= num) break;
+    for (const IndexSegment& seg : segments_) {
       for (uint32_t j = seg.offsets[top.node]; j < seg.offsets[top.node + 1];
            ++j) {
         const uint32_t s = seg.sets[j];
-        if (s >= num) break;
         if (!set_covered[s]) {
           set_covered[s] = 1;
           ++covered;

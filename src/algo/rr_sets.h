@@ -100,24 +100,13 @@ namespace holim {
 /// arena order, so index content — like the arena — is bitwise identical
 /// for any thread count.
 ///
-/// ## Snapshot lifecycle & invalidation
+/// ## Selection
 ///
-/// `Snapshot()` returns a `CoverageSnapshot`, a zero-copy view that runs
-/// CELF against the live index restricted to the sets present at snapshot
-/// time:
-///
-///  - Appending more sets does NOT invalidate a snapshot: set ids are
-///    append-only and per-node lists are sorted, so the view simply stops
-///    at its pinned `num_sets()` bound.
-///  - `Clear()` bumps the collection's epoch counter and resets the index;
-///    using a snapshot taken before the `Clear` aborts via HOLIM_CHECK
-///    (its set ids would dangle). `valid()` reports whether the snapshot's
-///    epoch still matches.
-///
-/// `SelectMaxCoverage(k)` is shorthand for `Snapshot().SelectMaxCoverage(k)`.
-/// The from-scratch path (a transient index rebuilt on every call) lives in
-/// tests/coverage_reference.h, as the reference for tests and the baseline
-/// of the `incremental_select` microbenchmark section.
+/// `SelectMaxCoverage(k, deadline)` runs CELF over every set in the
+/// collection against the live index. The from-scratch path (a transient
+/// index rebuilt on every call) lives in tests/coverage_reference.h, as the
+/// reference for tests and the baseline of the `incremental_select`
+/// microbenchmark section.
 ///
 /// ## RNG-sharding contract (GenerateParallel)
 ///
@@ -159,7 +148,7 @@ class RrCollection {
   /// `track_widths` additionally records the per-set width w(R) (8 bytes
   /// per set), needed only by TIM+'s KPT estimation; total_width() is
   /// always maintained. `build_index = false` disables the incremental
-  /// inverted index (Snapshot()/SelectMaxCoverage become unavailable) —
+  /// inverted index (SelectMaxCoverage becomes unavailable) —
   /// used by callers that only sample, e.g. TIM+'s KPT rounds and the
   /// rebuild-baseline bench path.
   RrCollection(const Graph& graph, const InfluenceParams& params,
@@ -181,8 +170,7 @@ class RrCollection {
                           ThreadPool* pool = nullptr,
                           Deadline* deadline = nullptr);
 
-  /// Drops all sets and index segments (keeps capacity) and bumps the
-  /// epoch, invalidating every outstanding CoverageSnapshot.
+  /// Drops all sets and index segments (keeps capacity).
   void Clear();
 
   std::size_t num_sets() const { return offsets_.size() - 1; }
@@ -199,9 +187,6 @@ class RrCollection {
   std::size_t total_entries() const { return entries_.size(); }
   /// Sum over sets of the in-degree "width" w(R) (TIM Sec. 4 KPT estimate).
   uint64_t total_width() const { return total_width_; }
-  /// Monotone counter bumped by Clear(); snapshots pin the epoch they were
-  /// created under and abort if used after it moves.
-  uint64_t epoch() const { return epoch_; }
 
   /// Greedy max-coverage over the collected sets. Returns k seeds and the
   /// fraction of sets covered.
@@ -213,45 +198,15 @@ class RrCollection {
     bool deadline_hit = false;
   };
 
-  /// Zero-copy CELF view over the live incremental index, pinned to the
-  /// sets present when it was created (later appends are ignored; Clear
-  /// invalidates — see the lifecycle notes above).
-  class CoverageSnapshot {
-   public:
-    /// Lazy-greedy (CELF) max-coverage over the pinned prefix of sets.
-    /// Aborts via HOLIM_CHECK if the owning collection was Cleared after
-    /// this snapshot was taken. `deadline` (borrowed, may be null) is
-    /// checked once per committed seed: on expiry the prefix selected so
-    /// far is returned with `deadline_hit` set (no padding).
-    CoverageResult SelectMaxCoverage(uint32_t k,
-                                     Deadline* deadline = nullptr) const;
-
-    /// Number of sets this snapshot views (pinned at creation).
-    std::size_t num_sets() const { return limit_; }
-    /// False once the owning collection has been Cleared.
-    bool valid() const { return rr_->epoch_ == epoch_; }
-
-   private:
-    friend class RrCollection;
-    CoverageSnapshot(const RrCollection* rr, uint64_t epoch,
-                     std::size_t limit)
-        : rr_(rr), epoch_(epoch), limit_(limit) {}
-
-    const RrCollection* rr_;
-    uint64_t epoch_;
-    std::size_t limit_;
-  };
-
-  /// Snapshot of the current sets for coverage queries. Requires
-  /// build_index (checked).
-  CoverageSnapshot Snapshot() const;
-
-  /// Shorthand for Snapshot().SelectMaxCoverage(k): CELF lazy greedy
-  /// against the live incremental index — each pick pops the stale-max
-  /// heap and re-counts that node's uncovered sets instead of eagerly
-  /// decrementing every co-member's gain. Ties break toward the smaller
-  /// node id.
-  CoverageResult SelectMaxCoverage(uint32_t k) const;
+  /// CELF lazy greedy over every set, against the live incremental index:
+  /// each pick pops the stale-max heap and re-counts that node's uncovered
+  /// sets instead of eagerly decrementing every co-member's gain. Ties
+  /// break toward the smaller node id. Requires build_index (checked).
+  /// `deadline` (borrowed, may be null) is checked once per committed
+  /// seed: on expiry the prefix selected so far is returned with
+  /// `deadline_hit` set (no padding).
+  CoverageResult SelectMaxCoverage(uint32_t k,
+                                   Deadline* deadline = nullptr) const;
 
   /// Fraction of sets that contain at least one of `seeds`.
   double CoveredFraction(const std::vector<NodeId>& seeds) const;
@@ -319,7 +274,6 @@ class RrCollection {
   std::vector<IndexSegment> segments_;
   std::vector<uint32_t> cover_count_;  // per node: #indexed sets containing it
   std::size_t indexed_sets_ = 0;       // == num_sets() between generate calls
-  uint64_t epoch_ = 0;
 };
 
 }  // namespace holim

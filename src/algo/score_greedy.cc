@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 
+#include "algo/asim.h"
 #include "diffusion/independent_cascade.h"
 #include "diffusion/linear_threshold.h"
 #include "util/logging.h"
@@ -203,25 +204,6 @@ ScoreGreedy::SimulateFn MakeLtSimulateFn(const Graph& graph,
   };
 }
 
-/// The shared per-round dispatch of EaSyIM/OSIM onto their scorer:
-/// incremental rescore when enabled, else the parallel or serial full
-/// sweep. One definition so the two selectors cannot diverge.
-template <typename Scorer>
-ScoreGreedy::IncrementalScoreFn MakeSweepScoreFn(
-    Scorer& scorer, const ScoreGreedyOptions& options) {
-  return [&scorer, options](const EpochSet& excluded,
-                            const std::vector<NodeId>* newly,
-                            std::vector<double>* scores) {
-    if (options.incremental_rescore) {
-      scorer.AssignScoresIncremental(excluded, newly, scores, options.pool);
-    } else if (options.pool != nullptr) {
-      scorer.AssignScoresParallel(excluded, scores, *options.pool);
-    } else {
-      scorer.AssignScores(excluded, scores);
-    }
-  };
-}
-
 /// The sweep work between two snapshots of a scorer's cumulative stats,
 /// named for SolveResult::stats.
 std::vector<std::pair<std::string, double>> SweepWorkSince(
@@ -241,61 +223,44 @@ std::vector<std::pair<std::string, double>> SweepWorkSince(
 
 }  // namespace
 
-EasyImSelector::EasyImSelector(const Graph& graph,
-                               const InfluenceParams& params, uint32_t l,
-                               const ScoreGreedyOptions& options)
-    : graph_(graph), params_(params), scorer_(graph, params, l),
-      options_(options) {
-  scorer_.set_incremental_fallback_fraction(
-      options_.rescore_fallback_fraction);
-}
-
-std::string EasyImSelector::name() const {
-  return "EaSyIM(l=" + std::to_string(scorer_.path_length()) + ")";
-}
-
-Result<SeedSelection> EasyImSelector::Select(uint32_t k) {
-  ScoreGreedy driver(graph_, MakeSweepScoreFn(scorer_, options_), options_);
-  driver.set_deadline(deadline_);
-  if (params_.model == DiffusionModel::kLinearThreshold) {
-    driver.set_simulate_fn(MakeLtSimulateFn(graph_, params_));
-  } else {
-    driver.set_simulate_fn(MakeIcSimulateFn(graph_, params_));
-  }
-  driver.set_edge_probability(&params_.probability);
-  driver.set_max_hops(scorer_.path_length());
-  const ScoreSweepStats before = scorer_.stats();
-  auto result = driver.Select(k);
-  last_run_stats_ = SweepWorkSince(before, scorer_.stats());
-  if (result.ok()) result->scratch_bytes = scorer_.ScratchBytes();
-  return result;
-}
-
-OsimSelector::OsimSelector(const Graph& graph,
-                           const InfluenceParams& influence,
-                           const OpinionParams& opinions, OiBase base,
-                           uint32_t l, const ScoreGreedyOptions& options)
-    : graph_(graph),
+template <typename Scorer>
+ScoreSweepSelector<Scorer>::ScoreSweepSelector(
+    std::string label, const Graph& graph, const InfluenceParams& influence,
+    bool lt_dynamics, Scorer scorer, const ScoreGreedyOptions& options)
+    : label_(std::move(label)),
+      graph_(graph),
       influence_(influence),
-      opinions_(opinions),
-      base_(base),
-      scorer_(graph, influence, opinions, l),
+      lt_dynamics_(lt_dynamics),
+      scorer_(std::move(scorer)),
       options_(options) {
   scorer_.set_incremental_fallback_fraction(
       options_.rescore_fallback_fraction);
 }
 
-std::string OsimSelector::name() const {
-  return "OSIM(l=" + std::to_string(scorer_.path_length()) + ")";
+template <typename Scorer>
+std::string ScoreSweepSelector<Scorer>::name() const {
+  return label_ + "(l=" + std::to_string(scorer_.path_length()) + ")";
 }
 
-Result<SeedSelection> OsimSelector::Select(uint32_t k) {
-  ScoreGreedy driver(graph_, MakeSweepScoreFn(scorer_, options_), options_);
+template <typename Scorer>
+Result<SeedSelection> ScoreSweepSelector<Scorer>::Select(uint32_t k) {
+  ScoreGreedy driver(
+      graph_,
+      [this](const EpochSet& excluded, const std::vector<NodeId>* newly,
+             std::vector<double>* scores) {
+        if (options_.incremental_rescore) {
+          scorer_.AssignScoresIncremental(excluded, newly, scores,
+                                          options_.pool);
+        } else {
+          scorer_.AssignScores(excluded, scores, options_.pool);
+        }
+      },
+      options_);
   driver.set_deadline(deadline_);
-  if (base_ == OiBase::kLinearThreshold) {
-    driver.set_simulate_fn(MakeLtSimulateFn(graph_, influence_));
-  } else {
-    driver.set_simulate_fn(MakeIcSimulateFn(graph_, influence_));
+  if (options_.activation == ActivationStrategy::kMonteCarloMajority) {
+    driver.set_simulate_fn(lt_dynamics_
+                               ? MakeLtSimulateFn(graph_, influence_)
+                               : MakeIcSimulateFn(graph_, influence_));
   }
   driver.set_edge_probability(&influence_.probability);
   driver.set_max_hops(scorer_.path_length());
@@ -305,5 +270,24 @@ Result<SeedSelection> OsimSelector::Select(uint32_t k) {
   if (result.ok()) result->scratch_bytes = scorer_.ScratchBytes();
   return result;
 }
+
+template class ScoreSweepSelector<EasyImScorer>;
+template class ScoreSweepSelector<OsimScorer>;
+template class ScoreSweepSelector<AsimScorer>;
+
+EasyImSelector::EasyImSelector(const Graph& graph,
+                               const InfluenceParams& params, uint32_t l,
+                               const ScoreGreedyOptions& options)
+    : ScoreSweepSelector("EaSyIM", graph, params,
+                         params.model == DiffusionModel::kLinearThreshold,
+                         EasyImScorer(graph, params, l), options) {}
+
+OsimSelector::OsimSelector(const Graph& graph,
+                           const InfluenceParams& influence,
+                           const OpinionParams& opinions, OiBase base,
+                           uint32_t l, const ScoreGreedyOptions& options)
+    : ScoreSweepSelector("OSIM", graph, influence,
+                         base == OiBase::kLinearThreshold,
+                         OsimScorer(graph, influence, opinions, l), options) {}
 
 }  // namespace holim

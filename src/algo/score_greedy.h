@@ -68,7 +68,8 @@ struct ScoreGreedyOptions {
 /// with the nodes the new seed activates.
 ///
 /// The score assigner is pluggable: EaSyIM for the opinion-oblivious IM
-/// problem, OSIM for MEO. Both drivers below share this implementation.
+/// problem, OSIM for MEO, ASIM as the lineage baseline. All three drive
+/// this implementation through ScoreSweepSelector.
 class ScoreGreedy {
  public:
   /// Incremental-aware score assigner: `newly_excluded` lists exactly the
@@ -120,14 +121,19 @@ class ScoreGreedy {
   Rng rng_;
 };
 
-/// EaSyIM bound to ScoreGREEDY: the paper's scalable opinion-oblivious IM
-/// algorithm. Works for IC/WC (direct) and LT (weights as probabilities via
-/// the live-edge equivalence, Sec. 3.3).
-class EasyImSelector : public SeedSelector {
+/// \brief ScoreGREEDY over a persistent score-sweep scorer: the one
+/// selector body of EaSyIM, OSIM and ASIM.
+///
+/// Each round scores G(V \ V(a)) through `Scorer` (a ScoreSweepEngine):
+/// the dirty-frontier rescore when options.incremental_rescore is set,
+/// else a full sweep, sharded on options.pool either way. Select honours
+/// the bound deadline. The three algorithms differ only in their scorer,
+/// their label and the dynamics of their activation simulations, which
+/// the subclasses fix at construction. Member functions are defined, and
+/// the three scorers instantiated, in score_greedy.cc.
+template <typename Scorer>
+class ScoreSweepSelector : public SeedSelector {
  public:
-  EasyImSelector(const Graph& graph, const InfluenceParams& params, uint32_t l,
-                 const ScoreGreedyOptions& options = {});
-
   std::string name() const override;
   Result<SeedSelection> Select(uint32_t k) override;
   /// The sweep work of the last Select: full_sweeps, incremental_sweeps,
@@ -144,44 +150,41 @@ class EasyImSelector : public SeedSelector {
 
   /// The underlying scorer (persistent across Select calls), exposing the
   /// sweep kernel's work/memory stats.
-  EasyImScorer& scorer() { return scorer_; }
+  Scorer& scorer() { return scorer_; }
+
+ protected:
+  /// `label` prefixes name(). `influence` supplies the activation
+  /// strategies' edge probabilities; MC-majority simulates LT dynamics
+  /// when `lt_dynamics` is set, IC otherwise.
+  ScoreSweepSelector(std::string label, const Graph& graph,
+                     const InfluenceParams& influence, bool lt_dynamics,
+                     Scorer scorer, const ScoreGreedyOptions& options);
 
  private:
+  std::string label_;
   const Graph& graph_;
-  const InfluenceParams& params_;
-  EasyImScorer scorer_;
+  const InfluenceParams& influence_;
+  bool lt_dynamics_;
+  Scorer scorer_;
   ScoreGreedyOptions options_;
   std::vector<std::pair<std::string, double>> last_run_stats_;
 };
 
+/// EaSyIM bound to ScoreGREEDY: the paper's scalable opinion-oblivious IM
+/// algorithm. Works for IC/WC (direct) and LT (weights as probabilities via
+/// the live-edge equivalence, Sec. 3.3).
+class EasyImSelector : public ScoreSweepSelector<EasyImScorer> {
+ public:
+  EasyImSelector(const Graph& graph, const InfluenceParams& params, uint32_t l,
+                 const ScoreGreedyOptions& options = {});
+};
+
 /// OSIM bound to ScoreGREEDY: the paper's MEO algorithm.
-class OsimSelector : public SeedSelector {
+class OsimSelector : public ScoreSweepSelector<OsimScorer> {
  public:
   OsimSelector(const Graph& graph, const InfluenceParams& influence,
                const OpinionParams& opinions, OiBase base, uint32_t l,
                const ScoreGreedyOptions& options = {});
-
-  std::string name() const override;
-  Result<SeedSelection> Select(uint32_t k) override;
-  /// See EasyImSelector::LastRunStats.
-  std::vector<std::pair<std::string, double>> LastRunStats() const override {
-    return last_run_stats_;
-  }
-  std::size_t MemoryFootprintBytes() const override {
-    return scorer_.ScratchBytes();
-  }
-
-  /// The underlying scorer (persistent across Select calls).
-  OsimScorer& scorer() { return scorer_; }
-
- private:
-  const Graph& graph_;
-  const InfluenceParams& influence_;
-  const OpinionParams& opinions_;
-  OiBase base_;
-  OsimScorer scorer_;
-  ScoreGreedyOptions options_;
-  std::vector<std::pair<std::string, double>> last_run_stats_;
 };
 
 }  // namespace holim

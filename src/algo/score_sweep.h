@@ -24,7 +24,7 @@ inline constexpr std::size_t kSweepBlockNodes = 2048;
 /// repo-wide accounting convention: allocated capacity(), not size().
 struct ScoreSweepStats {
   /// Passes that recompute whole levels rather than a dirty frontier: each
-  /// FullSweep, each leveled build of the incremental table, and each
+  /// AssignScores, each leveled build of the incremental table, and each
   /// fallback rebuild (which recomputes only the levels it could not cover).
   uint64_t full_sweeps = 0;
   /// Dirty-frontier passes that reused the per-level state.
@@ -37,7 +37,7 @@ struct ScoreSweepStats {
   /// incremental_sweep.
   uint64_t fallback_sweeps = 0;
   /// Node-level Delta evaluations done by whole-level passes: l * n per
-  /// FullSweep or leveled build, (l - i + 1) * n per fallback at level i.
+  /// AssignScores or leveled build, (l - i + 1) * n per fallback at level i.
   uint64_t nodes_full = 0;
   /// Node-level Delta evaluations done by incremental passes.
   uint64_t nodes_incremental = 0;
@@ -54,31 +54,33 @@ struct ScoreSweepStats {
   }
 };
 
-/// \brief Shared pull-based CSR sweep kernel behind EaSyIM and OSIM
-/// (paper Algorithms 4 and 5).
+/// \brief Shared pull-based CSR sweep kernel behind EaSyIM, OSIM and ASIM
+/// (paper Algorithms 4 and 5, and ASIM, the heuristic EaSyIM refines).
 ///
-/// Both algorithms are the same recurrence with different per-node state:
-/// level i's value of node u is a fold over u's out-edges of level i-1's
-/// values, skipping excluded endpoints. The Policy supplies the state type
-/// and the fold; the engine supplies two execution strategies:
+/// The three algorithms are the same recurrence with different per-node
+/// state: level i's value of node u is a fold over u's out-edges of level
+/// i-1's values, skipping excluded endpoints. The Policy supplies the state
+/// type and the fold; the engine supplies two execution strategies, which
+/// are the scorer API of EasyImScorer, OsimScorer and AsimScorer:
 ///
-///  1. FullSweep — the paper's O(l(m+n)) time / O(n) space oracle path.
+///  1. AssignScores — the paper's O(l(m+n)) time / O(n) space oracle path.
 ///     Two rolling Value buffers; each level is one data-parallel pass
 ///     sharded with ThreadPool::ParallelForBlocks in fixed node blocks.
 ///     Every node writes only its own slot and folds its out-edges in CSR
 ///     order, so the result is bitwise identical for any thread count.
 ///
-///  2. Rescore — incremental re-scoring across ScoreGREEDY rounds. Keeps
+///  2. AssignScoresIncremental — re-scoring across ScoreGREEDY rounds. Keeps
 ///     the full (l+1)-level value table (O(l n) space, a deliberate
 ///     space-for-time trade against the oracle path). Excluding seed set X
 ///     only perturbs nodes within l reverse hops of X: level i must be
 ///     recomputed for dirty_i = X ∪ InNeighbors(X) ∪ InNeighbors(changed at
 ///     level i-1), where "changed" is detected by exact Value comparison.
 ///     Recomputing a node from unchanged inputs replays the identical fold,
-///     so Rescore output is bitwise identical to a full recompute — the
+///     so its output is bitwise identical to a full recompute — the
 ///     equality is exact, not approximate, and is enforced by tests.
 ///
-/// Policy requirements (see EasyImSweepPolicy / OsimSweepPolicy):
+/// Policy requirements (see EasyImSweepPolicy, OsimSweepPolicy and
+/// AsimSweepPolicy):
 ///   using Value = <regular type with operator==>;
 ///   Value Zero() const;                  // state of an excluded node
 ///   Value Init(NodeId u) const;          // level-0 state (excluded-agnostic)
@@ -106,10 +108,12 @@ class ScoreSweepEngine {
 
   uint32_t path_length() const { return l_; }
 
-  /// Full l-level rolling sweep into `scores` (resized to n; excluded nodes
-  /// get -infinity). `pool == nullptr` runs serially.
-  void FullSweep(const EpochSet& excluded, std::vector<double>* scores,
-                 ThreadPool* pool = nullptr) {
+  /// Full l-level rolling sweep into `scores` (resized to n): every node of
+  /// G(V \ excluded) gets its score, excluded nodes get -infinity so they
+  /// are never re-picked. `pool == nullptr` runs serially; a pool shards
+  /// each level in fixed node blocks, bitwise identical for any size.
+  void AssignScores(const EpochSet& excluded, std::vector<double>* scores,
+                    ThreadPool* pool = nullptr) {
     const NodeId n = graph_.num_nodes();
     scores->assign(n, 0.0);
     InitValues(prev_.data(), pool);
@@ -124,13 +128,17 @@ class ScoreSweepEngine {
   }
 
   /// Incremental re-score. Contract: `excluded` must equal the set of the
-  /// previous Rescore call plus exactly the nodes in `*newly`. Pass
-  /// `newly == nullptr` when that does not hold (first call, or the caller
-  /// scored against an unrelated set in between) — the engine then rebuilds
-  /// the level table with a full leveled sweep. Output is bitwise identical
-  /// to FullSweep(excluded, ...) either way.
-  void Rescore(const EpochSet& excluded, const std::vector<NodeId>* newly,
-               std::vector<double>* scores, ThreadPool* pool) {
+  /// previous AssignScoresIncremental call plus exactly the nodes in
+  /// `*newly`. Pass `newly == nullptr` when that does not hold (first call,
+  /// or the caller scored against an unrelated set in between) — the
+  /// engine then rebuilds the level table with a full leveled sweep. Output
+  /// is bitwise identical to AssignScores(excluded, ...) either way. Trades
+  /// the oracle path's O(n) space for O(l n) per-level state, allocated on
+  /// first use. `pool == nullptr` runs serially.
+  void AssignScoresIncremental(const EpochSet& excluded,
+                               const std::vector<NodeId>* newly,
+                               std::vector<double>* scores,
+                               ThreadPool* pool = nullptr) {
     const NodeId n = graph_.num_nodes();
     EnsureLevelState();
     if (newly == nullptr || !levels_valid_) {
@@ -145,9 +153,6 @@ class ScoreSweepEngine {
                          : score_[u];
     }
   }
-
-  /// Forgets the per-level state; the next Rescore does a full rebuild.
-  void InvalidateLevels() { levels_valid_ = false; }
 
   /// Dirty-frontier size (as a fraction of n) above which an incremental
   /// pass abandons frontier bookkeeping: when level i's frontier crosses
@@ -177,6 +182,9 @@ class ScoreSweepEngine {
     return stats_;
   }
 
+  /// Extra working memory beyond the graph and parameters (capacity-based,
+  /// see ScoreSweepStats): the two O(n) rolling buffers, plus the level
+  /// table and frontier scratch once AssignScoresIncremental has been used.
   std::size_t ScratchBytes() const { return stats().ScratchBytes(); }
 
  private:
@@ -230,7 +238,7 @@ class ScoreSweepEngine {
   void EnsureLevelState() {
     if (!levels_.empty()) return;
     const std::size_t n = graph_.num_nodes();
-    levels_.resize(static_cast<std::size_t>(l_ + 1) * n);
+    levels_.resize((static_cast<std::size_t>(l_) + 1) * n);
     score_.resize(n);
     changed_flag_.resize(n, 0);
   }
@@ -249,7 +257,7 @@ class ScoreSweepEngine {
     return s;
   }
 
-  // Leveled rebuild from level `first` on: same values as FullSweep, but
+  // Leveled rebuild from level `first` on: same values as AssignScores, but
   // materializing every level so later calls can rescore incrementally.
   // Levels below `first` must already be exact for `excluded` (the first
   // build and the nullptr path pass 1, which also re-initialises level 0).
@@ -364,7 +372,8 @@ class ScoreSweepEngine {
   // Rolling buffers of the O(n)-space oracle path.
   std::vector<Value> prev_, cur_;
   // Incremental state: (l+1) levels of Values + persistent scores, lazily
-  // allocated on the first Rescore so the oracle path keeps O(n) space.
+  // allocated on the first incremental call so the oracle path keeps O(n)
+  // space.
   std::vector<Value> levels_;
   std::vector<double> score_;
   bool levels_valid_ = false;

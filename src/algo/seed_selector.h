@@ -83,7 +83,7 @@ class SeedSelector {
 
   /// Bytes of state this selector retains between Select calls
   /// (capacity-based, the repo-wide MemoryFootprintBytes convention): the
-  /// scorer scratch of EaSyIM/OSIM. 0 for stateless selectors, and for
+  /// scorer scratch of EaSyIM/OSIM/ASIM. 0 for stateless selectors, and for
   /// sketch-backed hill-climbers, whose worlds the Workspace charges as a
   /// sketch arena. The engine Workspace charges cached selectors against
   /// its budget through this.

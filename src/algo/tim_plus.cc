@@ -85,7 +85,7 @@ double TimPlusSelector::RefineKpt(uint32_t k, double kpt_star, Rng& rng) {
            .ok()) {
     return kpt_star;  // expired: Select degrades from the sticky deadline
   }
-  auto coverage = sample.Snapshot().SelectMaxCoverage(k);
+  auto coverage = sample.SelectMaxCoverage(k);
 
   // Only CoveredFraction (an arena scan) runs on the fresh sample; no index.
   RrCollection fresh(graph_, params_, /*track_widths=*/false,
@@ -155,7 +155,7 @@ Result<SeedSelection> TimPlusSelector::Select(uint32_t k) {
   stats_.rr_memory_bytes = rr.MemoryBytes();
   stats_.rr_index_bytes = rr.IndexMemoryBytes();
   stats_.rr_row_table_bytes = rr.RowTableMemoryBytes();
-  auto coverage = rr.Snapshot().SelectMaxCoverage(k, deadline_);
+  auto coverage = rr.SelectMaxCoverage(k, deadline_);
   selection.seeds = std::move(coverage.seeds);
   if (coverage.deadline_hit) {
     // The committed prefix is valid greedy max-coverage output.

@@ -151,7 +151,7 @@ void DeclareCommonOptions(BenchArgs* args, const CommonOptionsSpec& spec) {
   }
   if (spec.rescore_default != nullptr) {
     args->Declare("rescore",
-                  std::string("EaSyIM/OSIM score path between greedy "
+                  std::string("EaSyIM/OSIM/ASIM score path between greedy "
                               "rounds: incremental | full (default ") +
                       spec.rescore_default + ")");
   }

@@ -82,7 +82,7 @@ void DeclareCommonFlags(BenchArgs* args);
 ///   everywhere; output unchanged) or "sketch" (presampled live-edge
 ///   snapshots, reused across evaluations and — through the engine
 ///   Workspace — across solves).
-/// - `--rescore`: EaSyIM/OSIM score path between greedy rounds,
+/// - `--rescore`: EaSyIM/OSIM/ASIM score path between greedy rounds,
 ///   "incremental" or "full". Seeds are bitwise identical either way. The
 ///   default differs by binary on purpose: figure benches default "full"
 ///   (the paper's O(l(m+n)) recompute is the methodology reproduced),

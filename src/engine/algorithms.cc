@@ -30,7 +30,13 @@ namespace holim {
 
 namespace {
 
-ScoreGreedyOptions MakeScoreGreedyOptions(const SolveContext& ctx) {
+/// The ScoreGREEDY options of the three score-sweep algorithms (easyim,
+/// osim, asim). A sweep needs at least one level, so l == 0 is refused
+/// here as a request error instead of reaching the kernel's CHECK.
+Result<ScoreGreedyOptions> MakeScoreGreedyOptions(const SolveContext& ctx) {
+  if (ctx.request.l == 0) {
+    return Status::InvalidArgument("path length l must be >= 1");
+  }
   ScoreGreedyOptions options;
   options.incremental_rescore = ctx.request.incremental_rescore;
   options.pool = ctx.pool;
@@ -109,9 +115,10 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.models = "IC, WC, LT";
     info.artifacts = "score-sweep scratch + incremental level table";
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
+      HOLIM_ASSIGN_OR_RETURN(ScoreGreedyOptions options,
+                             MakeScoreGreedyOptions(ctx));
       return std::unique_ptr<SeedSelector>(std::make_unique<EasyImSelector>(
-          ctx.graph, *ctx.request.params, ctx.request.l,
-          MakeScoreGreedyOptions(ctx)));
+          ctx.graph, *ctx.request.params, ctx.request.l, options));
     };
     registry.Register(std::move(info));
   }
@@ -122,9 +129,11 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.artifacts = "score-sweep scratch + incremental level table";
     info.needs_opinions = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
+      HOLIM_ASSIGN_OR_RETURN(ScoreGreedyOptions options,
+                             MakeScoreGreedyOptions(ctx));
       return std::unique_ptr<SeedSelector>(std::make_unique<OsimSelector>(
           ctx.graph, *ctx.request.params, *ctx.request.opinions,
-          ctx.request.oi_base, ctx.request.l, MakeScoreGreedyOptions(ctx)));
+          ctx.request.oi_base, ctx.request.l, options));
     };
     registry.Register(std::move(info));
   }
@@ -258,12 +267,14 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     AlgorithmInfo info;
     info.name = "asim";
     info.models = "IC, WC, LT (probability-blind)";
-    info.artifacts = "none";
+    info.artifacts = "score-sweep scratch + incremental level table";
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
+      HOLIM_ASSIGN_OR_RETURN(ScoreGreedyOptions greedy,
+                             MakeScoreGreedyOptions(ctx));
       AsimOptions options;
       options.l = ctx.request.l;
       return std::unique_ptr<SeedSelector>(std::make_unique<AsimSelector>(
-          ctx.graph, *ctx.request.params, options));
+          ctx.graph, *ctx.request.params, options, greedy));
     };
     registry.Register(std::move(info));
   }

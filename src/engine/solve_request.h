@@ -164,9 +164,9 @@ struct SolveRequest {
   /// `num_sketches` equals R.
   uint32_t num_snapshots = 100;
 
-  /// EaSyIM/OSIM: dirty-frontier incremental rescore between greedy rounds
-  /// instead of the paper's full O(l(m+n)) recompute. Seeds are bitwise
-  /// identical either way.
+  /// EaSyIM/OSIM/ASIM: dirty-frontier incremental rescore between greedy
+  /// rounds instead of the paper's full O(l(m+n)) recompute. Seeds are
+  /// bitwise identical either way.
   bool incremental_rescore = false;
   /// Worker threads for the sharded kernels (0 = serial). Every parallel
   /// path in the repo is bitwise thread-count-invariant, so this never

@@ -2,11 +2,11 @@
 //
 // Every call rebuilds a transient inverted index (node -> ids of the sets
 // containing it) over the whole collection, then runs CELF lazy greedy
-// with the tie rule of CoverageSnapshot::SelectMaxCoverage: the larger
-// gain first, then the smaller node id. It reads the collection through
+// with the tie rule of RrCollection::SelectMaxCoverage: the larger gain
+// first, then the smaller node id. It reads the collection through
 // num_sets() and set(i) alone, so agreement pins the persistent
-// incremental index (segments, compaction, snapshot bounds) against an
-// index that has no history. bench_micro_rr_engine times it as the
+// incremental index (segments and their compaction) against an index that
+// has no history. bench_micro_rr_engine times it as the
 // rebuild leg of its incremental_select section.
 
 #ifndef HOLIM_TESTS_COVERAGE_REFERENCE_H_

@@ -76,7 +76,7 @@ class DeadlineSolveTest : public ::testing::Test {
 // else — and re-running the same budget reproduces it bitwise. The first
 // budget that completes is pinned too, so moving a checkpoint cannot
 // silently shift where a solve starts to degrade. The hill climbers
-// (greedy, the LazyGreedy users, EaSyIM) spend one tick before their
+// (greedy, the LazyGreedy users, EaSyIM, ASIM) spend one tick before their
 // first round and one per later round, so k = 4 completes at 5; the
 // sketch cases add the arena build's ticks (one per 4 worlds and lane
 // group). static-greedy builds its R = num_snapshots = 100 worlds in two
@@ -95,6 +95,7 @@ TEST_F(DeadlineSolveTest, WorkBudgetDegradesToExactPrefixPerAlgorithm) {
       {"celf", SpreadOracle::kSketch, 13},
       {"celf++", SpreadOracle::kSketch, 13},
       {"easyim", SpreadOracle::kMonteCarlo, 5},
+      {"asim", SpreadOracle::kMonteCarlo, 5},
       {"static-greedy", SpreadOracle::kMonteCarlo, 30},
       {"tim+", SpreadOracle::kMonteCarlo, 101},
       {"imm", SpreadOracle::kMonteCarlo, 50},

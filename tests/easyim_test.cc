@@ -132,7 +132,7 @@ TEST(EasyImTest, ParallelScoresBitwiseIdenticalToSerial) {
   std::vector<double> serial_scores, parallel_scores;
   serial.AssignScores(excluded, &serial_scores);
   ThreadPool pool(4);
-  parallel.AssignScoresParallel(excluded, &parallel_scores, pool);
+  parallel.AssignScores(excluded, &parallel_scores, &pool);
   ASSERT_EQ(serial_scores.size(), parallel_scores.size());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_EQ(serial_scores[u], parallel_scores[u]) << "node " << u;

@@ -274,6 +274,17 @@ TEST_F(EngineTest, InvalidRequestsFailWithInvalidArgument) {
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
 
+  // A sweep needs at least one level: l == 0 is a typed error for the
+  // three score-sweep algorithms, never the kernel's CHECK.
+  for (const char* sweep : {"easyim", "osim", "asim"}) {
+    SolveRequest zero_l = BaseRequest(sweep, 0);
+    zero_l.opinions = &opinions_;
+    zero_l.l = 0;
+    auto r = engine.Solve(zero_l);
+    ASSERT_FALSE(r.ok()) << sweep;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sweep;
+  }
+
   SolveRequest zero_k = BaseRequest("degree", 0);
   zero_k.k = 0;
   EXPECT_FALSE(engine.Solve(zero_k).ok());

@@ -22,7 +22,8 @@ namespace {
 // ---------------------------------------------------------------- ASIM --
 
 TEST(AsimTest, MatchesEasyImWhenProbabilitiesEqualDamping) {
-  // ASIM with damping d == EaSyIM under uniform IC probability d.
+  // ASIM with damping d == EaSyIM under uniform IC probability d: the
+  // same sweep kernel folding the same products, so bit for bit.
   Graph g = GenerateBarabasiAlbert(300, 3, 1).ValueOrDie();
   auto params = MakeUniformIc(g, 0.1);
   AsimOptions options;
@@ -33,10 +34,10 @@ TEST(AsimTest, MatchesEasyImWhenProbabilitiesEqualDamping) {
   EpochSet excluded(g.num_nodes());
   excluded.Reset(g.num_nodes());
   std::vector<double> asim_scores, easy_scores;
-  asim.AssignScores(excluded, &asim_scores);
+  asim.scorer().AssignScores(excluded, &asim_scores);
   easy.AssignScores(excluded, &easy_scores);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_NEAR(asim_scores[u], easy_scores[u], 1e-9) << "node " << u;
+    EXPECT_EQ(asim_scores[u], easy_scores[u]) << "node " << u;
   }
 }
 
@@ -65,7 +66,7 @@ TEST(AsimTest, ProbabilityBlindUnlikeEasyIm) {
   EpochSet excluded(g.num_nodes());
   excluded.Reset(g.num_nodes());
   std::vector<double> asim_scores, easy_scores;
-  asim.AssignScores(excluded, &asim_scores);
+  asim.scorer().AssignScores(excluded, &asim_scores);
   easy.AssignScores(excluded, &easy_scores);
   // ASIM: 3 * 0.5 = 1.5; EaSyIM: 3 * (1/3) = 1.0.
   EXPECT_NEAR(asim_scores[0], 1.5, 1e-12);
@@ -79,6 +80,27 @@ TEST(AsimTest, SelectsValidSeeds) {
   auto selection = asim.Select(10).ValueOrDie();
   EXPECT_EQ(selection.seeds.size(), 10u);
   EXPECT_EQ(asim.name(), "ASIM(l=3)");
+}
+
+TEST(AsimTest, CachedSelectorChargesItsSweepScratch) {
+  // The Workspace charges a cached selector its MemoryFootprintBytes(); for
+  // ASIM that is the sweep scorer's scratch (two n-double rolling buffers
+  // on the full-rescore path).
+  Graph g = GenerateBarabasiAlbert(200, 3, 2).ValueOrDie();
+  auto params = MakeUniformIc(g, 0.1);
+  AsimSelector asim(g, params);
+  ASSERT_TRUE(asim.Select(5).ok());
+  EXPECT_GT(asim.MemoryFootprintBytes(), 0u);
+  EXPECT_EQ(asim.MemoryFootprintBytes(), asim.scorer().ScratchBytes());
+
+  SolveRequest request;
+  request.algorithm = "asim";
+  request.k = 5;
+  request.params = &params;
+  HolimEngine engine(g);
+  auto result = engine.Solve(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->workspace_bytes, asim.MemoryFootprintBytes());
 }
 
 // -------------------------------------------------------- StaticGreedy --
@@ -285,7 +307,7 @@ TEST(OsimParallelTest, BitwiseIdenticalToSerial) {
   std::vector<double> serial_scores, parallel_scores;
   serial.AssignScores(excluded, &serial_scores);
   ThreadPool pool(4);
-  parallel.AssignScoresParallel(excluded, &parallel_scores, pool);
+  parallel.AssignScores(excluded, &parallel_scores, &pool);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_EQ(serial_scores[u], parallel_scores[u]) << "node " << u;
   }

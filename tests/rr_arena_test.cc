@@ -270,14 +270,14 @@ TEST(RrArenaTest, IncrementalSelectMatchesFromScratchRebuild) {
     ThreadPool pool(threads);
     RrCollection rr(g, params);
     rr.GenerateParallel(800, 91, &pool);
-    auto incremental1 = rr.Snapshot().SelectMaxCoverage(6);
+    auto incremental1 = rr.SelectMaxCoverage(6);
     auto rebuild1 = SelectMaxCoverageRebuild(rr, g.num_nodes(), 6);
     EXPECT_EQ(incremental1.seeds, rebuild1.seeds) << threads << " threads";
     EXPECT_DOUBLE_EQ(incremental1.covered_fraction,
                      rebuild1.covered_fraction);
 
     rr.GenerateParallel(700, 92, &pool);
-    auto incremental2 = rr.Snapshot().SelectMaxCoverage(6);
+    auto incremental2 = rr.SelectMaxCoverage(6);
     auto rebuild2 = SelectMaxCoverageRebuild(rr, g.num_nodes(), 6);
     EXPECT_EQ(incremental2.seeds, rebuild2.seeds) << threads << " threads";
     EXPECT_DOUBLE_EQ(incremental2.covered_fraction,
@@ -293,27 +293,6 @@ TEST(RrArenaTest, IncrementalSelectMatchesFromScratchRebuild) {
     EXPECT_DOUBLE_EQ(incremental2.covered_fraction,
                      from_scratch.covered_fraction);
   }
-}
-
-TEST(RrArenaTest, SnapshotPinsPrefixAcrossAppends) {
-  // A snapshot taken before an append keeps viewing exactly the sets that
-  // existed at creation time (appends never invalidate, Clear does).
-  Graph g = GenerateErdosRenyi(200, 4.0, 27).ValueOrDie();
-  auto params = MakeUniformIc(g, 0.15);
-  ThreadPool pool(4);
-  RrCollection rr(g, params);
-  rr.GenerateParallel(500, 93, &pool);
-  auto snapshot = rr.Snapshot();
-  ASSERT_EQ(snapshot.num_sets(), 500u);
-  rr.GenerateParallel(500, 94, &pool);
-  ASSERT_TRUE(snapshot.valid());
-  auto pinned = snapshot.SelectMaxCoverage(5);
-
-  RrCollection prefix_only(g, params);
-  prefix_only.GenerateParallel(500, 93, &pool);
-  auto expected = prefix_only.Snapshot().SelectMaxCoverage(5);
-  EXPECT_EQ(pinned.seeds, expected.seeds);
-  EXPECT_DOUBLE_EQ(pinned.covered_fraction, expected.covered_fraction);
 }
 
 TEST(RrArenaTest, ManyTinyAppendsCompactSegmentsAndStayCorrect) {
@@ -335,17 +314,6 @@ TEST(RrArenaTest, ManyTinyAppendsCompactSegmentsAndStayCorrect) {
                        rebuild.covered_fraction);
     }
   }
-}
-
-TEST(RrArenaDeathTest, StaleSnapshotAfterClearAborts) {
-  Graph g = GenerateErdosRenyi(80, 3.0, 29).ValueOrDie();
-  auto params = MakeUniformIc(g, 0.1);
-  RrCollection rr(g, params);
-  rr.GenerateParallel(100, 96, nullptr);
-  auto snapshot = rr.Snapshot();
-  rr.Clear();
-  EXPECT_FALSE(snapshot.valid());
-  EXPECT_DEATH(snapshot.SelectMaxCoverage(1), "stale CoverageSnapshot");
 }
 
 TEST(RrArenaTest, ArenaMemoryBelowNestedVectorBaseline) {

@@ -1,7 +1,8 @@
-// Coverage for the shared score-sweep kernel (algo/score_sweep.h): bitwise
-// thread-count determinism of the parallel sweeps, exact equivalence of the
-// dirty-frontier incremental rescore against the full-recompute oracle, and
-// the lazy O(l n) memory contract.
+// Coverage for the shared score-sweep kernel (algo/score_sweep.h) under its
+// three policies (EaSyIM, OSIM, ASIM): bitwise thread-count determinism of
+// the parallel sweeps, exact equivalence of the dirty-frontier incremental
+// rescore against the full-recompute oracle, and the lazy O(l n) memory
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/asim.h"
 #include "algo/easyim.h"
 #include "algo/osim.h"
 #include "algo/score_greedy.h"
@@ -47,18 +49,19 @@ TEST(ParallelForBlocksTest, FixedPartitionIndependentOfThreadCount) {
   }
 }
 
-TEST(ScoreSweepTest, EasyImBitwiseDeterministicAcrossThreadCounts) {
-  Graph g = GenerateBarabasiAlbert(3000, 4, 21).ValueOrDie();
-  auto params = MakeWeightedCascade(g);
-  EpochSet excluded = MakeExcluded(g.num_nodes(), {7, 42, 1000});
-  EasyImScorer serial(g, params, 4);
+// A scorer's sharded sweep at 1, 2 and 8 threads must equal its serial
+// sweep bit for bit. `make` builds a fresh scorer per thread count.
+template <typename MakeScorer>
+void CheckDeterministicAcrossThreadCounts(const Graph& g,
+                                          const EpochSet& excluded,
+                                          const MakeScorer& make) {
   std::vector<double> reference;
-  serial.AssignScores(excluded, &reference);
+  make().AssignScores(excluded, &reference);
   for (std::size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    EasyImScorer scorer(g, params, 4);
+    auto scorer = make();
     std::vector<double> scores;
-    scorer.AssignScoresParallel(excluded, &scores, pool);
+    scorer.AssignScores(excluded, &scores, &pool);
     ASSERT_EQ(scores.size(), reference.size());
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       EXPECT_EQ(scores[u], reference[u]) << "node " << u << " threads "
@@ -67,25 +70,30 @@ TEST(ScoreSweepTest, EasyImBitwiseDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(ScoreSweepTest, EasyImBitwiseDeterministicAcrossThreadCounts) {
+  Graph g = GenerateBarabasiAlbert(3000, 4, 21).ValueOrDie();
+  auto params = MakeWeightedCascade(g);
+  EpochSet excluded = MakeExcluded(g.num_nodes(), {7, 42, 1000});
+  CheckDeterministicAcrossThreadCounts(
+      g, excluded, [&] { return EasyImScorer(g, params, 4); });
+}
+
 TEST(ScoreSweepTest, OsimBitwiseDeterministicAcrossThreadCounts) {
   Graph g = GenerateBarabasiAlbert(3000, 4, 22).ValueOrDie();
   auto influence = MakeUniformIc(g, 0.1);
   auto opinions = MakeRandomOpinions(g, OpinionDistribution::kStandardNormal, 9);
   EpochSet excluded = MakeExcluded(g.num_nodes(), {0, 99, 2500});
-  OsimScorer serial(g, influence, opinions, 4);
-  std::vector<double> reference;
-  serial.AssignScores(excluded, &reference);
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    OsimScorer scorer(g, influence, opinions, 4);
-    std::vector<double> scores;
-    scorer.AssignScoresParallel(excluded, &scores, pool);
-    ASSERT_EQ(scores.size(), reference.size());
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      EXPECT_EQ(scores[u], reference[u]) << "node " << u << " threads "
-                                         << threads;
-    }
-  }
+  CheckDeterministicAcrossThreadCounts(
+      g, excluded, [&] { return OsimScorer(g, influence, opinions, 4); });
+}
+
+TEST(ScoreSweepTest, AsimBitwiseDeterministicAcrossThreadCounts) {
+  Graph g = GenerateBarabasiAlbert(3000, 4, 21).ValueOrDie();
+  EpochSet excluded = MakeExcluded(g.num_nodes(), {7, 42, 1000});
+  AsimOptions options;
+  options.l = 4;
+  CheckDeterministicAcrossThreadCounts(
+      g, excluded, [&] { return AsimScorer(g, options); });
 }
 
 // Grows an exclusion set node by node; after every step the incremental
@@ -143,6 +151,21 @@ TEST(ScoreSweepTest, OsimIncrementalMatchesFullRecomputeOi) {
     OsimScorer inc(g, influence, opinions, 3),
         oracle(g, influence, opinions, 3);
     CheckIncrementalMatchesFull(g, inc, oracle, picks, &pool);
+  }
+}
+
+TEST(ScoreSweepTest, AsimIncrementalMatchesFullRecompute) {
+  const Graph ba = GenerateBarabasiAlbert(1200, 4, 23).ValueOrDie();
+  const Graph er = GenerateErdosRenyi(1200, 4.0, 23).ValueOrDie();
+  const std::vector<NodeId> picks = {0, 1, 5, 17, 100, 600, 1199};
+  ThreadPool pool(4);
+  for (const Graph* g : {&ba, &er}) {
+    for (double damping : {0.1, 0.5}) {
+      AsimOptions options;
+      options.damping = damping;
+      AsimScorer inc(*g, options), oracle(*g, options);
+      CheckIncrementalMatchesFull(*g, inc, oracle, picks, &pool);
+    }
   }
 }
 
@@ -213,6 +236,17 @@ TEST(ScoreSweepTest, OsimGreedyRunEquivalentOi) {
             g, influence, opinions, OiBase::kIndependentCascade, 3, options);
       },
       12);
+}
+
+TEST(ScoreSweepTest, AsimGreedyRunEquivalent) {
+  Graph g = GenerateBarabasiAlbert(500, 3, 26).ValueOrDie();
+  auto params = MakeWeightedCascade(g);
+  CheckGreedyEquivalence(
+      [&](const ScoreGreedyOptions& options) {
+        return std::make_unique<AsimSelector>(g, params, AsimOptions{},
+                                              options);
+      },
+      15);
 }
 
 TEST(ScoreSweepTest, GreedyEquivalentThroughSaturationFallback) {

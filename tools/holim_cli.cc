@@ -75,6 +75,13 @@ Status Run(const BenchArgs& args) {
         "--mc must be a non-negative simulation count, got: " +
         std::to_string(simulations));
   }
+  const int64_t path_length = args.GetInt("l", 3);
+  if (path_length < 1 ||
+      path_length > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "--l must be a path length in [1, 2^32 - 1], got: " +
+        std::to_string(path_length));
+  }
   const CommonOptionsSpec spec{/*oracle=*/true,
                                /*rescore_default=*/"incremental",
                                /*threads=*/true, /*query=*/true};
@@ -166,7 +173,7 @@ Status Run(const BenchArgs& args) {
   request.oi_base = model_name == "LT" ? OiBase::kLinearThreshold
                                        : OiBase::kIndependentCascade;
   request.lambda = lambda;
-  request.l = static_cast<uint32_t>(args.GetInt("l", 3));
+  request.l = static_cast<uint32_t>(path_length);
   request.epsilon = args.GetDouble("epsilon", 0.1);
   request.max_theta =
       static_cast<std::size_t>(args.GetInt("max_theta", 2'000'000));
