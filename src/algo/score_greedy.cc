@@ -79,19 +79,21 @@ void ScoreGreedy::GrowActivatedSet(NodeId new_seed) {
     case ActivationStrategy::kMonteCarloMajority: {
       HOLIM_CHECK(simulate_fn_ != nullptr)
           << "kMonteCarloMajority requires set_simulate_fn";
-      std::vector<uint32_t> hits(graph_.num_nodes(), 0);
-      std::vector<NodeId> activated_this_run;
-      std::vector<NodeId> candidates;
+      // hits_ is all zeros between rounds: each round re-zeroes exactly
+      // the candidates it counted, instead of allocating n counters.
+      if (hits_.empty()) hits_.assign(graph_.num_nodes(), 0);
+      candidates_.clear();
       for (uint32_t r = 0; r < options_.mc_rounds; ++r) {
-        activated_this_run.clear();
-        simulate_fn_(new_seed, activated_, rng_, &activated_this_run);
-        for (NodeId v : activated_this_run) {
-          if (hits[v]++ == 0) candidates.push_back(v);
+        activated_this_run_.clear();
+        simulate_fn_(new_seed, activated_, rng_, &activated_this_run_);
+        for (NodeId v : activated_this_run_) {
+          if (hits_[v]++ == 0) candidates_.push_back(v);
         }
       }
       const double need = options_.majority_fraction * options_.mc_rounds;
-      for (NodeId v : candidates) {
-        if (static_cast<double>(hits[v]) >= need) InsertActivated(v);
+      for (NodeId v : candidates_) {
+        if (static_cast<double>(hits_[v]) >= need) InsertActivated(v);
+        hits_[v] = 0;
       }
       InsertActivated(new_seed);
       return;

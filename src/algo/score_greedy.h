@@ -118,6 +118,12 @@ class ScoreGreedy {
   EpochSet activated_;
   /// Nodes inserted into activated_ since the last main scoring call.
   std::vector<NodeId> newly_activated_;
+  /// MC-majority scratch, kept across rounds: per-node activation counts
+  /// (all zero between rounds), the nodes counted this round, and one
+  /// simulation's activations.
+  std::vector<uint32_t> hits_;
+  std::vector<NodeId> candidates_;
+  std::vector<NodeId> activated_this_run_;
   Rng rng_;
 };
 

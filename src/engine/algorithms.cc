@@ -6,6 +6,7 @@
 //
 // NOTE for tools/check_docs.py: registrations follow the fixed
 //   info.name = "<canonical>";  info.aliases = {"<alias>", ...};
+//   info.prefix_nested = true;
 // shape — the docs gate greps these to keep README's registry table in
 // sync. Keep the shape when adding algorithms.
 
@@ -114,6 +115,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "easyim";
     info.models = "IC, WC, LT";
     info.artifacts = "score-sweep scratch + incremental level table";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       HOLIM_ASSIGN_OR_RETURN(ScoreGreedyOptions options,
                              MakeScoreGreedyOptions(ctx));
@@ -127,6 +129,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "osim";
     info.models = "OI over IC or LT base";
     info.artifacts = "score-sweep scratch + incremental level table";
+    info.prefix_nested = true;
     info.needs_opinions = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       HOLIM_ASSIGN_OR_RETURN(ScoreGreedyOptions options,
@@ -142,6 +145,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "greedy";
     info.models = "IC, WC, LT (+ opinion objective)";
     info.artifacts = "sketch-oracle arena (oracle=sketch)";
+    info.prefix_nested = true;
     info.supported_queries = kHillClimbQueries;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       HOLIM_ASSIGN_OR_RETURN(std::shared_ptr<McObjective> objective,
@@ -156,6 +160,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "celf";
     info.models = "IC, WC, LT (+ opinion objective)";
     info.artifacts = "sketch-oracle arena (oracle=sketch)";
+    info.prefix_nested = true;
     info.supported_queries = kHillClimbQueries;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       HOLIM_ASSIGN_OR_RETURN(std::shared_ptr<McObjective> objective,
@@ -171,6 +176,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.aliases = {"celfpp"};
     info.models = "IC, WC, LT (+ opinion objective)";
     info.artifacts = "sketch-oracle arena (oracle=sketch)";
+    info.prefix_nested = true;
     info.supported_queries = kHillClimbQueries;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       HOLIM_ASSIGN_OR_RETURN(std::shared_ptr<McObjective> objective,
@@ -216,6 +222,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "irie";
     info.models = "IC, WC";
     info.artifacts = "none";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       return std::unique_ptr<SeedSelector>(
           std::make_unique<IrieSelector>(ctx.graph, *ctx.request.params));
@@ -227,6 +234,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "simpath";
     info.models = "LT";
     info.artifacts = "none";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       return std::unique_ptr<SeedSelector>(
           std::make_unique<SimpathSelector>(ctx.graph, *ctx.request.params));
@@ -250,6 +258,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.aliases = {"staticgreedy"};
     info.models = "IC, WC, LT";
     info.artifacts = "sketch-oracle arena (R = num_snapshots)";
+    info.prefix_nested = true;
     info.supported_queries = kHillClimbQueries;
     // Cheng et al.'s StaticGreedy is lazy greedy over R frozen live-edge
     // worlds: plain CELF on the sketch session.
@@ -268,6 +277,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "asim";
     info.models = "IC, WC, LT (probability-blind)";
     info.artifacts = "score-sweep scratch + incremental level table";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       HOLIM_ASSIGN_OR_RETURN(ScoreGreedyOptions greedy,
                              MakeScoreGreedyOptions(ctx));
@@ -284,6 +294,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.aliases = {"pathunion"};
     info.models = "IC, WC, LT (dense; n <= 4096)";
     info.artifacts = "none";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       return std::unique_ptr<SeedSelector>(
           std::make_unique<PathUnionSelector>(ctx.graph, *ctx.request.params,
@@ -307,6 +318,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "singlediscount";
     info.models = "model-free";
     info.artifacts = "none";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       return std::unique_ptr<SeedSelector>(
           std::make_unique<SingleDiscountSelector>(ctx.graph));
@@ -318,6 +330,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "degreediscount";
     info.models = "IC (uniform p)";
     info.artifacts = "none";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       return std::unique_ptr<SeedSelector>(
           std::make_unique<DegreeDiscountSelector>(ctx.graph,
@@ -341,6 +354,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "random";
     info.models = "model-free";
     info.artifacts = "none";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       return std::unique_ptr<SeedSelector>(
           std::make_unique<RandomSelector>(ctx.graph, ctx.request.seed));

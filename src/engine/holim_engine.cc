@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -419,8 +420,22 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   }
   result.artifact_seconds = artifact_timer.ElapsedSeconds();
 
+  // The prefix answer memo: an unbounded top-k solve of a prefix-nested
+  // algorithm answers from the cached selector's longest run when it
+  // covers k. Everything above ran as it would for a re-Select, so the
+  // Workspace (ticks, heat, hit counts) cannot tell the two apart.
+  // Bounded solves keep to the selector: their tier must stay a function
+  // of the deadline alone.
+  PrefixMemo* memo = nullptr;
+  if (!bounded && request.query == QueryKind::kTopK && info->prefix_nested) {
+    memo = workspace_.SelectorMemo(selector_key);
+  }
+  result.warm_answer = memo != nullptr && memo->Covers(request.k);
+
   SeedSelection selection;
-  if (!factory_stop.ok()) {
+  if (result.warm_answer) {
+    selection = memo->Prefix(request.k);
+  } else if (!factory_stop.ok()) {
     // Artifact build died on the deadline: synthesize an empty degraded
     // selection so the tier ladder below takes over.
     selection.degraded = true;
@@ -438,6 +453,7 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
         selection, selector->SelectBudgeted(request.k, costs, request.budget));
   } else {
     HOLIM_ASSIGN_OR_RETURN(selection, selector->Select(request.k));
+    if (memo != nullptr) memo->Record(request.k, selection);
   }
   result.seeds = std::move(selection.seeds);
   result.seed_scores = std::move(selection.seed_scores);
@@ -445,7 +461,7 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   result.select_seconds = selection.elapsed_seconds;
   result.overhead_bytes = selection.overhead_bytes;
   result.scratch_bytes = selection.scratch_bytes;
-  if (selector != nullptr) {
+  if (selector != nullptr && !result.warm_answer) {
     result.stats = selector->LastRunStats();
     result.SortStats();
   }
@@ -490,7 +506,13 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   // Degraded solves skip the spread evaluation: the time budget is spent,
   // and an evaluation pass can cost as much as the selection it follows.
   // result.spread stays 0 (callers can issue a kEvaluate query later).
-  if (request.evaluate_spread && !result.degraded) {
+  // With a memo, `seeds` is the memo run's prefix of its own length, and
+  // that length keys the prefix's stored spread.
+  const std::optional<double> memo_spread =
+      memo != nullptr ? memo->SpreadOf(result.seeds.size()) : std::nullopt;
+  if (request.evaluate_spread && memo_spread.has_value()) {
+    result.spread = *memo_spread;
+  } else if (request.evaluate_spread && !result.degraded) {
     Timer spread_timer;
     if (eval_sketch != nullptr) {
       result.spread = eval_sketch->Estimate(result.seeds);
@@ -506,6 +528,7 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
                                      mc);
     }
     result.spread_seconds = spread_timer.ElapsedSeconds();
+    if (memo != nullptr) memo->StoreSpread(result.seeds.size(), result.spread);
   }
 
   workspace_.EnforceBudget(pre_solve_tick);

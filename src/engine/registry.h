@@ -77,6 +77,14 @@ struct AlgorithmInfo {
   /// cost/weight-aware selectors (greedy, celf, celf++) additionally set
   /// kBudgeted and kTargeted.
   uint32_t supported_queries = kBaseQueries;
+  /// Select(k) returns the first k seeds and seed scores of Select(K) for
+  /// every k <= K, bit for bit: the selector picks one seed per round and
+  /// no round reads k. HolimEngine then answers a top-k solve from the
+  /// cached selector's prefix memo (see PrefixMemo) when it has already run
+  /// a K >= k. Leave it unset when k steers the run: TIM+'s and IMM's
+  /// sample size θ depends on k, IMRank stops once its top-k set is stable,
+  /// and degree and PageRank order tied scores by a k-sized partial sort.
+  bool prefix_nested = false;
   /// Builds a fresh selector for the request. Must be deterministic in the
   /// request: the parity contract (engine solve == direct selector call,
   /// warm == cold) holds because this is the only construction path.

@@ -255,6 +255,13 @@ struct SolveResult {
   /// Workspace instead of built for this solve.
   bool warm_selector = false;
   bool warm_sketch = false;
+  /// True when the answer came from the cached selector's prefix memo
+  /// instead of a Select run (see PrefixMemo): `seeds`, `seed_scores`,
+  /// `spread`, `algorithm` and `tier` are those of a cold solve, while
+  /// `stats` is empty and `select_seconds`, `overhead_bytes` and
+  /// `scratch_bytes` are 0, since nothing was selected. `spread_seconds`
+  /// is 0 too once an earlier solve has evaluated the same prefix.
+  bool warm_answer = false;
   /// Snapshot-arena bytes of the sketch oracle used (0 under the MC
   /// oracle). Capacity-based, the repo-wide accounting convention.
   std::size_t sketch_arena_bytes = 0;

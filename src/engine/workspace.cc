@@ -50,6 +50,38 @@ std::string SketchOracleKey(uint64_t params_fingerprint, uint32_t snapshots,
   return key;
 }
 
+SeedSelection PrefixMemo::Prefix(uint32_t want) const {
+  SeedSelection selection;
+  const std::size_t length = std::min<std::size_t>(want, seeds.size());
+  selection.seeds.assign(seeds.begin(), seeds.begin() + length);
+  selection.seed_scores.assign(
+      seed_scores.begin(),
+      seed_scores.begin() + std::min(length, seed_scores.size()));
+  return selection;
+}
+
+void PrefixMemo::Record(uint32_t run_k, const SeedSelection& selection) {
+  // Spreads of the prefixes both runs share carry over; a prefix-nested
+  // selector shares all of the old run, and a broken one keeps none past
+  // its first disagreement.
+  const std::size_t shared = static_cast<std::size_t>(
+      std::mismatch(seeds.begin(), seeds.end(), selection.seeds.begin(),
+                    selection.seeds.end())
+          .first -
+      seeds.begin());
+  k = run_k;
+  seeds = selection.seeds;
+  seed_scores = selection.seed_scores;
+  spreads.resize(shared);
+  spreads.resize(seeds.size());
+}
+
+std::size_t PrefixMemo::Bytes() const {
+  return seeds.capacity() * sizeof(NodeId) +
+         seed_scores.capacity() * sizeof(double) +
+         spreads.capacity() * sizeof(std::optional<double>);
+}
+
 Workspace::Entry* Workspace::Touch(const std::string& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
@@ -158,6 +190,12 @@ Result<SeedSelector*> Workspace::GetSelector(
 SeedSelector* Workspace::PeekSelector(const std::string& key) {
   Entry* entry = Touch(key);
   return entry ? entry->selector.get() : nullptr;
+}
+
+PrefixMemo* Workspace::SelectorMemo(const std::string& key) {
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.selector == nullptr) return nullptr;
+  return &it->second.memo;
 }
 
 bool Workspace::Evict(const std::string& key) {

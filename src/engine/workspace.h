@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,45 @@
 #include "util/status.h"
 
 namespace holim {
+
+/// \brief The prefix answer memo of one cached selector whose algorithm is
+/// prefix-nested (AlgorithmInfo::prefix_nested): Select(k) is the first k
+/// rounds of Select(K), so the longest full-tier top-k run the selector has
+/// made answers every k <= K without selecting again.
+///
+/// It holds that run's seeds and per-round scores plus the spread of each
+/// prefix a solve has evaluated so far — O(K) <= O(n) per selector. A
+/// larger k replaces the run; the stored spreads stay, because the
+/// prefixes they measure are the same.
+struct PrefixMemo {
+  /// The k the memoized run was asked for (0 = empty). A run may stop
+  /// short of it (a selector that runs out of candidates); every k in
+  /// (seeds.size(), k] then answers all of `seeds`, as a cold run would.
+  uint32_t k = 0;
+  std::vector<NodeId> seeds;
+  std::vector<double> seed_scores;
+  /// spreads[j - 1]: the evaluated spread of the first j seeds.
+  std::vector<std::optional<double>> spreads;
+
+  /// The memo answers `want` without a Select run.
+  bool Covers(uint32_t want) const { return want <= k; }
+  /// The first `want` seeds and scores of the run, as Select(want) returns
+  /// them (no timings, no scratch). Requires Covers(want).
+  SeedSelection Prefix(uint32_t want) const;
+  /// Replaces the run with a full-tier Select(`run_k`), keeping the
+  /// spreads of every prefix the old and new runs share.
+  void Record(uint32_t run_k, const SeedSelection& selection);
+  /// The stored spread of the first `length` seeds (length <=
+  /// seeds.size()), if a solve has evaluated it.
+  std::optional<double> SpreadOf(std::size_t length) const {
+    return length == 0 ? std::nullopt : spreads[length - 1];
+  }
+  void StoreSpread(std::size_t length, double spread) {
+    if (length != 0) spreads[length - 1] = spread;
+  }
+  /// Capacity-based bytes, charged to the selector's Workspace entry.
+  std::size_t Bytes() const;
+};
 
 /// \brief Parameter-keyed cache of the expensive solve artifacts — sketch
 /// oracle arenas (the worlds of every sketch objective, StaticGreedy's
@@ -36,7 +76,10 @@ namespace holim {
 /// pure function of its key (the RNG-sharding contracts of the RR engine,
 /// the sketch oracle, and the sweep kernel) and every cached selector's
 /// re-Select is deterministic (SeedSelector contract) — or it misses and
-/// a fresh artifact is built. There is no partial/approximate reuse.
+/// a fresh artifact is built. There is no approximate reuse. The one
+/// partial reuse is exact: a cached prefix-nested selector's PrefixMemo
+/// answers any k its longest run covers, because that answer is the first
+/// k rounds of the run, bit for bit.
 ///
 /// Once the engine applies a graph delta, keys additionally carry the
 /// engine's graph token — "(base fingerprint, delta epoch)" — because the
@@ -58,7 +101,9 @@ namespace holim {
 /// ## Budget & eviction
 ///
 /// Each artifact is charged its capacity-based footprint (SketchOracle::
-/// ArenaBytes, SeedSelector::MemoryFootprintBytes). When a byte budget is
+/// ArenaBytes; SeedSelector::MemoryFootprintBytes plus the selector's
+/// PrefixMemo::Bytes, so a memo lives and dies with its selector's entry:
+/// eviction, Clear and ApplyGraphDelta drop both). When a byte budget is
 /// set, artifacts are evicted until the total fits; HolimEngine enforces
 /// the budget *between* solves AND right after ApplyDelta re-keying (a
 /// patched arena can grow past the budget mid-epoch), so artifacts pinned
@@ -135,6 +180,12 @@ class Workspace {
   /// (a degraded run may leave algorithm-internal state mid-round, which
   /// must never be reused).
   SeedSelector* PeekSelector(const std::string& key);
+
+  /// The prefix answer memo of the selector cached under `key`, or nullptr
+  /// when none is. Neither a touch nor a hit/miss count: a solve answered
+  /// from the memo must leave the cache exactly as a re-Select would. The
+  /// pointer is valid until the entry is evicted or cleared.
+  PrefixMemo* SelectorMemo(const std::string& key);
 
   /// Drops the artifact under `key` (counted as an eviction). Returns
   /// whether it existed. Used to retire a cached selector after a
@@ -231,6 +282,8 @@ class Workspace {
     // GetSketchOracle still hands out const views.
     std::shared_ptr<SketchOracle> sketch;
     std::unique_ptr<SeedSelector> selector;
+    // The selector's answers (empty unless its algorithm is prefix-nested).
+    PrefixMemo memo;
     uint64_t last_used = 0;
     // kHeatBenefit state: decayed hit counter (heat as of heat_tick) and
     // the deterministic rebuild-cost estimate set at build time.
@@ -245,7 +298,7 @@ class Workspace {
 
     std::size_t FootprintBytes() const {
       if (sketch) return sketch->ArenaBytes();
-      return selector->MemoryFootprintBytes();
+      return selector->MemoryFootprintBytes() + memo.Bytes();
     }
   };
 

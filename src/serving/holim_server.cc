@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <istream>
 #include <limits>
@@ -223,6 +222,7 @@ Result<ProtocolReply> HolimServer::Execute(const Pending& pending) {
   }
 
   ++stats_.served;
+  if (result.warm_answer) ++stats_.warm_answers;
   if (result.warm_sketch) {
     ++stats_.warm_sketch_hits;
     if (reply.coalesced) ++stats_.coalesced;
@@ -248,21 +248,24 @@ void HolimServer::DrainQueue(std::vector<std::string>* lines) {
 }
 
 std::string HolimServer::FormatStats() const {
-  char buf[320];
-  std::snprintf(
-      buf, sizeof(buf),
-      "stats tenants=%zu admitted=%llu rejected=%llu served=%llu "
-      "failed=%llu builds=%llu warm_sketch_hits=%llu coalesced=%llu "
-      "expired_in_queue=%llu",
-      tenants_.size(), static_cast<unsigned long long>(stats_.admitted),
-      static_cast<unsigned long long>(stats_.rejected),
-      static_cast<unsigned long long>(stats_.served),
-      static_cast<unsigned long long>(stats_.failed),
-      static_cast<unsigned long long>(stats_.sketch_builds),
-      static_cast<unsigned long long>(stats_.warm_sketch_hits),
-      static_cast<unsigned long long>(stats_.coalesced),
-      static_cast<unsigned long long>(stats_.expired_in_queue));
-  return buf;
+  // Built by appending, so no counter width can truncate the line.
+  std::string line = "stats tenants=" + std::to_string(tenants_.size());
+  auto field = [&line](const char* name, uint64_t value) {
+    line += ' ';
+    line += name;
+    line += '=';
+    line += std::to_string(value);
+  };
+  field("admitted", stats_.admitted);
+  field("rejected", stats_.rejected);
+  field("served", stats_.served);
+  field("failed", stats_.failed);
+  field("builds", stats_.sketch_builds);
+  field("warm_sketch_hits", stats_.warm_sketch_hits);
+  field("coalesced", stats_.coalesced);
+  field("expired_in_queue", stats_.expired_in_queue);
+  field("warm_answers", stats_.warm_answers);
+  return line;
 }
 
 void HolimServer::HandleLine(const std::string& line,

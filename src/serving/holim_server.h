@@ -59,6 +59,10 @@ struct ServerStats {
   uint64_t warm_sketch_hits = 0;  ///< solves served off a cached arena
   uint64_t coalesced = 0;  ///< queued misses whose build was coalesced away
   uint64_t expired_in_queue = 0;  ///< deadlines that died waiting
+  /// Solves answered from a selector's prefix memo (SolveResult::
+  /// warm_answer): no Select run, and no Estimate once the prefix's
+  /// spread is stored.
+  uint64_t warm_answers = 0;
 };
 
 /// \brief `holimd`'s core: a single-threaded serving loop in front of one

@@ -78,8 +78,9 @@ TEST_F(EngineTest, RegistryHasEveryAlgorithmAndResolvesAliases) {
   EXPECT_EQ(registry.Find("no-such-algo"), nullptr);
 }
 
-// Engine solve == direct factory call, warm == cold, and 1-thread ==
-// 8-thread, for every registered algorithm.
+// Engine solve == direct factory call, warm == cold (a memo answer on the
+// answer fields, a re-Select on stats too), and 1-thread == 8-thread, for
+// every registered algorithm.
 TEST_F(EngineTest, SolveMatchesDirectCallColdWarmAndAcrossThreads) {
   std::map<std::string, std::vector<NodeId>> seeds_by_threads[2];
   const uint32_t thread_counts[] = {0, 8};
@@ -118,12 +119,42 @@ TEST_F(EngineTest, SolveMatchesDirectCallColdWarmAndAcrossThreads) {
       direct_stats.SortStats();
       EXPECT_EQ(cold->stats, direct_stats.stats);
 
+      // A repeat answers the same bits. Prefix-nested algorithms answer
+      // it from the selector's prefix memo, which runs nothing, so their
+      // stats are empty; the rest select again and repeat their stats.
       EXPECT_FALSE(cold->warm_selector);
+      EXPECT_FALSE(cold->warm_answer);
       EXPECT_TRUE(warm->warm_selector);
+      EXPECT_EQ(warm->warm_answer, info->prefix_nested);
       EXPECT_EQ(warm->seeds, cold->seeds);
       EXPECT_EQ(warm->seed_scores, cold->seed_scores);
-      EXPECT_EQ(warm->spread, cold->spread);
-      EXPECT_EQ(warm->stats, cold->stats);
+      EXPECT_EQ(std::bit_cast<uint64_t>(warm->spread),
+                std::bit_cast<uint64_t>(cold->spread));
+      EXPECT_EQ(warm->algorithm, cold->algorithm);
+      EXPECT_EQ(warm->tier, cold->tier);
+      if (info->prefix_nested) {
+        EXPECT_TRUE(warm->stats.empty());
+        EXPECT_EQ(warm->select_seconds, 0.0);
+      } else {
+        EXPECT_EQ(warm->stats, cold->stats);
+      }
+
+      // The re-select path: the warm selector asked for a k above its
+      // memo runs Select and matches a cold engine, stats included.
+      SolveRequest larger = request;
+      larger.k = request.k + 1;
+      auto reselect = engine.Solve(larger);
+      ASSERT_TRUE(reselect.ok()) << reselect.status().ToString();
+      HolimEngine fresh(graph_);
+      auto cold_larger = fresh.Solve(larger);
+      ASSERT_TRUE(cold_larger.ok()) << cold_larger.status().ToString();
+      EXPECT_TRUE(reselect->warm_selector);
+      EXPECT_FALSE(reselect->warm_answer);
+      EXPECT_EQ(reselect->seeds, cold_larger->seeds);
+      EXPECT_EQ(reselect->seed_scores, cold_larger->seed_scores);
+      EXPECT_EQ(std::bit_cast<uint64_t>(reselect->spread),
+                std::bit_cast<uint64_t>(cold_larger->spread));
+      EXPECT_EQ(reselect->stats, cold_larger->stats);
 
       seeds_by_threads[t][info->name] = cold->seeds;
     }

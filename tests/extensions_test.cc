@@ -83,13 +83,14 @@ TEST(AsimTest, SelectsValidSeeds) {
 }
 
 TEST(AsimTest, CachedSelectorChargesItsSweepScratch) {
-  // The Workspace charges a cached selector its MemoryFootprintBytes(); for
-  // ASIM that is the sweep scorer's scratch (two n-double rolling buffers
-  // on the full-rescore path).
+  // The Workspace charges a cached selector its MemoryFootprintBytes() plus
+  // its prefix memo; for ASIM the former is the sweep scorer's scratch
+  // (two n-double rolling buffers on the full-rescore path).
   Graph g = GenerateBarabasiAlbert(200, 3, 2).ValueOrDie();
   auto params = MakeUniformIc(g, 0.1);
   AsimSelector asim(g, params);
-  ASSERT_TRUE(asim.Select(5).ok());
+  auto selection = asim.Select(5);
+  ASSERT_TRUE(selection.ok());
   EXPECT_GT(asim.MemoryFootprintBytes(), 0u);
   EXPECT_EQ(asim.MemoryFootprintBytes(), asim.scorer().ScratchBytes());
 
@@ -100,7 +101,11 @@ TEST(AsimTest, CachedSelectorChargesItsSweepScratch) {
   HolimEngine engine(g);
   auto result = engine.Solve(request);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->workspace_bytes, asim.MemoryFootprintBytes());
+  PrefixMemo memo;
+  memo.Record(5, *selection);
+  EXPECT_GT(memo.Bytes(), 0u);
+  EXPECT_EQ(result->workspace_bytes,
+            asim.MemoryFootprintBytes() + memo.Bytes());
 }
 
 // -------------------------------------------------------- StaticGreedy --

@@ -5,7 +5,8 @@
 // deadlines, CR endings, random bytes, and lines at and past the
 // kMaxRequestLineBytes cap. The last line has no newline. The server must
 // answer every solve and ping exactly once, every ok line must parse, and
-// the stats counters must agree with the responses.
+// the stats counters must agree with the responses, the prefix-memo
+// answers included.
 
 #include <gtest/gtest.h>
 
@@ -277,6 +278,7 @@ bool ParseU64Strict(const std::string& text, uint64_t* out) {
 struct OkLine {
   uint64_t id = 0;
   bool warm_sketch = false;
+  bool warm_selector = false;
   bool coalesced = false;
   bool degraded = false;
   std::string tier;
@@ -315,6 +317,7 @@ testing::AssertionResult ParseOkLine(const std::string& line, OkLine* out) {
     }
   }
   out->warm_sketch = value["warm_sketch"] == "1";
+  out->warm_selector = value["warm_selector"] == "1";
   out->coalesced = value["coalesced"] == "1";
   out->degraded = value["degraded"] == "1";
   out->tier = value["tier"];
@@ -351,6 +354,26 @@ struct Tally {
   uint64_t builds = 0;
   uint64_t warm_sketch_hits = 0;
   uint64_t coalesced = 0;
+  uint64_t warm_answers = 0;
+  /// The k each cached selector's prefix memo covers, by "model/algo":
+  /// only deadline-free solves read or grow a memo, and the one that
+  /// (re)builds a selector shows warm_selector=0 and starts it empty.
+  std::map<std::string, uint64_t> memo_k;
+
+  /// Counts a deadline-free ok answer of `request` against the memo model.
+  void CountMemo(const ProtocolRequest& request, uint64_t k,
+                 bool warm_selector) {
+    const AlgorithmInfo* info = HolimEngine::Registry().Find(request.algo);
+    ASSERT_NE(info, nullptr) << request.algo;
+    uint64_t& covered = memo_k[request.model + "/" + request.algo];
+    if (!warm_selector) covered = 0;
+    if (!info->prefix_nested) return;
+    if (k <= covered) {
+      ++warm_answers;
+    } else {
+      covered = k;
+    }
+  }
 
   std::string StatsLine() const {
     return "stats tenants=1 admitted=" + std::to_string(admitted) +
@@ -358,7 +381,8 @@ struct Tally {
            " failed=" + std::to_string(failed) +
            " builds=" + std::to_string(builds) +
            " warm_sketch_hits=" + std::to_string(warm_sketch_hits) +
-           " coalesced=" + std::to_string(coalesced) + " expired_in_queue=0";
+           " coalesced=" + std::to_string(coalesced) +
+           " expired_in_queue=0 warm_answers=" + std::to_string(warm_answers);
   }
 };
 
@@ -482,6 +506,9 @@ void RunScript(uint64_t seed, int num_lines, std::string* output) {
         ++tally.builds;
       }
       if (ok.coalesced) ++tally.coalesced;
+      if (solve->second.deadline_ms == 0.0) {
+        tally.CountMemo(solve->second, k, ok.warm_selector);
+      }
     }
   }
   EXPECT_EQ(pongs, pings);
@@ -501,6 +528,7 @@ void RunScript(uint64_t seed, int num_lines, std::string* output) {
   EXPECT_EQ(stats.warm_sketch_hits, tally.warm_sketch_hits);
   EXPECT_EQ(stats.coalesced, tally.coalesced);
   EXPECT_EQ(stats.expired_in_queue, 0u);
+  EXPECT_EQ(stats.warm_answers, tally.warm_answers);
   EXPECT_EQ(stats.admitted, stats.served + stats.failed);
 }
 

@@ -393,6 +393,43 @@ TEST(ServerTest, HugeDeadlineAnswersLikeNoDeadline) {
   }
 }
 
+/// The answer part of an ok line: tier, seeds and spread, without the
+/// cache flags that a fresh server reports differently.
+std::string AnswerOf(const std::string& ok_line) {
+  return ok_line.substr(ok_line.find(" degraded="));
+}
+
+TEST(ServerTest, PrefixMemoAnswersLikeAFreshServerPerRequest) {
+  // k = 20 first, then smaller and equal ks of the same tenant, model and
+  // algorithm: the last three are answered from the selector's prefix
+  // memo, and each must read as a fresh server's answer.
+  const std::vector<std::string> solves = {
+      "solve id=1 tenant=0 model=LT algo=easyim k=20",
+      "solve id=2 tenant=0 model=LT algo=easyim k=5",
+      "solve id=3 tenant=0 model=LT algo=easyim k=10",
+      "solve id=4 tenant=0 model=LT algo=easyim k=20"};
+  std::string script;
+  for (const std::string& solve : solves) script += solve + "\n";
+  std::istringstream together(RunPipeScript(script + "stats\nquit\n"));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(together, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), solves.size() + 2);
+  for (std::size_t i = 0; i < solves.size(); ++i) {
+    SCOPED_TRACE(solves[i]);
+    const std::string fresh = RunPipeScript(solves[i] + "\nquit\n");
+    const std::string fresh_ok = fresh.substr(0, fresh.find('\n'));
+    ASSERT_EQ(lines[i].rfind("ok id=" + std::to_string(i + 1) + " ", 0), 0u)
+        << lines[i];
+    EXPECT_EQ(AnswerOf(lines[i]), AnswerOf(fresh_ok));
+    EXPECT_NE(lines[i].find(i == 0 ? " warm_selector=0 " : " warm_selector=1 "),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_EQ(lines[4].rfind("stats ", 0), 0u) << lines[4];
+  EXPECT_NE(lines[4].find(" served=4 "), std::string::npos) << lines[4];
+  EXPECT_EQ(lines[4].substr(lines[4].rfind(' ')), " warm_answers=3");
+}
+
 TEST(ServerTest, InfiniteDeadlineIsAParseErrorNotAFailedSolve) {
   // The line is answered at once with one typed error; it never takes a
   // queue slot, so it counts neither as admitted nor as failed.

@@ -20,7 +20,8 @@ Checks, relative to the repo root (the script's parent directory):
      registrations follow that fixed shape for exactly this check) must
      appear as a `name` row in the table, and every row must still be
      registered. Aliases are checked the same way against the row's alias
-     column.
+     column, and the row's "Prefix memo" mark (`yes`) against the
+     registration's `info.prefix_nested = true;` line.
 
   4. README.md's "Query family" table stays in sync with the engine's
      query vocabulary: every QueryKind spelling returned by
@@ -104,29 +105,35 @@ def check_bench_table(readme_text, failures):
 REGISTRY_SOURCE = REPO / "src" / "engine" / "algorithms.cc"
 REG_NAME_RE = re.compile(r'info\.name = "([^"]+)"')
 REG_ALIASES_RE = re.compile(r'info\.aliases = \{([^}]*)\}')
+REG_NESTED_RE = re.compile(r'info\.prefix_nested = (true);')
 REGISTRY_HEADING = "## Algorithm registry"
 
 
 def registered_algorithms():
-    """{canonical name: frozenset(aliases)} registered in
-    engine/algorithms.cc. Aliases are attributed to the name whose
-    `info.name` line precedes them (each registration block sets name
-    first, aliases second)."""
+    """({canonical name: set(aliases)}, set of prefix-nested names)
+    registered in engine/algorithms.cc. Aliases and the prefix_nested mark
+    are attributed to the name whose `info.name` line precedes them (each
+    registration block sets name first)."""
     text = "\n".join(
         line for line in
         REGISTRY_SOURCE.read_text(encoding="utf-8").splitlines()
         if not line.lstrip().startswith("//"))
     registered = {}
+    nested = set()
     current = None
-    combined = re.compile(
-        f"{REG_NAME_RE.pattern}|{REG_ALIASES_RE.pattern}")
+    combined = re.compile(f"{REG_NAME_RE.pattern}|{REG_ALIASES_RE.pattern}"
+                          f"|{REG_NESTED_RE.pattern}")
     for m in combined.finditer(text):
         if m.group(1) is not None:
             current = m.group(1)
             registered[current] = set()
-        elif current is not None:
+        elif current is None:
+            continue
+        elif m.group(2) is not None:
             registered[current].update(re.findall(r'"([^"]+)"', m.group(2)))
-    return registered
+        else:
+            nested.add(current)
+    return registered, nested
 
 
 def check_registry_table(readme_text, failures):
@@ -134,15 +141,15 @@ def check_registry_table(readme_text, failures):
         failures.append(f"{REGISTRY_SOURCE.relative_to(REPO)} missing — the "
                         "registry/README sync check has nothing to parse")
         return
-    registered = registered_algorithms()
+    registered, nested = registered_algorithms()
     if not registered:
         failures.append("src/engine/algorithms.cc: no `info.name = \"...\"` "
                         "registrations found — registration shape changed?")
         return
     # The table rows under the "## Algorithm registry" heading: first cell
-    # is `name`, second is the alias list (backticked, or "—"). Aliases
-    # are checked per row, so an alias filed under the wrong algorithm
-    # fails too.
+    # is `name`, second is the alias list (backticked, or "—"), the last
+    # is the prefix-memo mark ("yes", or "—"). Aliases are checked per row,
+    # so an alias filed under the wrong algorithm fails too.
     section = readme_text.split(REGISTRY_HEADING, 1)
     if len(section) < 2:
         failures.append(f"README.md: no '{REGISTRY_HEADING}' section — the "
@@ -151,11 +158,14 @@ def check_registry_table(readme_text, failures):
         return
     body = section[1].split("\n## ", 1)[0]
     documented = {}
+    marked = set()
     for line in body.splitlines():
         m = re.match(r"\|\s*`([^`]+)`\s*\|([^|]*)\|", line)
         if not m:
             continue
         documented[m.group(1)] = set(re.findall(r"`([^`]+)`", m.group(2)))
+        if line.rstrip().rstrip("|").rsplit("|", 1)[-1].strip() == "yes":
+            marked.add(m.group(1))
     for missing in sorted(registered.keys() - documented.keys()):
         failures.append(f"README.md: registered algorithm '{missing}' is "
                         "not documented in the Algorithm registry table")
@@ -170,6 +180,13 @@ def check_registry_table(readme_text, failures):
                 f"aliases {sorted(documented[name])} but "
                 f"src/engine/algorithms.cc registers "
                 f"{sorted(registered[name])}")
+    for name in sorted((nested ^ marked) & documented.keys()):
+        failures.append(
+            f"README.md: Algorithm registry row '{name}' "
+            f"{'lacks' if name in nested else 'carries'} the prefix-memo "
+            f"mark, but src/engine/algorithms.cc "
+            f"{'sets' if name in nested else 'does not set'} "
+            "`info.prefix_nested = true;`")
 
 
 QUERY_SOURCE = REPO / "src" / "engine" / "solve_request.h"

@@ -46,8 +46,8 @@ Result<InfluenceParams> MakeParams(const Graph& graph,
 }
 
 void PrintRegistry() {
-  std::printf("%-16s %-13s %-36s %-38s %s\n", "name", "aliases", "models",
-              "queries", "cached artifacts");
+  std::printf("%-16s %-13s %-36s %-38s %-12s %s\n", "name", "aliases",
+              "models", "queries", "prefix-memo", "cached artifacts");
   for (const AlgorithmInfo* info : HolimEngine::Registry().List()) {
     std::string aliases;
     for (const std::string& alias : info->aliases) {
@@ -55,10 +55,10 @@ void PrintRegistry() {
       aliases += alias;
     }
     if (aliases.empty()) aliases = "-";
-    std::printf("%-16s %-13s %-36s %-38s %s\n", info->name.c_str(),
+    std::printf("%-16s %-13s %-36s %-38s %-12s %s\n", info->name.c_str(),
                 aliases.c_str(), info->models.c_str(),
                 QueryMaskNames(info->supported_queries).c_str(),
-                info->artifacts.c_str());
+                info->prefix_nested ? "yes" : "-", info->artifacts.c_str());
   }
 }
 
@@ -219,7 +219,7 @@ Status Run(const BenchArgs& args) {
         "{\"algorithm\":\"%s\",\"query\":\"%s\",\"k\":%u,"
         "\"seeds\":[%s],\"spread\":%.6f,\"tier\":\"%s\","
         "\"degraded\":%s,\"rounds_completed\":%u,"
-        "\"warm_sketch\":%s,\"warm_selector\":%s,"
+        "\"warm_sketch\":%s,\"warm_selector\":%s,\"warm_answer\":%s,"
         "\"sketch_arena_bytes\":%zu,\"workspace_bytes\":%zu,"
         "\"stats\":{%s},"
         "\"artifact_seconds\":%.6f,\"select_seconds\":%.6f,"
@@ -229,7 +229,8 @@ Status Run(const BenchArgs& args) {
         seeds.c_str(), result.spread, ResultTierName(result.tier),
         result.degraded ? "true" : "false", result.rounds_completed,
         result.warm_sketch ? "true" : "false",
-        result.warm_selector ? "true" : "false", result.sketch_arena_bytes,
+        result.warm_selector ? "true" : "false",
+        result.warm_answer ? "true" : "false", result.sketch_arena_bytes,
         result.workspace_bytes, stats.c_str(), result.artifact_seconds,
         result.select_seconds, result.spread_seconds, result.total_seconds,
         load_seconds);
