@@ -424,8 +424,9 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   // algorithm answers from the cached selector's longest run when it
   // covers k. Everything above ran as it would for a re-Select, so the
   // Workspace (ticks, heat, hit counts) cannot tell the two apart.
-  // Bounded solves keep to the selector: their tier must stay a function
-  // of the deadline alone.
+  // Bounded solves skip the memo: it would answer tier=full where the
+  // deadline ladder answers a prefix or the heuristic, and that ladder is
+  // holimd's overload response.
   PrefixMemo* memo = nullptr;
   if (!bounded && request.query == QueryKind::kTopK && info->prefix_nested) {
     memo = workspace_.SelectorMemo(selector_key);

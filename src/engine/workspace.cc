@@ -61,18 +61,11 @@ SeedSelection PrefixMemo::Prefix(uint32_t want) const {
 }
 
 void PrefixMemo::Record(uint32_t run_k, const SeedSelection& selection) {
-  // Spreads of the prefixes both runs share carry over; a prefix-nested
-  // selector shares all of the old run, and a broken one keeps none past
-  // its first disagreement.
-  const std::size_t shared = static_cast<std::size_t>(
-      std::mismatch(seeds.begin(), seeds.end(), selection.seeds.begin(),
-                    selection.seeds.end())
-          .first -
-      seeds.begin());
+  // The new run extends the old one (prefix_nested), so the spreads stored
+  // for the old prefixes still hold.
   k = run_k;
   seeds = selection.seeds;
   seed_scores = selection.seed_scores;
-  spreads.resize(shared);
   spreads.resize(seeds.size());
 }
 

@@ -42,8 +42,8 @@ struct PrefixMemo {
   /// The first `want` seeds and scores of the run, as Select(want) returns
   /// them (no timings, no scratch). Requires Covers(want).
   SeedSelection Prefix(uint32_t want) const;
-  /// Replaces the run with a full-tier Select(`run_k`), keeping the
-  /// spreads of every prefix the old and new runs share.
+  /// Replaces the run with a full-tier Select(`run_k`), run_k > k, keeping
+  /// the stored spreads: the new run's prefixes are the old run's.
   void Record(uint32_t run_k, const SeedSelection& selection);
   /// The stored spread of the first `length` seeds (length <=
   /// seeds.size()), if a solve has evaluated it.
