@@ -26,9 +26,14 @@ Result<SeedSelection> DegreeSelector::Select(uint32_t k) {
   Timer timer;
   std::vector<NodeId> order(graph_.num_nodes());
   std::iota(order.begin(), order.end(), 0);
+  // Ties go to the smaller id: a total order, so Select(k) is the first k
+  // seeds of Select(K) (the engine's prefix memo relies on it).
   std::partial_sort(order.begin(), order.begin() + k, order.end(),
                     [&](NodeId a, NodeId b) {
-                      return graph_.OutDegree(a) > graph_.OutDegree(b);
+                      const uint32_t da = graph_.OutDegree(a);
+                      const uint32_t db = graph_.OutDegree(b);
+                      if (da != db) return da > db;
+                      return a < b;
                     });
   selection.seeds.assign(order.begin(), order.begin() + k);
   for (NodeId s : selection.seeds) {
@@ -133,8 +138,12 @@ Result<SeedSelection> PageRankSelector::Select(uint32_t k) {
   auto rank = ComputeRanks();
   std::vector<NodeId> order(graph_.num_nodes());
   std::iota(order.begin(), order.end(), 0);
+  // Smaller id first among equal ranks, as in DegreeSelector::Select.
   std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                    [&](NodeId a, NodeId b) { return rank[a] > rank[b]; });
+                    [&](NodeId a, NodeId b) {
+                      if (rank[a] != rank[b]) return rank[a] > rank[b];
+                      return a < b;
+                    });
   selection.seeds.assign(order.begin(), order.begin() + k);
   for (NodeId s : selection.seeds) selection.seed_scores.push_back(rank[s]);
   selection.elapsed_seconds = timer.ElapsedSeconds();

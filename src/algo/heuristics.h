@@ -11,7 +11,8 @@
 
 namespace holim {
 
-/// Highest out-degree first. The classical "high-degree" baseline.
+/// Highest out-degree first, ties to the smaller id. The classical
+/// "high-degree" baseline.
 class DegreeSelector : public SeedSelector {
  public:
   explicit DegreeSelector(const Graph& graph) : graph_(graph) {}
@@ -50,7 +51,8 @@ class DegreeDiscountSelector : public SeedSelector {
 };
 
 /// PageRank on the reversed graph (influence flows along out-edges, so
-/// rank mass flows along in-edges), selected by decreasing rank.
+/// rank mass flows along in-edges), selected by decreasing rank, ties to
+/// the smaller id.
 class PageRankSelector : public SeedSelector {
  public:
   PageRankSelector(const Graph& graph, double damping = 0.85,

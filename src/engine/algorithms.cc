@@ -307,6 +307,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "degree";
     info.models = "model-free";
     info.artifacts = "none";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       return std::unique_ptr<SeedSelector>(
           std::make_unique<DegreeSelector>(ctx.graph));
@@ -343,6 +344,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
     info.name = "pagerank";
     info.models = "model-free";
     info.artifacts = "none";
+    info.prefix_nested = true;
     info.factory = [](const SolveContext& ctx) -> SelectorResult {
       return std::unique_ptr<SeedSelector>(
           std::make_unique<PageRankSelector>(ctx.graph));

@@ -107,6 +107,14 @@ Status ValidateQueryFields(const SolveRequest& r, uint32_t num_nodes) {
   return Status::OK();
 }
 
+/// The solve's one params fingerprint, which every Workspace key of the
+/// solve is built from: the caller's stored value when it supplies one
+/// (SolveRequest::params_fingerprint), else a hash of the probabilities.
+uint64_t ParamsFingerprintOf(const SolveRequest& r) {
+  return r.params_fingerprint ? *r.params_fingerprint
+                              : FingerprintParams(*r.params);
+}
+
 /// A deadline-layer stop (as opposed to a real error the degrade tier must
 /// never swallow).
 bool IsStopStatus(const Status& status) {
@@ -341,9 +349,9 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   // (affinity-grouped) request is about to reuse.
   const uint64_t pre_solve_tick = workspace_.tick();
   Timer artifact_timer;
-  // The solve's one params fingerprint: the sketch key, the selector key
-  // and the factory's sketch objective (through ctx) are all built from it.
-  ctx.params_fp = FingerprintParams(*request.params);
+  // The sketch key, the selector key and the factory's sketch objective
+  // (through ctx) are all built from this one fingerprint.
+  ctx.params_fp = ParamsFingerprintOf(request);
   const std::string sketch_key = SketchOracleKey(
       ctx.params_fp, request.EffectiveSketchCount(), request.seed,
       /*record_edge_offsets=*/false, ctx.graph_token);
@@ -552,7 +560,7 @@ Result<SolveResult> HolimEngine::SolveGivenSeeds(const SolveRequest& request,
   Timer artifact_timer;
   std::shared_ptr<const SketchOracle> sketch;
   if (request.oracle == SpreadOracle::kSketch) {
-    const uint64_t params_fp = FingerprintParams(*request.params);
+    const uint64_t params_fp = ParamsFingerprintOf(request);
     const std::string token = graph_token();
     const std::string sketch_key =
         SketchOracleKey(params_fp, request.EffectiveSketchCount(),

@@ -28,8 +28,9 @@ struct SolveContext {
   /// Workspace sketch key a factory builds; empty until the engine's graph
   /// advances past epoch 0 (see HolimEngine::graph_token).
   std::string graph_token;
-  /// FingerprintParams(*request.params), taken once by the engine for
-  /// every Workspace key of the solve (see Workspace::GetSketchOracle).
+  /// FingerprintParams(*request.params), taken once by the engine (or
+  /// handed in as request.params_fingerprint) for every Workspace key of
+  /// the solve (see Workspace::GetSketchOracle).
   uint64_t params_fp = 0;
   /// The solve's deadline (borrowed, may be null — and last on purpose, so
   /// deadline-free aggregate initializations stay valid). Factories thread
@@ -82,8 +83,9 @@ struct AlgorithmInfo {
   /// no round reads k. HolimEngine then answers a top-k solve from the
   /// cached selector's prefix memo (see PrefixMemo) when it has already run
   /// a K >= k. Leave it unset when k steers the run: TIM+'s and IMM's
-  /// sample size θ depends on k, IMRank stops once its top-k set is stable,
-  /// and degree and PageRank order tied scores by a k-sized partial sort.
+  /// sample size θ depends on k, and IMRank stops once its top-k set is
+  /// stable. A ranking by score is nested only under a total order, which
+  /// is why degree and PageRank break ties by node id.
   bool prefix_nested = false;
   /// Builds a fresh selector for the request. Must be deterministic in the
   /// request: the parity contract (engine solve == direct selector call,

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -134,6 +135,14 @@ struct SolveRequest {
   /// First-layer model parameters (required; must outlive the solve and,
   /// for warm reuse, the engine — cached artifacts key on their content).
   const InfluenceParams* params = nullptr;
+  /// FingerprintParams(*params), when the caller already holds it; the
+  /// engine then keys every artifact of the solve on this value instead
+  /// of hashing the probability vector. It is trusted, not checked: a
+  /// value that disagrees with `params` reuses another model's artifacts.
+  /// So only an owner of params that nothing can edit may set it — today
+  /// that is holimd (HolimServer::Execute), whose tenant models are const
+  /// after AddTenant. Every other caller leaves it empty.
+  std::optional<uint64_t> params_fingerprint;
   /// Opinion layer (required by opinion-aware algorithms: osim, and it
   /// switches greedy/celf/celf++ to the effective-opinion objective).
   const OpinionParams* opinions = nullptr;

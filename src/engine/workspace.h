@@ -68,10 +68,10 @@ struct PrefixMemo {
 ///
 /// Keys are explicit strings built by HolimEngine from the *content*
 /// fingerprint of the model parameters (a word-at-a-time ContentHash over
-/// the probability / opinion vectors — see FingerprintParams), taken once
-/// per solve and handed to every key built for it, plus every request knob
-/// that can influence the artifact (RNG seed, sample budget, algorithm
-/// options). A key either matches exactly — and reuse is bitwise-
+/// the probability / opinion vectors — see FingerprintParams), taken at
+/// most once per solve and handed to every key built for it, plus every
+/// request knob that can influence the artifact (RNG seed, sample budget,
+/// algorithm options). A key either matches exactly — and reuse is bitwise-
 /// equivalent to a cold build, because every artifact is a deterministic
 /// pure function of its key (the RNG-sharding contracts of the RR engine,
 /// the sketch oracle, and the sweep kernel) and every cached selector's
@@ -322,8 +322,10 @@ class Workspace {
 /// Content fingerprint of the first-layer model (ContentHash over the
 /// model kind and the probability vector) — the params component of every
 /// Workspace key. Exact: any parameter change changes the key and misses
-/// the cache. It reads every probability, so a solve takes it once and
-/// passes the value on.
+/// the cache. It reads every probability, so a solve takes it at most once
+/// and passes the value on; an owner of params that never change keeps it
+/// and hands it to every solve in SolveRequest::params_fingerprint (holimd
+/// stores one per tenant model), so those solves hash nothing.
 uint64_t FingerprintParams(const InfluenceParams& params);
 
 /// Content fingerprint of the opinion layer (initial opinions +

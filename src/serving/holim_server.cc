@@ -83,9 +83,9 @@ Status HolimServer::AddTenant(Graph graph) {
   // here keeps Execute allocation-free on the model axis. Their
   // fingerprints wait for each model's first admission (ArenaKeyFor), so
   // start-up pays no hashing.
-  tenant->models["IC"].params = MakeUniformIc(tenant->graph);
-  tenant->models["WC"].params = MakeWeightedCascade(tenant->graph);
-  tenant->models["LT"].params = MakeLinearThreshold(tenant->graph);
+  tenant->models.try_emplace("IC", MakeUniformIc(tenant->graph));
+  tenant->models.try_emplace("WC", MakeWeightedCascade(tenant->graph));
+  tenant->models.try_emplace("LT", MakeLinearThreshold(tenant->graph));
   EngineOptions engine_options;
   engine_options.max_cache_bytes = options_.max_cache_bytes;
   tenant->engine =
@@ -93,11 +93,6 @@ Status HolimServer::AddTenant(Graph graph) {
   tenant->engine->workspace().set_eviction_policy(options_.cache_policy);
   tenants_.push_back(std::move(tenant));
   return Status::OK();
-}
-
-HolimEngine& HolimServer::tenant_engine(uint32_t tenant) {
-  HOLIM_CHECK(tenant < tenants_.size());
-  return *tenants_[tenant]->engine;
 }
 
 std::string HolimServer::ArenaKeyFor(Tenant& tenant,
@@ -169,15 +164,18 @@ HolimServer::Pending HolimServer::PopNext() {
 
 Result<ProtocolReply> HolimServer::Execute(const Pending& pending) {
   Tenant& tenant = *tenants_[pending.request.tenant];
-  const InfluenceParams& params =
-      tenant.models.at(pending.request.model).params;
+  const Model& model = tenant.models.at(pending.request.model);
+  // Admission (ArenaKeyFor) fingerprinted the model, so a served solve
+  // hashes no probabilities: the engine keys its artifacts on this value.
+  HOLIM_CHECK(model.fingerprint.has_value());
 
   SolveRequest request;
   request.algorithm = pending.request.algo;
   request.k =
       std::min<uint32_t>(pending.request.k, tenant.graph.num_nodes());
   request.query = pending.request.query;
-  request.params = &params;
+  request.params = &model.params;
+  request.params_fingerprint = model.fingerprint;
   request.oracle = SpreadOracle::kSketch;
   request.num_sketches = options_.num_sketches;
   request.mc = options_.num_sketches;

@@ -154,12 +154,11 @@ class HolimServer {
   const ServerStats& stats() const { return stats_; }
   const ServerOptions& options() const { return options_; }
 
-  /// The tenant's engine (for tests/bench inspection). Dies on a bad id.
-  HolimEngine& tenant_engine(uint32_t tenant);
-
  private:
   struct Model {
-    InfluenceParams params;
+    /// Const after AddTenant, so `fingerprint` can never describe other
+    /// content: Execute hands it to the engine in place of a rehash.
+    const InfluenceParams params;
     /// FingerprintParams(params), taken on the model's first admission.
     std::optional<uint64_t> fingerprint;
   };

@@ -384,6 +384,62 @@ TEST_F(EngineTest, ParamsFingerprintInvalidatesExactly) {
   auto eps_b = engine.Solve(request);
   ASSERT_TRUE(eps_b.ok());
   EXPECT_FALSE(eps_b->warm_selector);
+
+  // A supplied fingerprint (SolveRequest::params_fingerprint) and a hashed
+  // one key the same artifacts, in either order: the selector under both
+  // oracles, and the arena under the sketch oracle.
+  const uint64_t fp = FingerprintParams(params_);
+  for (const SpreadOracle oracle :
+       {SpreadOracle::kMonteCarlo, SpreadOracle::kSketch}) {
+    for (const bool supplied_first : {false, true}) {
+      SCOPED_TRACE(std::string(oracle == SpreadOracle::kSketch ? "sketch"
+                                                               : "mc") +
+                   (supplied_first ? " supplied first" : " hashed first"));
+      HolimEngine interchange(graph_);
+      SolveRequest plain = BaseRequest("easyim", 0);
+      plain.oracle = oracle;
+      SolveRequest supplied = plain;
+      supplied.params_fingerprint = fp;
+      auto first = interchange.Solve(supplied_first ? supplied : plain);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      auto second = interchange.Solve(supplied_first ? plain : supplied);
+      ASSERT_TRUE(second.ok()) << second.status().ToString();
+      EXPECT_FALSE(first->warm_selector);
+      EXPECT_TRUE(second->warm_selector);
+      EXPECT_EQ(second->warm_sketch, oracle == SpreadOracle::kSketch);
+      EXPECT_EQ(second->seeds, first->seeds);
+      EXPECT_EQ(second->seed_scores, first->seed_scores);
+      EXPECT_EQ(std::bit_cast<uint64_t>(second->spread),
+                std::bit_cast<uint64_t>(first->spread));
+      if (oracle != SpreadOracle::kSketch) continue;
+
+      // The evaluate path takes the supplied fingerprint too: it finds
+      // the arena the two solves above shared, and (trusted, as below)
+      // finds it even for other params that carry this fingerprint.
+      SolveRequest evaluate = supplied;
+      evaluate.query = QueryKind::kEvaluate;
+      evaluate.given_seeds = first->seeds;
+      for (const InfluenceParams* params : {&params_, &different}) {
+        evaluate.params = params;
+        auto scored = interchange.Solve(evaluate);
+        ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+        EXPECT_TRUE(scored->warm_sketch);
+        EXPECT_EQ(std::bit_cast<uint64_t>(scored->spread),
+                  std::bit_cast<uint64_t>(first->spread));
+      }
+    }
+  }
+
+  // A supplied fingerprint is trusted, never rehashed: params that no
+  // solve has seen reuse params_'s selector under params_'s fingerprint.
+  // Hence only an owner of params that nothing can edit may set the field.
+  const InfluenceParams unseen = MakeUniformIc(graph_, 0.2);
+  request = BaseRequest("degree", 0);
+  request.params = &unseen;
+  request.params_fingerprint = fp;
+  auto trusted = engine.Solve(request);
+  ASSERT_TRUE(trusted.ok());
+  EXPECT_TRUE(trusted->warm_selector);
 }
 
 TEST_F(EngineTest, ParamsFingerprintSeesEveryBit) {
