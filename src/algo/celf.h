@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "algo/greedy.h"
 #include "algo/seed_selector.h"
@@ -23,8 +25,10 @@ namespace holim {
 ///
 /// A SketchSpreadObjective hands out session probes and commits: on the
 /// frozen snapshot sample they are exactly submodular, so the seeds equal
-/// eager greedy's. Registered with plus_plus = false over the sketch
-/// arena of R = num_snapshots worlds, this is StaticGreedy (Cheng et al.,
+/// eager greedy's. Unweighted, it also offers the oracle's singleton reach
+/// bounds, so a candidate is first probed when its bound tops the heap.
+/// Registered with plus_plus = false over the sketch arena of
+/// R = num_snapshots worlds, this is StaticGreedy (Cheng et al.,
 /// CIKM'13). Every other objective scores whole sets, and only those
 /// answer the CELF++ look-ahead that `plus_plus` turns on (paper Appendix
 /// C): a session probe already costs no more than the cache bookkeeping.
@@ -55,6 +59,14 @@ class CelfSelector : public SeedSelector {
   /// SelectBudgeted call (exposed so tests can verify laziness actually
   /// skips work).
   uint64_t last_evaluation_count() const { return evaluations_; }
+  /// {"evaluations": last_evaluation_count()}.
+  std::vector<std::pair<std::string, double>> LastRunStats() const override {
+    return {{"evaluations", static_cast<double>(evaluations_)}};
+  }
+  /// The objective's retained scratch (the sketch session's lane words).
+  std::size_t MemoryFootprintBytes() const override {
+    return objective_->ScratchBytes();
+  }
 
  private:
   /// One LazyGreedy run; empty `costs` is top-k.

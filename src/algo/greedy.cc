@@ -46,12 +46,32 @@ class WholeSetGains : public GainOracle {
 // once.
 class SessionGains : public GainOracle {
  public:
-  explicit SessionGains(SketchOracle::Session& session) : session_(session) {}
+  // A non-null `bounds_from` (the session's oracle) offers its singleton
+  // reach bounds; only an unweighted session's gains are reach counts.
+  SessionGains(SketchOracle::Session& session,
+               const SketchOracle* bounds_from)
+      : session_(session), bounds_from_(bounds_from) {}
   double Gain(NodeId u) override { return session_.MarginalGain(u); }
   void Commit(NodeId u, double /*gain*/) override { session_.Commit(u); }
+  bool EmptySetGainBounds(std::span<const NodeId> candidates,
+                          std::vector<double>* bounds) override {
+    if (bounds_from_ == nullptr || session_.num_seeds() != 0) return false;
+    const std::vector<int64_t> reach = bounds_from_->SingletonReachBounds();
+    const int64_t snapshots = bounds_from_->num_snapshots();
+    bounds->clear();
+    bounds->reserve(candidates.size());
+    for (const NodeId u : candidates) {
+      // MarginalGain's arithmetic on a fresh session, so an exact bound
+      // is the gain bit for bit and a loose one stays above it.
+      bounds->push_back(static_cast<double>(reach[u] - snapshots) /
+                        snapshots);
+    }
+    return true;
+  }
 
  private:
   SketchOracle::Session& session_;
+  const SketchOracle* bounds_from_;
 };
 
 }  // namespace
@@ -103,7 +123,12 @@ double SketchSpreadObjective::Evaluate(const std::vector<NodeId>& seeds) {
 std::unique_ptr<GainOracle> SketchSpreadObjective::Gains(
     bool /*look_ahead*/) {
   session_.Reset();
-  return std::make_unique<SessionGains>(session_);
+  return std::make_unique<SessionGains>(
+      session_, weights_.empty() ? oracle_.get() : nullptr);
+}
+
+std::size_t SketchSpreadObjective::ScratchBytes() const {
+  return session_.ScratchBytes() + weights_.capacity() * sizeof(double);
 }
 
 GreedySelector::GreedySelector(const Graph& graph,
@@ -138,10 +163,10 @@ SeedSelection GreedySelector::Run(uint32_t max_seeds,
   Timer timer;
   const std::unique_ptr<GainOracle> gains =
       objective_->Gains(/*look_ahead=*/false);
-  SeedSelection selection =
-      EagerGreedy(*gains, AllNodes(graph_.num_nodes()), max_seeds, costs,
-                  budget, deadline_)
-          .selection;
+  LazyGreedyRun run = EagerGreedy(*gains, AllNodes(graph_.num_nodes()),
+                                  max_seeds, costs, budget, deadline_);
+  evaluations_ = run.evaluations;
+  SeedSelection selection = std::move(run.selection);
   selection.elapsed_seconds = timer.ElapsedSeconds();
   selection.overhead_bytes = meter.OverheadBytes();
   return selection;

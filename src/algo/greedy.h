@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/lazy_greedy.h"
@@ -34,6 +35,10 @@ class McObjective {
   /// the running sum of committed gains, and with `look_ahead` it answers
   /// CELF++'s GainWith at two evaluations each.
   virtual std::unique_ptr<GainOracle> Gains(bool look_ahead);
+
+  /// Bytes the objective retains between runs (capacity-based): what a
+  /// cached hill-climber charges the Workspace. 0 unless overridden.
+  virtual std::size_t ScratchBytes() const { return 0; }
 };
 
 /// Opinion-oblivious expected spread sigma(S) (IM objective).
@@ -95,8 +100,12 @@ class SketchSpreadObjective : public McObjective {
   double Evaluate(const std::vector<NodeId>& seeds) override;
   /// Session gains on the objective's one Session, reset on every call
   /// (so a warm re-Select allocates nothing). Never answers look-aheads:
-  /// a session probe costs no more than the CELF++ cache bookkeeping.
+  /// a session probe costs no more than the CELF++ cache bookkeeping. An
+  /// unweighted objective's gains offer the oracle's
+  /// SingletonReachBounds as LazyGreedy's empty-set bounds.
   std::unique_ptr<GainOracle> Gains(bool look_ahead) override;
+  /// The session's scratch plus the owned weight copy.
+  std::size_t ScratchBytes() const override;
 
   const SketchOracle& oracle() const { return *oracle_; }
 
@@ -132,6 +141,15 @@ class GreedySelector : public SeedSelector {
                                        std::span<const double> costs,
                                        double budget) override;
 
+  /// {"evaluations": oracle evaluations of the last run}.
+  std::vector<std::pair<std::string, double>> LastRunStats() const override {
+    return {{"evaluations", static_cast<double>(evaluations_)}};
+  }
+  /// The objective's retained scratch (the sketch session's lane words).
+  std::size_t MemoryFootprintBytes() const override {
+    return objective_->ScratchBytes();
+  }
+
  private:
   /// One EagerGreedy run; empty `costs` is top-k.
   SeedSelection Run(uint32_t max_seeds, std::span<const double> costs,
@@ -140,6 +158,7 @@ class GreedySelector : public SeedSelector {
   const Graph& graph_;
   std::shared_ptr<McObjective> objective_;
   std::string name_;
+  uint64_t evaluations_ = 0;
 };
 
 }  // namespace holim

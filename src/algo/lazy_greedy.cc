@@ -8,11 +8,16 @@ namespace holim {
 
 namespace {
 
+// Entry::round of a candidate keyed on its empty-set bound, not yet
+// scored: it never equals a round, so the driver scores it on its first
+// pop.
+constexpr uint32_t kNeverScored = std::numeric_limits<uint32_t>::max();
+
 struct Entry {
   NodeId node;
-  uint32_t round;  // seed-set size when `gain` was scored
+  uint32_t round;  // seed-set size when `gain` was scored, or kNeverScored
   double key;      // gain, or gain / cost when budgeted
-  double gain;
+  double gain;     // the bound while never scored
   // CELF++ cache: the gain w.r.t. S + `with` at `round` (kInvalidNode:
   // no cache).
   NodeId with = kInvalidNode;
@@ -62,10 +67,18 @@ LazyGreedyRun LazyGreedy(GainOracle& oracle,
   if (CheckpointExpired(deadline, out)) return run;
   std::vector<Entry> entries;
   entries.reserve(candidates.size());
-  for (const NodeId u : candidates) {
-    ++run.evaluations;
-    const double gain = oracle.Gain(u);
-    entries.push_back({u, 0, key_of(u, gain), gain});
+  std::vector<double> bounds;
+  if (oracle.EmptySetGainBounds(candidates, &bounds)) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const NodeId u = candidates[i];
+      entries.push_back({u, kNeverScored, key_of(u, bounds[i]), bounds[i]});
+    }
+  } else {
+    for (const NodeId u : candidates) {
+      ++run.evaluations;
+      const double gain = oracle.Gain(u);
+      entries.push_back({u, 0, key_of(u, gain), gain});
+    }
   }
   std::priority_queue<Entry, std::vector<Entry>, PopsAfter> heap(
       PopsAfter{}, std::move(entries));
@@ -90,7 +103,8 @@ LazyGreedyRun LazyGreedy(GainOracle& oracle,
       continue;
     }
     const bool cached = top.with != kInvalidNode &&
-                        top.round + 1 == round && out.seeds.back() == top.with;
+                        top.round != kNeverScored && top.round + 1 == round &&
+                        out.seeds.back() == top.with;
     top.with = kInvalidNode;
     if (cached) {
       // CELF++: the gain w.r.t. the old S + `with` is the gain w.r.t. the

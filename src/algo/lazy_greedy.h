@@ -33,6 +33,15 @@ class GainOracle {
   virtual bool GainWith(NodeId /*x*/, NodeId /*u*/, double* /*gain*/) {
     return false;
   }
+
+  /// Upper bounds on the gains of `candidates` w.r.t. the empty S, one
+  /// per candidate in order: each must be >= what Gain would return for
+  /// it (in doubles). Asked once, before any Commit. The default declines,
+  /// and LazyGreedy then scores every candidate up front.
+  virtual bool EmptySetGainBounds(std::span<const NodeId> /*candidates*/,
+                                  std::vector<double>* /*bounds*/) {
+    return false;
+  }
 };
 
 /// What one LazyGreedy or EagerGreedy run committed and what it cost.
@@ -48,12 +57,18 @@ struct LazyGreedyRun {
 /// StaticGreedy and SIMPATH (Leskovec et al., KDD'07; CELF++: Goyal et
 /// al., WWW'11). EagerGreedy below is its evaluate-everything twin.
 ///
-/// One pre-pass scores every candidate (in `candidates` order), then each
+/// One pre-pass keys every candidate (in `candidates` order), then each
 /// round pops the entry with the largest key. A key computed against the
 /// current S is committed; a stale one is re-scored and pushed back.
 /// Under a submodular gain a stale key is an upper bound, so the popped
 /// fresh entry is the round's arg-max.
 ///
+///  * **Pre-pass.** When the oracle offers EmptySetGainBounds, each
+///    candidate is keyed on its bound, never scored, and is first scored
+///    when it reaches the heap top; otherwise the pre-pass scores every
+///    candidate. A bound is just another upper bound, so neither the
+///    arg-max nor the tie rule below moves: the seeds and their gains are
+///    the same either way, only the evaluation count drops.
 ///  * **Key and order.** With empty `costs` (top-k) the key is the gain;
 ///    with costs (one per node id) it is gain / cost. Larger key pops
 ///    first, and equal keys pop the smaller node id first, so the result

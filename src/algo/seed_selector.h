@@ -83,10 +83,10 @@ class SeedSelector {
 
   /// Bytes of state this selector retains between Select calls
   /// (capacity-based, the repo-wide MemoryFootprintBytes convention): the
-  /// scorer scratch of EaSyIM/OSIM/ASIM. 0 for stateless selectors, and for
-  /// sketch-backed hill-climbers, whose worlds the Workspace charges as a
-  /// sketch arena. The engine Workspace charges cached selectors against
-  /// its budget through this.
+  /// scorer scratch of EaSyIM/OSIM/ASIM, and a sketch-backed hill-climber's
+  /// session scratch (its worlds are charged as a sketch arena). 0 for
+  /// stateless selectors. The engine Workspace charges cached selectors
+  /// against its budget through this.
   virtual std::size_t MemoryFootprintBytes() const { return 0; }
 
   /// Binds a cooperative deadline for subsequent Select/SelectBudgeted

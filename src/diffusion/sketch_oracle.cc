@@ -408,6 +408,112 @@ std::size_t SketchOracle::ArenaBytes() const {
          arena_.entry_base.capacity() * sizeof(std::size_t);
 }
 
+std::vector<int64_t> SketchOracle::SingletonReachBounds() const {
+  const NodeId n = graph_->num_nodes();
+  constexpr uint32_t kUnvisited = std::numeric_limits<uint32_t>::max();
+  constexpr uint32_t kOnStack = kUnvisited - 1;  // comp[] before emission
+  std::vector<int64_t> bounds(n, 0);
+  // One world's live out-rows as a CSR, rebuilt per lane.
+  std::vector<uint32_t> row_begin(static_cast<std::size_t>(n) + 1);
+  std::vector<NodeId> live;
+  // Tarjan state per node: discovery order, low-link, the SCC id once
+  // emitted, and the next live edge to follow; plus the SCC and call
+  // stacks.
+  std::vector<uint32_t> order(n), low(n), comp(n), next(n);
+  std::vector<NodeId> scc_stack(n), call(n);
+  // Per SCC id (< n): its bound, and the last SCC whose successor sum
+  // counted it.
+  std::vector<int64_t> comp_bound(n);
+  std::vector<uint32_t> counted_by(n);
+  for (uint32_t g = 0; g < num_lane_groups_; ++g) {
+    const uint32_t* off =
+        arena_.node_offsets.data() + static_cast<std::size_t>(g) * (n + 1);
+    const NodeId* targets = arena_.targets.data() + arena_.entry_base[g];
+    const uint64_t* masks = arena_.masks.data() + arena_.entry_base[g];
+    live.resize(off[n]);
+    const uint32_t lanes = std::popcount(LaneMaskAll(g));
+    for (uint32_t b = 0; b < lanes; ++b) {
+      // Branchless compaction: every entry is written, only live ones
+      // advance the cursor.
+      uint32_t live_end = 0;
+      for (NodeId u = 0; u < n; ++u) {
+        row_begin[u] = live_end;
+        for (uint32_t j = off[u]; j < off[u + 1]; ++j) {
+          live[live_end] = targets[j];
+          live_end += static_cast<uint32_t>(masks[j] >> b) & 1;
+        }
+      }
+      row_begin[n] = live_end;
+
+      std::fill(order.begin(), order.end(), kUnvisited);
+      uint32_t next_order = 0, num_comps = 0, call_size = 0, scc_size = 0;
+      auto emit = [&](int64_t bound) {
+        comp_bound[num_comps] = bound;
+        counted_by[num_comps] = kUnvisited;  // ids restart in every world
+        return num_comps++;
+      };
+      // A node without live out-edges is its own SCC of bound 1, emitted
+      // on discovery; any other node enters both stacks.
+      auto discover = [&](NodeId v) {
+        order[v] = next_order++;
+        if (row_begin[v] == row_begin[v + 1]) {
+          comp[v] = emit(1);
+          return;
+        }
+        low[v] = order[v];
+        comp[v] = kOnStack;
+        next[v] = row_begin[v];
+        scc_stack[scc_size++] = v;
+        call[call_size++] = v;
+      };
+      for (NodeId root = 0; root < n; ++root) {
+        if (order[root] != kUnvisited) continue;
+        discover(root);
+        while (call_size != 0) {
+          const NodeId v = call[call_size - 1];
+          if (next[v] < row_begin[v + 1]) {
+            const NodeId w = live[next[v]++];
+            if (order[w] == kUnvisited) {
+              discover(w);
+            } else if (comp[w] == kOnStack) {
+              low[v] = std::min(low[v], order[w]);
+            }
+            continue;
+          }
+          --call_size;
+          if (call_size != 0) {
+            const NodeId parent = call[call_size - 1];
+            low[parent] = std::min(low[parent], low[v]);
+          }
+          if (low[v] != order[v]) continue;
+          // v roots an SCC: the stack above it. Every edge leaving it ends
+          // in itself or in an SCC emitted earlier (Tarjan emits sinks
+          // first), so the successors' bounds are final.
+          const uint32_t id = num_comps;
+          uint32_t first = scc_size;
+          do {
+            comp[scc_stack[--first]] = id;
+          } while (scc_stack[first] != v);
+          int64_t bound = scc_size - first;
+          for (uint32_t i = first; i < scc_size; ++i) {
+            const NodeId x = scc_stack[i];
+            for (uint32_t j = row_begin[x]; j < row_begin[x + 1]; ++j) {
+              const uint32_t c = comp[live[j]];
+              if (c == id || counted_by[c] == id) continue;
+              counted_by[c] = id;
+              bound = std::min<int64_t>(bound + comp_bound[c], n);
+            }
+          }
+          scc_size = first;
+          emit(bound);
+        }
+      }
+      for (NodeId u = 0; u < n; ++u) bounds[u] += comp_bound[comp[u]];
+    }
+  }
+  return bounds;
+}
+
 std::vector<uint8_t> SketchOracle::DirtyRows(
     const Graph& new_graph, const InfluenceParams& new_params) const {
   const Graph& old_graph = *graph_;

@@ -285,6 +285,22 @@ class SketchOracle {
   /// memory accounting convention).
   std::size_t ArenaBytes() const;
 
+  /// Per node u, an upper bound on sum over the R worlds of |reach_s(u)|
+  /// (u included), the count behind a fresh Session's MarginalGain(u).
+  /// Each world is one lane's filter of its group's union rows, compacted
+  /// into a CSR and condensed by an iterative Tarjan pass; as each SCC C
+  /// is emitted (sinks first) it gets
+  ///   bound(C) = min(n, |C| + sum of bound(D) over distinct successor
+  ///                  SCCs D),
+  /// as in Ohsaka et al.'s pruned Monte-Carlo (AAAI'14). The bound is the
+  /// exact reach count wherever C's reachable part of the condensation is
+  /// a tree; otherwise it counts a node once per condensation path to it
+  /// (a diamond a -> {b, c} -> d gives a 5 for 4 reached).
+  /// Every LT world is exact: each node has at most one live in-edge, so
+  /// its condensation is a forest. Serial, O(R (n + union entries)) time
+  /// and O(n + one group's union entries) transient scratch.
+  std::vector<int64_t> SingletonReachBounds() const;
+
   /// \brief Incremental marginal-gain session: StaticGreedy-style
   /// activate-once evaluation across a whole greedy run. Hill-climbers
   /// reach it through SketchSpreadObjective::Gains (algo/greedy.h).
@@ -335,7 +351,9 @@ class SketchOracle {
     /// exploration work counter (each node is activated at most once per
     /// snapshot over the whole run).
     int64_t total_activated() const { return total_active_; }
-    /// Session scratch bytes (capacity-based).
+    /// Session scratch bytes (capacity-based): the activated and pending
+    /// lane words, (ceil(R / 64) + 1) n words, plus the grown undo log
+    /// and worklist.
     std::size_t ScratchBytes() const;
 
    private:

@@ -4,6 +4,8 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "algo/celf.h"
@@ -173,11 +175,20 @@ class CoverageGains : public GainOracle {
     *gain = NewItems(u, with);
     return true;
   }
+  bool EmptySetGainBounds(std::span<const NodeId> candidates,
+                          std::vector<double>* out) override {
+    if (bounds.empty()) return false;
+    EXPECT_EQ(commits, 0) << "bounds asked after a commit";
+    for (const NodeId u : candidates) out->push_back(bounds[u]);
+    return true;
+  }
 
   int gain_with_calls = 0;
   int commits = 0;
   std::vector<NodeId> gained;     // every Gain call's node, in order
   std::function<void()> on_gain;  // runs inside each Gain call
+  // Non-empty: offered as the empty-set gain bounds, one per node id.
+  std::vector<double> bounds;
 
  private:
   double NewItems(NodeId u, const std::set<int>& covered) const {
@@ -219,6 +230,18 @@ TEST(LazyGreedyTest, EqualKeysPopTheSmallestIdFirst) {
   const LazyGreedyRun budgeted = LazyGreedy(
       ratios, std::vector<NodeId>{3, 1, 0, 2}, 4, costs, /*budget=*/6.0);
   EXPECT_EQ(budgeted.selection.seeds, (std::vector<NodeId>{0, 1, 2}));
+
+  // Bound-keyed: nodes 0 and 3 carry a loose bound of 2, the rest an exact
+  // 1. Round 0 scores 0 and 3 down to 1 and commits 0; each later round
+  // scores the smallest never-scored id and commits it. The unscored
+  // nodes 4 and 5 never cost an evaluation.
+  CoverageGains bounded({{0}, {1}, {2}, {3}, {4}, {5}});
+  bounded.bounds = {2, 1, 1, 2, 1, 1};
+  const LazyGreedyRun lazy = LazyGreedy(bounded, shuffled, 3);
+  EXPECT_EQ(lazy.selection.seeds, run.selection.seeds);
+  EXPECT_EQ(lazy.selection.seed_scores, run.selection.seed_scores);
+  EXPECT_EQ(bounded.gained, (std::vector<NodeId>{0, 3, 1, 2}));
+  EXPECT_EQ(lazy.evaluations, 4u);
 }
 
 TEST(LazyGreedyTest, OverBudgetCandidateNeverReturns) {
@@ -241,6 +264,18 @@ TEST(LazyGreedyTest, OverBudgetCandidateNeverReturns) {
   EXPECT_EQ(run.evaluations, 5u);
   // The CELF++ look-ahead is top-k only.
   EXPECT_EQ(gains.gain_with_calls, 0);
+
+  // Keyed on exact bounds, the dropped nodes 3 and 0 are never scored at
+  // all: 3 pops over the budget in round 0, 0 over the residual in round 1.
+  CoverageGains bounded(covers, /*plus_plus=*/true);
+  bounded.bounds = {10, 9, 1, 60};
+  const LazyGreedyRun lazy =
+      LazyGreedy(bounded, AllNodes(4), 4, costs, /*budget=*/5.0);
+  EXPECT_EQ(lazy.selection.seeds, run.selection.seeds);
+  EXPECT_EQ(lazy.selection.seed_scores, run.selection.seed_scores);
+  EXPECT_EQ(bounded.gained, (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(lazy.evaluations, 2u);
+  EXPECT_EQ(bounded.gain_with_calls, 0);
 }
 
 TEST(LazyGreedyTest, CelfPlusPlusSkipsOneReevaluationAfterPrevBestCommits) {
@@ -261,6 +296,21 @@ TEST(LazyGreedyTest, CelfPlusPlusSkipsOneReevaluationAfterPrevBestCommits) {
   EXPECT_EQ(pp_gains.gained.size(), plain_gains.gained.size() - 1);
   EXPECT_EQ(pp_gains.gain_with_calls, 2);
   EXPECT_EQ(pp.evaluations, 10u);
+
+  // Keyed on exact bounds {10, 6, 8, 1}, every entry starts never scored
+  // and holds no look-ahead. Round 0 scores A (look-ahead against U) and
+  // commits it. Round 1 scores U (against X) and X (against U) for the
+  // first time, and X commits. Round 2 serves U from its round-1 cache:
+  // the only cache hit, on an entry scored the round before. Node 3 is
+  // never scored.
+  CoverageGains bounded_pp(OverlapCovers(), /*plus_plus=*/true);
+  bounded_pp.bounds = {10, 6, 8, 1};
+  const LazyGreedyRun lazy_pp = LazyGreedy(bounded_pp, AllNodes(4), 3);
+  EXPECT_EQ(lazy_pp.selection.seeds, plain.selection.seeds);
+  EXPECT_EQ(lazy_pp.selection.seed_scores, plain.selection.seed_scores);
+  EXPECT_EQ(bounded_pp.gained, (std::vector<NodeId>{0, 2, 1}));
+  EXPECT_EQ(bounded_pp.gain_with_calls, 3);
+  EXPECT_EQ(lazy_pp.evaluations, 9u);
 }
 
 TEST(LazyGreedyTest, CancelledTokenDiscardsTheCurrentRound) {
@@ -283,16 +333,25 @@ TEST(LazyGreedyTest, CancelledTokenDiscardsTheCurrentRound) {
 TEST(LazyGreedyTest, OneCheckpointBeforeThePrePassAndOnePerLaterRound) {
   // A budget of B ticks completes B - 1 checkpoints: the pre-pass check
   // plus one per round after round 0, so k = 3 needs a budget of 4.
-  for (uint64_t budget = 1; budget <= 4; ++budget) {
-    SCOPED_TRACE(budget);
-    Deadline deadline = Deadline::WorkBudget(budget);
-    CoverageGains gains(OverlapCovers());
-    const LazyGreedyRun run =
-        LazyGreedy(gains, AllNodes(4), 3, {}, 0.0, &deadline);
-    const std::size_t rounds = budget - 1;
-    EXPECT_EQ(run.selection.seeds.size(), rounds);
-    EXPECT_EQ(run.selection.degraded, rounds < 3);
-    if (rounds == 0) EXPECT_TRUE(gains.gained.empty());
+  // Bound-keyed pre-passes score nothing and still take one check.
+  for (const bool bounded : {false, true}) {
+    for (uint64_t budget = 1; budget <= 4; ++budget) {
+      SCOPED_TRACE(std::to_string(budget) + (bounded ? " bounded" : ""));
+      Deadline deadline = Deadline::WorkBudget(budget);
+      CoverageGains gains(OverlapCovers());
+      if (bounded) gains.bounds = {12, 6, 9, 1};
+      const LazyGreedyRun run =
+          LazyGreedy(gains, AllNodes(4), 3, {}, 0.0, &deadline);
+      const std::size_t rounds = budget - 1;
+      EXPECT_EQ(run.selection.seeds.size(), rounds);
+      EXPECT_EQ(run.selection.degraded, rounds < 3);
+      if (rounds == 0) {
+        EXPECT_TRUE(gains.gained.empty());
+      }
+      if (rounds == 3) {
+        EXPECT_EQ(run.selection.seeds, (std::vector<NodeId>{0, 1, 2}));
+      }
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/celf.h"
@@ -8,6 +10,7 @@
 #include "algo/lazy_greedy.h"
 #include "diffusion/sketch_oracle.h"
 #include "diffusion/spread_estimator.h"
+#include "engine/holim_engine.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "model/influence_params.h"
@@ -201,6 +204,114 @@ TEST(SketchOracleTest, CelfSketchMatchesEagerFrozenGreedy) {
   // Laziness still skips work: far fewer evaluations than eager's k * n.
   EXPECT_LT(celf.last_evaluation_count(), 6u * g.num_nodes() / 2);
   EXPECT_GE(celf.last_evaluation_count(), g.num_nodes());
+}
+
+// The singleton reach bounds never undercount: per node, at least its
+// reach summed over the reference's worlds, and exactly that under LT,
+// whose worlds all condense to forests. Undirected BA and directed ER
+// graphs both give cycles, so worlds hold non-trivial SCCs; R spans one
+// lane, partial and full groups, and partial later groups.
+TEST(SketchOracleTest, SingletonReachBoundsCoverEveryWorldsReach) {
+  for (const Graph& g : {GenerateBarabasiAlbert(90, 2, 17).ValueOrDie(),
+                         GenerateErdosRenyi(90, 3.0, 19).ValueOrDie()}) {
+    const int64_t n = g.num_nodes();
+    for (const auto& params : {MakeUniformIc(g, 0.3), MakeWeightedCascade(g),
+                               MakeLinearThreshold(g)}) {
+      const bool lt = params.model == DiffusionModel::kLinearThreshold;
+      for (const uint32_t r : {1u, 63u, 64u, 65u, 130u}) {
+        SCOPED_TRACE(std::string(DiffusionModelName(params.model)) +
+                     " R=" + std::to_string(r));
+        const SketchOracle oracle(g, params, Opts(r, 5));
+        const Reference reference(g, params, 5, r);
+        const std::vector<int64_t> bounds = oracle.SingletonReachBounds();
+        ASSERT_EQ(bounds.size(), g.num_nodes());
+        for (NodeId u = 0; u < g.num_nodes(); ++u) {
+          const int64_t reach =
+              reference.TotalReached(std::vector<NodeId>{u});
+          if (lt) {
+            EXPECT_EQ(bounds[u], reach) << "node " << u;
+          } else {
+            EXPECT_GE(bounds[u], reach) << "node " << u;
+          }
+          EXPECT_LE(bounds[u], n * r) << "node " << u;
+        }
+      }
+    }
+  }
+}
+
+// Every edge live (IC, p = 1): 0 -> {1, 2} -> SCC {3, 4} -> 5, where both
+// members of the SCC point at 5. The SCC and 5 are reached from 0 along
+// two condensation paths, so 0's bound counts those three nodes twice;
+// every other bound is exact (the SCC's two edges into 5 count 5 once).
+// Nodes 6-9 are isolated, so the cap at n leaves 0's 9 alone.
+TEST(SketchOracleTest, SingletonReachBoundOvercountsADiamondsSharedPart) {
+  GraphBuilder b(10);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 3}, {3, 5}, {4, 5}}) {
+    b.AddEdge(u, v);
+  }
+  Graph g = std::move(b).Build().ValueOrDie();
+  auto params = MakeUniformIc(g, 1.0);
+  constexpr uint32_t kR = 3;
+  const SketchOracle oracle(g, params, Opts(kR));
+  const Reference reference(g, params, 7, kR);
+  const std::vector<int64_t> exact = {6, 4, 4, 3, 3, 1, 1, 1, 1, 1};
+  const std::vector<int64_t> bounds = oracle.SingletonReachBounds();
+  ASSERT_EQ(bounds.size(), exact.size());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    EXPECT_EQ(reference.TotalReached(std::vector<NodeId>{u}), kR * exact[u]);
+    EXPECT_EQ(bounds[u], kR * (exact[u] + (u == 0 ? 3 : 0))) << "node " << u;
+  }
+}
+
+// Bound-seeded lazy greedy keeps eager greedy's seeds and gains bit for
+// bit on the same worlds: CELF, CELF++ and StaticGreedy against GREEDY
+// through the engine, top-k and budgeted with degree costs, under every
+// model. LT bounds are exact, so there CELF probes fewer nodes than the
+// graph has (a full pre-pass would probe all of them).
+TEST(SketchOracleTest, BoundSeededCelfFamilyMatchesEagerGreedy) {
+  Graph g = GenerateBarabasiAlbert(150, 2, 29).ValueOrDie();
+  std::vector<double> degree_costs(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    degree_costs[u] = 1.0 + g.OutDegree(u);
+  }
+  for (const auto& params : {MakeUniformIc(g, 0.2), MakeWeightedCascade(g),
+                             MakeLinearThreshold(g)}) {
+    for (const uint32_t r : {64u, 65u}) {
+      for (const QueryKind query : {QueryKind::kTopK, QueryKind::kBudgeted}) {
+        SCOPED_TRACE(std::string(DiffusionModelName(params.model)) +
+                     " R=" + std::to_string(r) + " " + QueryKindName(query));
+        HolimEngine engine(g);
+        auto solve = [&](const std::string& algorithm) {
+          SolveRequest request;
+          request.algorithm = algorithm;
+          request.query = query;
+          request.k = 8;
+          request.params = &params;
+          request.seed = 13;
+          request.oracle = SpreadOracle::kSketch;
+          request.num_sketches = r;
+          request.num_snapshots = r;
+          if (query == QueryKind::kBudgeted) {
+            request.node_costs = degree_costs;
+            request.budget = 30.0;
+          }
+          return engine.Solve(request).ValueOrDie();
+        };
+        const SolveResult eager = solve("greedy");
+        ASSERT_FALSE(eager.seeds.empty());
+        for (const std::string lazy : {"celf", "celf++", "static-greedy"}) {
+          const SolveResult result = solve(lazy);
+          EXPECT_EQ(result.seeds, eager.seeds) << lazy;
+          EXPECT_EQ(result.seed_scores, eager.seed_scores) << lazy;
+          if (params.model == DiffusionModel::kLinearThreshold) {
+            EXPECT_LT(result.Stat("evaluations"), g.num_nodes()) << lazy;
+          }
+        }
+      }
+    }
+  }
 }
 
 // IC-N over deterministic worlds: chain 0 -> 1 -> 2 with p = 1 and

@@ -179,6 +179,8 @@ Status Run(const BenchArgs& args) {
       static_cast<std::size_t>(args.GetInt("max_theta", 2'000'000));
   request.p = args.GetDouble("p", 0.1);
   request.num_sketches = static_cast<uint32_t>(sketches);
+  // StaticGreedy's worlds are the same arena: an explicit R sets both.
+  if (sketches != 0) request.num_snapshots = request.num_sketches;
   request.evaluate_spread = request.oracle == SpreadOracle::kSketch;
   request.deadline_ms = deadline_ms;
   request.work_budget = static_cast<uint64_t>(work_budget);
@@ -398,7 +400,8 @@ int main(int argc, char** argv) {
         args->Declare("max_theta", "TIM+/IMM RR-set cap (default 2000000)");
         args->Declare("sketches",
                       "sketch-oracle snapshot count R (default: the --mc "
-                      "value; only used with --oracle=sketch)");
+                      "value; only used with --oracle=sketch) and, when "
+                      "given, static-greedy's world count (default 100)");
         args->Declare("churn",
                       "after the initial solve, apply N random 64-op delta "
                       "batches (seeded from --seed) and re-solve warm after "
