@@ -41,13 +41,23 @@ class WholeSetGains : public GainOracle {
   double value_ = 0.0;
 };
 
+// Below this many live out-edges per node and world (MeanLiveOutDegree),
+// probing every node costs less than the bound pass: the pass walks each
+// of the R worlds on its own, while one probe covers a lane group's 64
+// worlds at once and in a sparse world stops near its start. Timed on IC
+// CELF++ solves of the NetHEPT stand-in (R = 200, k = 50) and a perfbench
+// churn graph (R = 64, k = 5), the bounds lost at 0.12-0.18 and won from
+// 0.15 (churn) and 0.21 (NetHEPT) up. WC and LT worlds sit near 1.
+constexpr double kMinLiveOutDegreeForBounds = 0.2;
+
 // Incremental-session gains (sketch objectives): each probe is a
 // near-O(touched) session query and a commit explores the seed's frontier
 // once.
 class SessionGains : public GainOracle {
  public:
   // A non-null `bounds_from` (the session's oracle) offers its singleton
-  // reach bounds; only an unweighted session's gains are reach counts.
+  // reach bounds when its worlds are dense enough to pay for them; only
+  // an unweighted session's gains are reach counts.
   SessionGains(SketchOracle::Session& session,
                const SketchOracle* bounds_from)
       : session_(session), bounds_from_(bounds_from) {}
@@ -55,7 +65,10 @@ class SessionGains : public GainOracle {
   void Commit(NodeId u, double /*gain*/) override { session_.Commit(u); }
   bool EmptySetGainBounds(std::span<const NodeId> candidates,
                           std::vector<double>* bounds) override {
-    if (bounds_from_ == nullptr || session_.num_seeds() != 0) return false;
+    if (bounds_from_ == nullptr ||
+        bounds_from_->MeanLiveOutDegree() < kMinLiveOutDegreeForBounds) {
+      return false;
+    }
     const std::vector<int64_t> reach = bounds_from_->SingletonReachBounds();
     const int64_t snapshots = bounds_from_->num_snapshots();
     bounds->clear();

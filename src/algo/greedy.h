@@ -102,7 +102,10 @@ class SketchSpreadObjective : public McObjective {
   /// (so a warm re-Select allocates nothing). Never answers look-aheads:
   /// a session probe costs no more than the CELF++ cache bookkeeping. An
   /// unweighted objective's gains offer the oracle's
-  /// SingletonReachBounds as LazyGreedy's empty-set bounds.
+  /// SingletonReachBounds as LazyGreedy's empty-set bounds when the
+  /// worlds average at least 0.2 live out-edges per node
+  /// (MeanLiveOutDegree); sparser worlds make every probe cheaper than
+  /// the bound pass.
   std::unique_ptr<GainOracle> Gains(bool look_ahead) override;
   /// The session's scratch plus the owned weight copy.
   std::size_t ScratchBytes() const override;

@@ -10,7 +10,8 @@ namespace {
 
 // Entry::round of a candidate keyed on its empty-set bound, not yet
 // scored: it never equals a round, so the driver scores it on its first
-// pop.
+// pop. A never-scored entry carries no look-ahead cache (`with` is set
+// only beside a Gain call, which also sets a real round).
 constexpr uint32_t kNeverScored = std::numeric_limits<uint32_t>::max();
 
 struct Entry {
@@ -103,8 +104,7 @@ LazyGreedyRun LazyGreedy(GainOracle& oracle,
       continue;
     }
     const bool cached = top.with != kInvalidNode &&
-                        top.round != kNeverScored && top.round + 1 == round &&
-                        out.seeds.back() == top.with;
+                        top.round + 1 == round && out.seeds.back() == top.with;
     top.with = kInvalidNode;
     if (cached) {
       // CELF++: the gain w.r.t. the old S + `with` is the gain w.r.t. the

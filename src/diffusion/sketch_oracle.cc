@@ -514,6 +514,14 @@ std::vector<int64_t> SketchOracle::SingletonReachBounds() const {
   return bounds;
 }
 
+double SketchOracle::MeanLiveOutDegree() const {
+  const NodeId n = graph_->num_nodes();
+  if (n == 0) return 0.0;
+  uint64_t live = 0;
+  for (const uint64_t mask : arena_.masks) live += std::popcount(mask);
+  return static_cast<double>(live) / num_snapshots_ / n;
+}
+
 std::vector<uint8_t> SketchOracle::DirtyRows(
     const Graph& new_graph, const InfluenceParams& new_params) const {
   const Graph& old_graph = *graph_;

@@ -301,6 +301,11 @@ class SketchOracle {
   /// and O(n + one group's union entries) transient scratch.
   std::vector<int64_t> SingletonReachBounds() const;
 
+  /// Live edges per node, averaged over the R worlds: the union entries'
+  /// lane bits summed, over R n (0 for an empty graph). One O(union
+  /// entries) popcount pass.
+  double MeanLiveOutDegree() const;
+
   /// \brief Incremental marginal-gain session: StaticGreedy-style
   /// activate-once evaluation across a whole greedy run. Hill-climbers
   /// reach it through SketchSpreadObjective::Gains (algo/greedy.h).

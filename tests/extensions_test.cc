@@ -6,8 +6,10 @@
 #include "algo/asim.h"
 #include "algo/celf.h"
 #include "algo/easyim.h"
+#include "algo/greedy.h"
 #include "algo/icn_objective.h"
 #include "algo/osim.h"
+#include "diffusion/sketch_oracle.h"
 #include "diffusion/spread_estimator.h"
 #include "engine/holim_engine.h"
 #include "graph/edge_list_io.h"
@@ -170,10 +172,46 @@ TEST(StaticGreedyTest, LtSnapshotsRespectSingleLiveInEdge) {
 TEST(StaticGreedyTest, SnapshotMemoryAccounted) {
   Graph g = GenerateBarabasiAlbert(100, 3, 5).ValueOrDie();
   auto params = MakeUniformIc(g, 0.3);
-  HolimEngine engine(g);
-  ASSERT_TRUE(engine.Solve(StaticGreedyRequest(params, 2)).ok());
-  // The worlds live in the Workspace as a sketch arena.
-  EXPECT_GT(engine.workspace().MemoryFootprintBytes(), 0u);
+  // The Workspace charges the worlds as a sketch arena, and the cached
+  // hill-climber its session scratch (lane and pending words, undo log)
+  // plus its prefix memo. A twin selector on the same worlds retains the
+  // same bytes. Sketch GREEDY takes the same charge through its own
+  // selector class.
+  for (const bool eager : {false, true}) {
+    SCOPED_TRACE(eager ? "greedy" : "static-greedy");
+    SolveRequest request = StaticGreedyRequest(params, 2);
+    if (eager) {
+      request.algorithm = "greedy";
+      request.oracle = SpreadOracle::kSketch;
+      request.num_sketches = request.num_snapshots;
+    }
+    HolimEngine engine(g);
+    auto result = engine.Solve(request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    SketchOptions options;
+    options.num_snapshots = request.num_snapshots;
+    options.seed = request.seed;
+    auto oracle = std::make_shared<const SketchOracle>(g, params, options);
+    auto objective = std::make_shared<SketchSpreadObjective>(oracle);
+    std::unique_ptr<SeedSelector> twin;
+    if (eager) {
+      twin = std::make_unique<GreedySelector>(g, objective);
+    } else {
+      twin = std::make_unique<CelfSelector>(g, objective,
+                                            /*plus_plus=*/false, "twin");
+    }
+    auto selection = twin->Select(2);
+    ASSERT_TRUE(selection.ok());
+    EXPECT_EQ(selection->seeds, result->seeds);
+    EXPECT_GT(twin->MemoryFootprintBytes(), 0u);
+    EXPECT_EQ(twin->MemoryFootprintBytes(), objective->ScratchBytes());
+    PrefixMemo memo;
+    memo.Record(2, *selection);
+    EXPECT_EQ(result->workspace_bytes, oracle->ArenaBytes() +
+                                           twin->MemoryFootprintBytes() +
+                                           memo.Bytes());
+  }
 }
 
 TEST(StaticGreedyTest, RejectsBadK) {

@@ -265,23 +265,47 @@ TEST(SketchOracleTest, SingletonReachBoundOvercountsADiamondsSharedPart) {
   }
 }
 
+// The mean live out-degree counts every live edge of every world once.
+TEST(SketchOracleTest, MeanLiveOutDegreeCountsEveryWorldsLiveEdges) {
+  Graph g = GenerateErdosRenyi(90, 3.0, 19).ValueOrDie();
+  for (const auto& params : {MakeUniformIc(g, 0.3), MakeWeightedCascade(g),
+                             MakeLinearThreshold(g)}) {
+    for (const uint32_t r : {1u, 64u, 65u, 130u}) {
+      SCOPED_TRACE(std::string(DiffusionModelName(params.model)) +
+                   " R=" + std::to_string(r));
+      const SketchOracle oracle(g, params, Opts(r, 5));
+      const Reference reference(g, params, 5, r);
+      EXPECT_EQ(oracle.MeanLiveOutDegree(),
+                static_cast<double>(reference.LiveEdges()) / r /
+                    g.num_nodes());
+    }
+  }
+}
+
 // Bound-seeded lazy greedy keeps eager greedy's seeds and gains bit for
 // bit on the same worlds: CELF, CELF++ and StaticGreedy against GREEDY
 // through the engine, top-k and budgeted with degree costs, under every
 // model. LT bounds are exact, so there CELF probes fewer nodes than the
-// graph has (a full pre-pass would probe all of them).
+// graph has (a full pre-pass would probe all of them). IC at p = 0.02
+// leaves about 0.08 live out-edges per node and world, too sparse to pay
+// for the bounds, so there the pre-pass probes every node.
 TEST(SketchOracleTest, BoundSeededCelfFamilyMatchesEagerGreedy) {
   Graph g = GenerateBarabasiAlbert(150, 2, 29).ValueOrDie();
   std::vector<double> degree_costs(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     degree_costs[u] = 1.0 + g.OutDegree(u);
   }
-  for (const auto& params : {MakeUniformIc(g, 0.2), MakeWeightedCascade(g),
-                             MakeLinearThreshold(g)}) {
+  for (const auto& [params, sparse] :
+       std::vector<std::pair<InfluenceParams, bool>>{
+           {MakeUniformIc(g, 0.2), false},
+           {MakeUniformIc(g, 0.02), true},
+           {MakeWeightedCascade(g), false},
+           {MakeLinearThreshold(g), false}}) {
     for (const uint32_t r : {64u, 65u}) {
       for (const QueryKind query : {QueryKind::kTopK, QueryKind::kBudgeted}) {
         SCOPED_TRACE(std::string(DiffusionModelName(params.model)) +
-                     " R=" + std::to_string(r) + " " + QueryKindName(query));
+                     (sparse ? " sparse" : "") + " R=" + std::to_string(r) +
+                     " " + QueryKindName(query));
         HolimEngine engine(g);
         auto solve = [&](const std::string& algorithm) {
           SolveRequest request;
@@ -307,6 +331,9 @@ TEST(SketchOracleTest, BoundSeededCelfFamilyMatchesEagerGreedy) {
           EXPECT_EQ(result.seed_scores, eager.seed_scores) << lazy;
           if (params.model == DiffusionModel::kLinearThreshold) {
             EXPECT_LT(result.Stat("evaluations"), g.num_nodes()) << lazy;
+          }
+          if (sparse) {
+            EXPECT_GE(result.Stat("evaluations"), g.num_nodes()) << lazy;
           }
         }
       }

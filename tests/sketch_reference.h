@@ -222,6 +222,15 @@ class Reference {
     return static_cast<int64_t>(queue.size());
   }
 
+  /// Live edges, summed over worlds.
+  int64_t LiveEdges() const {
+    int64_t total = 0;
+    for (const World& world : worlds_) {
+      for (const std::vector<LiveEdge>& row : world) total += row.size();
+    }
+    return total;
+  }
+
   /// Nodes reached from `seeds`, summed over worlds.
   int64_t TotalReached(std::span<const NodeId> seeds) const {
     int64_t total = 0;
