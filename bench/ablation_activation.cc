@@ -1,6 +1,7 @@
-// Ablation (DESIGN.md): the ScoreGREEDY activated-set strategy. Algorithm 1
-// line 11 leaves the V(a) estimator open; this bench compares the three
-// implementations on quality and cost.
+// Ablation: the ScoreGREEDY activated-set strategy. Algorithm 1 line 11
+// leaves the V(a) estimator open; this bench compares the three
+// implementations on quality and cost (README.md, "Figure & table
+// reproduction binaries", lists it with the figure binaries).
 
 #include "algo/score_greedy.h"
 #include "common.h"

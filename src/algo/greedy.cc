@@ -61,6 +61,9 @@ class SessionGains : public GainOracle {
   SessionGains(SketchOracle::Session& session,
                const SketchOracle* bounds_from)
       : session_(session), bounds_from_(bounds_from) {}
+  // The run is over: a cached selector keeps its committed lanes, not the
+  // scratch of its largest probe.
+  ~SessionGains() override { session_.ReleaseProbeScratch(); }
   double Gain(NodeId u) override { return session_.MarginalGain(u); }
   void Commit(NodeId u, double /*gain*/) override { session_.Commit(u); }
   bool EmptySetGainBounds(std::span<const NodeId> candidates,

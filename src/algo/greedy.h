@@ -99,7 +99,9 @@ class SketchSpreadObjective : public McObjective {
   }
   double Evaluate(const std::vector<NodeId>& seeds) override;
   /// Session gains on the objective's one Session, reset on every call
-  /// (so a warm re-Select allocates nothing). Never answers look-aheads:
+  /// (so a warm re-Select allocates no lane words); destroying the gains
+  /// releases the session's probe scratch, so between runs the objective
+  /// holds only its lane words and weights. Never answers look-aheads:
   /// a session probe costs no more than the CELF++ cache bookkeeping. An
   /// unweighted objective's gains offer the oracle's
   /// SingletonReachBounds as LazyGreedy's empty-set bounds when the

@@ -19,8 +19,10 @@
 
 namespace holim {
 
-/// How ScoreGREEDY updates the activated set V(a) after each seed pick
-/// (Algorithm 1 line 11 leaves the estimator open — see DESIGN.md).
+/// How ScoreGREEDY updates the activated set V(a) after each seed pick.
+/// Algorithm 1 line 11 leaves the estimator open; kMonteCarloMajority is
+/// the default, and `bench_ablation_activation` compares all three on
+/// quality and cost.
 enum class ActivationStrategy {
   /// V(a) = S: only seeds are removed in later iterations.
   kSeedsOnly,

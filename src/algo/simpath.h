@@ -37,7 +37,7 @@ struct SimpathOptions {
 ///   sigma(S + u) = sigma^{V-u}(S) + sigma^{V-S}({u}),
 /// both terms evaluated by pruned path enumeration. (The vertex-cover
 /// first-round optimization of the original paper is a constant-factor
-/// speedup and is not implemented; DESIGN.md records this.)
+/// speedup and is not implemented.)
 class SimpathSelector : public SeedSelector {
  public:
   SimpathSelector(const Graph& graph, const InfluenceParams& params,

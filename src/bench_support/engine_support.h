@@ -20,25 +20,6 @@ namespace holim {
 /// SolveRequest prefilled from the shared bench config and common flag
 /// family. Benches run their own evaluation sweeps, so evaluate_spread is
 /// off; flip it (or any other knob) on the returned request as needed.
-/// The bench binaries' shared sketch-oracle acquisition: R = config.mc
-/// worlds (so the sketch and MC estimators see comparable sample sizes),
-/// sampled serially per the figure methodology, cached in the engine's
-/// Workspace. `seed_offset` picks an independently seeded world set
-/// (fig6de's train/eval split); `record_edge_offsets` only for the
-/// opinion-replay benches.
-inline Result<std::shared_ptr<const SketchOracle>> GetBenchSketchOracle(
-    HolimEngine& engine, const Graph& graph, const InfluenceParams& params,
-    const CommonBenchConfig& config, uint64_t seed_offset = 0,
-    bool record_edge_offsets = false) {
-  SketchOptions options;
-  options.num_snapshots = config.mc;
-  options.seed = config.seed + seed_offset;
-  options.record_edge_offsets = record_edge_offsets;
-  return engine.workspace().GetSketchOracle(graph, params,
-                                            FingerprintParams(params), options,
-                                            engine.graph_token());
-}
-
 inline SolveRequest MakeSolveRequest(std::string algorithm, uint32_t k,
                                      const InfluenceParams& params,
                                      const CommonBenchConfig& config,
@@ -59,6 +40,25 @@ inline SolveRequest MakeSolveRequest(std::string algorithm, uint32_t k,
   request.budget = common.budget;
   request.evaluate_spread = false;
   return request;
+}
+
+/// The bench binaries' shared sketch-oracle acquisition: the arena a
+/// MakeSolveRequest sketch solve reads (R = config.mc worlds at
+/// config.seed, so the sketch and MC estimators see comparable sample
+/// sizes), sampled serially per the figure methodology and cached in the
+/// engine's Workspace. `seed_offset` picks an independently seeded world
+/// set (fig6de's train/eval split); `record_edge_offsets` only for the
+/// opinion-replay benches.
+inline Result<std::shared_ptr<const SketchOracle>> GetBenchSketchOracle(
+    HolimEngine& engine, const Graph& graph, const InfluenceParams& params,
+    const CommonBenchConfig& config, uint64_t seed_offset = 0,
+    bool record_edge_offsets = false) {
+  SolveRequest request = MakeSolveRequest("", 1, params, config);
+  request.seed += seed_offset;
+  SketchKey key =
+      HolimEngine::SketchKeyFor(request, FingerprintParams(params));
+  key.edge_offsets = record_edge_offsets;
+  return engine.workspace().GetSketchOracle(graph, params, key);
 }
 
 }  // namespace holim

@@ -157,8 +157,11 @@ void DeclareCommonOptions(BenchArgs* args, const CommonOptionsSpec& spec) {
   }
   if (spec.threads) {
     args->Declare("threads",
-                  "worker threads for the sharded kernels (0 = serial; "
-                  "results are bitwise thread-count-invariant)");
+                  "worker threads for the sharded kernels (0: score "
+                  "sweeps and sketch sampling run serially, RR sampling "
+                  "and Monte-Carlo estimation on a shared pool of "
+                  "hardware-concurrency threads; results are bitwise "
+                  "thread-count-invariant)");
   }
   if (spec.query) {
     std::string choices;

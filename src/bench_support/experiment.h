@@ -87,7 +87,9 @@ void DeclareCommonFlags(BenchArgs* args);
 ///   default differs by binary on purpose: figure benches default "full"
 ///   (the paper's O(l(m+n)) recompute is the methodology reproduced),
 ///   holim_cli defaults "incremental" (production path).
-/// - `--threads`: worker threads of the sharded kernels (0 = serial);
+/// - `--threads`: worker threads of the sharded kernels. At 0 score
+///   sweeps and sketch sampling run serially, while RR sampling and the
+///   Monte-Carlo estimators run on the shared hardware_concurrency pool;
 ///   results are bitwise thread-count-invariant everywhere.
 /// - `--query` (plus its per-query flag group `--budget`, `--costs`,
 ///   `--targets`, `--seeds`; declared when `spec.query`): which QueryKind

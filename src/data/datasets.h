@@ -36,7 +36,8 @@ Result<DatasetSpec> FindDatasetSpec(const std::string& name);
 
 /// Materializes the synthetic stand-in at `scale` (1.0 = paper size; the
 /// benches default to smaller scales so they finish on commodity hardware —
-/// EXPERIMENTS.md records the scales used). Deterministic in (name, scale).
+/// the shared `--scale` flag sets it, default 0.2). Deterministic in
+/// (name, scale).
 Result<Graph> LoadSyntheticDataset(const std::string& name, double scale = 1.0);
 
 /// Convenience: the four "medium" datasets used throughout Sec. 4

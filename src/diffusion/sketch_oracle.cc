@@ -606,6 +606,11 @@ void SketchOracle::Session::Reset() {
   num_seeds_ = 0;
 }
 
+void SketchOracle::Session::ReleaseProbeScratch() {
+  undo_ = std::vector<LaneUndo>();
+  stack_ = std::vector<NodeId>();
+}
+
 template <bool kCommit, bool kWeighted>
 SketchOracle::Session::Newly SketchOracle::Session::Explore(NodeId u) {
   Newly newly;

@@ -336,6 +336,10 @@ class SketchOracle {
     /// Drops all committed seeds (keeps capacity).
     void Reset();
 
+    /// Frees the probe undo log and the worklist, which a run grows to its
+    /// largest walk; the committed state stays. The next walk regrows them.
+    void ReleaseProbeScratch();
+
     /// Marginal gain of adding `u` to the committed set, WITHOUT
     /// committing: avg over snapshots of |reach(u) \ activated| minus 1
     /// (the candidate joins the excluded seed set, mirroring Def. 3).
@@ -357,8 +361,8 @@ class SketchOracle {
     /// snapshot over the whole run).
     int64_t total_activated() const { return total_active_; }
     /// Session scratch bytes (capacity-based): the activated and pending
-    /// lane words, (ceil(R / 64) + 1) n words, plus the grown undo log
-    /// and worklist.
+    /// lane words, (ceil(R / 64) + 1) n words, plus the undo log and
+    /// worklist as grown since the last ReleaseProbeScratch.
     std::size_t ScratchBytes() const;
 
    private:

@@ -44,9 +44,10 @@ Result<ScoreGreedyOptions> MakeScoreGreedyOptions(const SolveContext& ctx) {
   return options;
 }
 
-/// sigma (or, for targeted queries, sigma_w) on the Workspace sketch arena
-/// of `num_snapshots` worlds at the request seed: the same artifact the
-/// engine's sketch spread evaluation reads, so the two share one build.
+/// sigma (or, for targeted queries, sigma_w) on the request's Workspace
+/// sketch arena with its world count set to `num_snapshots`: the same
+/// artifact the engine's sketch spread evaluation reads when the counts
+/// agree, so the two share one build.
 Result<std::shared_ptr<McObjective>> MakeSketchObjective(
     const SolveContext& ctx, uint32_t num_snapshots) {
   const SolveRequest& r = ctx.request;
@@ -54,15 +55,12 @@ Result<std::shared_ptr<McObjective>> MakeSketchObjective(
     return Status::InvalidArgument(
         "the sketch objective needs at least one snapshot");
   }
-  SketchOptions options;
-  options.num_snapshots = num_snapshots;
-  options.seed = r.seed;
-  options.pool = ctx.pool;
-  options.deadline = ctx.deadline;
-  HOLIM_ASSIGN_OR_RETURN(
-      std::shared_ptr<const SketchOracle> sketch,
-      ctx.workspace.GetSketchOracle(ctx.graph, *r.params, ctx.params_fp,
-                                    options, ctx.graph_token));
+  SketchKey key = ctx.sketch_key;
+  key.snapshots = num_snapshots;
+  HOLIM_ASSIGN_OR_RETURN(std::shared_ptr<const SketchOracle> sketch,
+                         ctx.workspace.GetSketchOracle(
+                             ctx.graph, *r.params, key, ctx.pool,
+                             ctx.deadline));
   // The objective copies the weights so the cached selector never dangles
   // into a caller-owned request vector.
   std::vector<double> weights = r.query == QueryKind::kTargeted

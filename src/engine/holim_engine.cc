@@ -216,17 +216,14 @@ std::string HolimEngine::SelectorKey(const AlgorithmInfo& info,
   key += "|costs=" + std::to_string(FingerprintDoubles(r.node_costs));
   key += "|tw=" + std::to_string(FingerprintDoubles(r.target_weights));
   key += "|gs=" + std::to_string(FingerprintNodes(r.given_seeds));
-  // Graph identity across delta epochs. Empty at epoch 0 so pre-streaming
-  // keys (and any baseline churn statistics) are unchanged.
-  const std::string token = graph_token();
-  if (!token.empty()) key += "|" + token;
   return key;
 }
 
-std::string HolimEngine::graph_token() const {
-  if (streaming_ == nullptr || streaming_->epoch() == 0) return "";
-  return "g=" + std::to_string(streaming_->base_fingerprint()) + "@" +
-         std::to_string(streaming_->epoch());
+SketchKey HolimEngine::SketchKeyFor(const SolveRequest& request,
+                                    uint64_t params_fp) {
+  return SketchKey{.params_fp = params_fp,
+                   .snapshots = request.EffectiveSketchCount(),
+                   .seed = request.seed};
 }
 
 Result<HolimEngine::DeltaReport> HolimEngine::ApplyDelta(
@@ -264,7 +261,7 @@ Result<HolimEngine::DeltaReport> HolimEngine::ApplyDelta(
   report.reweighted = resolved.num_reweighted;
   const uint64_t new_fp = FingerprintParams(report.params);
   const Workspace::DeltaPatchStats stats = workspace_.ApplyGraphDelta(
-      old_fp, new_fp, graph_token(), [&](SketchOracle& sketch) {
+      old_fp, new_fp, [&](SketchOracle& sketch) {
         return sketch.ApplyDelta(new_graph, report.params);
       });
   report.patched_sketches = stats.patched;
@@ -338,8 +335,7 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   SolveResult result;
   result.query = request.query;
   SolveContext ctx{*graph_, request, workspace_, PoolFor(request.threads),
-                   graph_token(), /*params_fp=*/0,
-                   bounded ? &deadline : nullptr};
+                   /*sketch_key=*/{}, bounded ? &deadline : nullptr};
 
   // Artifact acquisition: the cached selector (and, inside the factory,
   // any shared sketch oracle). artifact_seconds covers exactly the
@@ -351,17 +347,15 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   Timer artifact_timer;
   // The sketch key, the selector key and the factory's sketch objective
   // (through ctx) are all built from this one fingerprint.
-  ctx.params_fp = ParamsFingerprintOf(request);
-  const std::string sketch_key = SketchOracleKey(
-      ctx.params_fp, request.EffectiveSketchCount(), request.seed,
-      /*record_edge_offsets=*/false, ctx.graph_token);
+  ctx.sketch_key = SketchKeyFor(request, ParamsFingerprintOf(request));
   if (request.oracle == SpreadOracle::kSketch) {
     // "Warm" = the arena predates this solve (the factory may build it
     // below, which is still a cold build).
-    result.warm_sketch = workspace_.PeekSketchOracle(sketch_key) != nullptr;
+    result.warm_sketch =
+        workspace_.PeekSketchOracle(ctx.sketch_key) != nullptr;
   }
   const std::string selector_key =
-      SelectorKey(*info, request, ctx.params_fp);
+      SelectorKey(*info, request, ctx.sketch_key.params_fp);
   SeedSelector* selector = nullptr;
   // Bounded solves that miss the warm cache build an *uncached* selector:
   // a degraded Select can leave algorithm-internal state mid-round, which
@@ -411,16 +405,11 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   std::shared_ptr<const SketchOracle> eval_sketch;
   if (request.oracle == SpreadOracle::kSketch && factory_stop.ok()) {
     if (request.evaluate_spread) {
-      SketchOptions options;
-      options.num_snapshots = request.EffectiveSketchCount();
-      options.seed = request.seed;
-      options.pool = ctx.pool;
       HOLIM_ASSIGN_OR_RETURN(
-          eval_sketch,
-          workspace_.GetSketchOracle(*graph_, *request.params, ctx.params_fp,
-                                     options, ctx.graph_token));
+          eval_sketch, workspace_.GetSketchOracle(*graph_, *request.params,
+                                                  ctx.sketch_key, ctx.pool));
     } else {
-      eval_sketch = workspace_.PeekSketchOracle(sketch_key);
+      eval_sketch = workspace_.PeekSketchOracle(ctx.sketch_key);
     }
     if (eval_sketch != nullptr) {
       result.sketch_arena_bytes = eval_sketch->ArenaBytes();
@@ -560,19 +549,11 @@ Result<SolveResult> HolimEngine::SolveGivenSeeds(const SolveRequest& request,
   Timer artifact_timer;
   std::shared_ptr<const SketchOracle> sketch;
   if (request.oracle == SpreadOracle::kSketch) {
-    const uint64_t params_fp = ParamsFingerprintOf(request);
-    const std::string token = graph_token();
-    const std::string sketch_key =
-        SketchOracleKey(params_fp, request.EffectiveSketchCount(),
-                        request.seed, /*record_edge_offsets=*/false, token);
-    result.warm_sketch = workspace_.PeekSketchOracle(sketch_key) != nullptr;
-    SketchOptions options;
-    options.num_snapshots = request.EffectiveSketchCount();
-    options.seed = request.seed;
-    options.pool = PoolFor(request.threads);
+    const SketchKey key = SketchKeyFor(request, ParamsFingerprintOf(request));
+    result.warm_sketch = workspace_.PeekSketchOracle(key) != nullptr;
     HOLIM_ASSIGN_OR_RETURN(
-        sketch, workspace_.GetSketchOracle(*graph_, *request.params,
-                                           params_fp, options, token));
+        sketch, workspace_.GetSketchOracle(*graph_, *request.params, key,
+                                           PoolFor(request.threads)));
     result.sketch_arena_bytes = sketch->ArenaBytes();
   }
   result.artifact_seconds = artifact_timer.ElapsedSeconds();

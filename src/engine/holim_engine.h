@@ -46,12 +46,10 @@ struct EngineOptions {
 /// the workspace wholesale: the engine owns a StreamingGraph epoch chain,
 /// re-maps the caller's params onto the new EdgeIds, patches compatible
 /// sketch artifacts in place (SketchOracle::ApplyDelta through
-/// Workspace::ApplyGraphDelta) and evicts the rest. Cache keys carry a
-/// "(base fingerprint, delta epoch)" token from the first effective delta
-/// on, so artifacts can never leak across epochs even when a delta leaves
-/// the params fingerprint unchanged. The correctness contract is absolute:
-/// a warm solve after ApplyDelta is bitwise identical to a cold engine
-/// built on the mutated graph.
+/// Workspace::ApplyGraphDelta) and evicts the rest, so every artifact left
+/// describes the new graph and no cache key needs to name the epoch. The
+/// correctness contract is absolute: a warm solve after ApplyDelta is
+/// bitwise identical to a cold engine built on the mutated graph.
 ///
 /// Not thread-safe: one engine serves one solve at a time (shard inside a
 /// solve via SolveRequest::threads). The bound graph — and any
@@ -113,10 +111,14 @@ class HolimEngine {
   /// Streaming epoch (0 until the first effective ApplyDelta).
   uint64_t epoch() const { return streaming_ ? streaming_->epoch() : 0; }
 
-  /// The graph-identity tag folded into workspace keys: empty at epoch 0
-  /// (keys match the pre-streaming format byte for byte), otherwise
-  /// "g=<base fingerprint>@<epoch>".
-  std::string graph_token() const;
+  /// The Workspace key of the sketch arena a solve of `request` reads:
+  /// R = request.EffectiveSketchCount() worlds at request.seed, without
+  /// edge offsets, under params fingerprint `params_fp`. Solve, the
+  /// evaluate path, the factories' sketch objectives (through
+  /// SolveContext::sketch_key), the bench harness and holimd's admission
+  /// all name their arena through this one derivation.
+  static SketchKey SketchKeyFor(const SolveRequest& request,
+                                uint64_t params_fp);
 
   /// The registry behind Solve (built-ins registered).
   static const AlgorithmRegistry& Registry() {
@@ -125,8 +127,9 @@ class HolimEngine {
 
  private:
   /// Engine-owned pool for `threads` workers (created on first use;
-  /// nullptr for 0 = serial). Owning the pools keeps cached selectors'
-  /// pool pointers valid for the engine's lifetime.
+  /// nullptr for 0, which each kernel reads as SolveRequest::threads
+  /// states). Owning the pools keeps cached selectors' pool pointers valid
+  /// for the engine's lifetime.
   ThreadPool* PoolFor(uint32_t threads);
 
   /// Selector cache key: canonical algorithm + params/opinions

@@ -24,14 +24,10 @@ struct SolveContext {
   const SolveRequest& request;
   Workspace& workspace;
   ThreadPool* pool = nullptr;
-  /// The engine's "(base fingerprint, delta epoch)" tag, folded into any
-  /// Workspace sketch key a factory builds; empty until the engine's graph
-  /// advances past epoch 0 (see HolimEngine::graph_token).
-  std::string graph_token;
-  /// FingerprintParams(*request.params), taken once by the engine (or
-  /// handed in as request.params_fingerprint) for every Workspace key of
-  /// the solve (see Workspace::GetSketchOracle).
-  uint64_t params_fp = 0;
+  /// The request's sketch arena (HolimEngine::SketchKeyFor), whose params
+  /// fingerprint the engine took once for every Workspace key of the solve
+  /// (or was handed as request.params_fingerprint).
+  SketchKey sketch_key;
   /// The solve's deadline (borrowed, may be null — and last on purpose, so
   /// deadline-free aggregate initializations stay valid). Factories thread
   /// it into artifact builds (SketchOptions::deadline, McOptions::deadline);

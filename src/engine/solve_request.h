@@ -177,10 +177,13 @@ struct SolveRequest {
   /// rounds instead of the paper's full O(l(m+n)) recompute. Seeds are
   /// bitwise identical either way.
   bool incremental_rescore = false;
-  /// Worker threads for the sharded kernels (0 = serial). Every parallel
-  /// path in the repo is bitwise thread-count-invariant, so this never
-  /// changes results — it is still part of the selector cache key so a
-  /// cached selector keeps the pool it was built with.
+  /// Worker threads for the sharded kernels. 0 gives the solve no engine
+  /// pool: score sweeps and sketch sampling then run serially, while RR
+  /// sampling and the Monte-Carlo estimators run on DefaultThreadPool()
+  /// (hardware_concurrency threads). Every parallel path in the repo is
+  /// bitwise thread-count-invariant, so this never changes results — it is
+  /// still part of the selector cache key so a cached selector keeps the
+  /// pool it was built with.
   uint32_t threads = 0;
 
   /// Evaluate sigma(S) of the result through the requested oracle and

@@ -39,17 +39,6 @@ uint64_t FingerprintNodes(const std::vector<NodeId>& nodes) {
       .value();
 }
 
-std::string SketchOracleKey(uint64_t params_fingerprint, uint32_t snapshots,
-                            uint64_t seed, bool record_edge_offsets,
-                            const std::string& graph_token) {
-  std::string key = "sketch|fp=" + std::to_string(params_fingerprint) +
-                    "|R=" + std::to_string(snapshots) +
-                    "|seed=" + std::to_string(seed) +
-                    "|eo=" + (record_edge_offsets ? "1" : "0");
-  if (!graph_token.empty()) key += "|" + graph_token;
-  return key;
-}
-
 SeedSelection PrefixMemo::Prefix(uint32_t want) const {
   SeedSelection selection;
   const std::size_t length = std::min<std::size_t>(want, seeds.size());
@@ -75,7 +64,7 @@ std::size_t PrefixMemo::Bytes() const {
          spreads.capacity() * sizeof(std::optional<double>);
 }
 
-Workspace::Entry* Workspace::Touch(const std::string& key) {
+Workspace::Entry* Workspace::Touch(const ArtifactKey& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   it->second.last_used = ++tick_;
@@ -92,12 +81,12 @@ double Workspace::DecayedHeat(const Entry& entry, uint64_t now) const {
   return std::ldexp(entry.heat, -static_cast<int>(halvings));
 }
 
-double Workspace::HeatOf(const std::string& key) const {
+double Workspace::HeatOf(const ArtifactKey& key) const {
   auto it = entries_.find(key);
   return it == entries_.end() ? 0.0 : DecayedHeat(it->second, tick_);
 }
 
-double Workspace::BenefitPerByte(const std::string& key) const {
+double Workspace::BenefitPerByte(const ArtifactKey& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) return 0.0;
   const double bytes = static_cast<double>(
@@ -106,20 +95,20 @@ double Workspace::BenefitPerByte(const std::string& key) const {
 }
 
 Result<std::shared_ptr<const SketchOracle>> Workspace::GetSketchOracle(
-    const Graph& graph, const InfluenceParams& params, uint64_t params_fp,
-    const SketchOptions& options, const std::string& graph_token,
-    bool* reused) {
-  const std::string key =
-      SketchOracleKey(params_fp, options.num_snapshots, options.seed,
-                      options.record_edge_offsets, graph_token);
+    const Graph& graph, const InfluenceParams& params, const SketchKey& key,
+    ThreadPool* pool, Deadline* deadline) {
   if (Entry* entry = Touch(key)) {
     ++hits_;
-    if (reused) *reused = true;
     return std::shared_ptr<const SketchOracle>(entry->sketch);
   }
   ++misses_;
-  if (reused) *reused = false;
   HOLIM_RETURN_NOT_OK(FaultInjection::Hit("workspace/sketch"));
+  SketchOptions options;
+  options.num_snapshots = key.snapshots;
+  options.seed = key.seed;
+  options.record_edge_offsets = key.edge_offsets;
+  options.pool = pool;
+  options.deadline = deadline;
   Entry entry;
   entry.sketch = std::make_shared<SketchOracle>(graph, params, options);
   if (!entry.sketch->build_status().ok()) {
@@ -134,19 +123,15 @@ Result<std::shared_ptr<const SketchOracle>> Workspace::GetSketchOracle(
   // eviction order — and the serving bench's exactly-gated counters —
   // machine-dependent): R forward simulations over the whole graph.
   entry.rebuild_cost =
-      static_cast<double>(options.num_snapshots) *
+      static_cast<double>(key.snapshots) *
       static_cast<double>(graph.num_nodes() + graph.num_edges());
-  entry.params_fp = params_fp;
-  entry.graph_token = graph_token;
-  entry.options = options;
-  entry.options.deadline = nullptr;  // the deadline dies with the solve
   std::shared_ptr<const SketchOracle> sketch = entry.sketch;
   entries_[key] = std::move(entry);
   return sketch;
 }
 
 std::shared_ptr<const SketchOracle> Workspace::PeekSketchOracle(
-    const std::string& key) const {
+    const SketchKey& key) const {
   auto it = entries_.find(key);
   return it == entries_.end() ? nullptr : it->second.sketch;
 }
@@ -218,44 +203,27 @@ Status Workspace::AdmitBytes(std::size_t incoming_bytes) {
 
 Workspace::DeltaPatchStats Workspace::ApplyGraphDelta(
     uint64_t old_params_fp, uint64_t new_params_fp,
-    const std::string& new_graph_token,
     const std::function<Status(SketchOracle&)>& patch) {
   DeltaPatchStats stats;
-  // Collect keys first: patching re-keys entries via extract/insert, which
-  // would invalidate a live iteration over the map.
-  std::vector<std::string> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) keys.push_back(key);
-  for (const std::string& key : keys) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) continue;
-    Entry& entry = it->second;
-    bool keep = false;
-    if (entry.sketch && entry.params_fp == old_params_fp) {
-      keep = patch(*entry.sketch).ok();
-    }
-    if (!keep) {
+  std::map<ArtifactKey, Entry> patched;
+  while (!entries_.empty()) {
+    auto node = entries_.extract(entries_.begin());
+    SketchKey* key = std::get_if<SketchKey>(&node.key());
+    if (key == nullptr || key->params_fp != old_params_fp ||
+        !patch(*node.mapped().sketch).ok()) {
       // Selectors hold graph-shaped internals (RR arenas, sweep tables,
       // sketch sessions) with no patch path; mismatched-fingerprint
       // sketches were built for params that no longer map onto the new
       // EdgeIds; failed patches are stale. All must go.
-      entries_.erase(it);
       ++stats.evicted;
       ++evictions_;
       continue;
     }
-    entry.params_fp = new_params_fp;
-    entry.graph_token = new_graph_token;
-    const std::string new_key = SketchOracleKey(
-        new_params_fp, entry.options.num_snapshots, entry.options.seed,
-        entry.options.record_edge_offsets, new_graph_token);
-    if (new_key != key) {
-      auto node = entries_.extract(it);
-      node.key() = new_key;
-      entries_.insert(std::move(node));
-    }
+    key->params_fp = new_params_fp;
+    patched.insert(std::move(node));
     ++stats.patched;
   }
+  entries_ = std::move(patched);
   return stats;
 }
 
@@ -288,7 +256,8 @@ std::size_t Workspace::EnforceBudget(uint64_t pin_newer_than) {
         return DecayedHeat(e, tick_) * e.rebuild_cost / bytes;
       };
       // Ascending key order + strict "<" breaks equal-benefit ties
-      // toward the lexicographically smallest key.
+      // toward the smallest ArtifactKey: selectors (by key string), then
+      // sketch arenas (by SketchKey field order).
       double victim_score = 0.0;
       for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (!eligible(it->second)) continue;

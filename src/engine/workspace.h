@@ -8,13 +8,16 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "algo/seed_selector.h"
 #include "diffusion/sketch_oracle.h"
 #include "graph/graph.h"
 #include "model/influence_params.h"
+#include "util/deadline.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace holim {
 
@@ -57,6 +60,28 @@ struct PrefixMemo {
   std::size_t Bytes() const;
 };
 
+/// \brief The name of one cached sketch arena: every input its worlds are
+/// a pure function of, besides the graph the owning engine is bound to.
+/// The Workspace builds the arena's SketchOptions from these fields alone;
+/// the pool and the deadline of a build are call arguments, never part of
+/// the name. HolimEngine::SketchKeyFor derives a request's key.
+struct SketchKey {
+  /// FingerprintParams of the first-layer params the worlds sample.
+  uint64_t params_fp = 0;
+  /// R, the number of worlds.
+  uint32_t snapshots = 0;
+  uint64_t seed = 0;
+  /// SketchOptions::record_edge_offsets.
+  bool edge_offsets = false;
+
+  /// Field order, which is also the heat policy's tie order between arenas.
+  auto operator<=>(const SketchKey&) const = default;
+};
+
+/// A Workspace entry's key: a selector's key string, or a sketch arena's
+/// SketchKey. Every selector orders before every sketch arena.
+using ArtifactKey = std::variant<std::string, SketchKey>;
+
 /// \brief Parameter-keyed cache of the expensive solve artifacts — sketch
 /// oracle arenas (the worlds of every sketch objective, StaticGreedy's
 /// included) and stateful selector instances (which in turn own
@@ -66,37 +91,36 @@ struct PrefixMemo {
 ///
 /// ## Cache keys & invalidation
 ///
-/// Keys are explicit strings built by HolimEngine from the *content*
-/// fingerprint of the model parameters (a word-at-a-time ContentHash over
-/// the probability / opinion vectors — see FingerprintParams), taken at
-/// most once per solve and handed to every key built for it, plus every
-/// request knob that can influence the artifact (RNG seed, sample budget,
-/// algorithm options). A key either matches exactly — and reuse is bitwise-
-/// equivalent to a cold build, because every artifact is a deterministic
-/// pure function of its key (the RNG-sharding contracts of the RR engine,
-/// the sketch oracle, and the sweep kernel) and every cached selector's
-/// re-Select is deterministic (SeedSelector contract) — or it misses and
-/// a fresh artifact is built. There is no approximate reuse. The one
-/// partial reuse is exact: a cached prefix-nested selector's PrefixMemo
-/// answers any k its longest run covers, because that answer is the first
-/// k rounds of the run, bit for bit.
-///
-/// Once the engine applies a graph delta, keys additionally carry the
-/// engine's graph token — "(base fingerprint, delta epoch)" — because the
-/// params fingerprint alone cannot distinguish two topologies whose edge
-/// counts and probability vectors happen to coincide (e.g. a delta that
-/// moves an edge under uniform IC). The token is empty before the first
-/// delta, keeping epoch-0 keys byte-identical to the pre-streaming format.
+/// A sketch arena is keyed by a SketchKey; a selector by a string that
+/// HolimEngine builds. Both carry the *content* fingerprint of the model
+/// parameters (a word-at-a-time ContentHash over the probability /
+/// opinion vectors — see FingerprintParams), taken at most once per solve,
+/// plus every request knob that can influence the artifact (RNG seed,
+/// sample budget, algorithm options). A key either matches exactly — and
+/// reuse is bitwise-equivalent to a cold build, because every artifact is
+/// a deterministic pure function of its key and the current graph (the
+/// RNG-sharding contracts of the RR engine, the sketch oracle, and the
+/// sweep kernel) and every cached selector's re-Select is deterministic
+/// (SeedSelector contract) — or it misses and a fresh artifact is built.
+/// There is no approximate reuse. The one partial reuse is exact: a
+/// cached prefix-nested selector's PrefixMemo answers any k its longest
+/// run covers, because that answer is the first k rounds of the run, bit
+/// for bit.
 ///
 /// ## Delta patching (ApplyGraphDelta)
 ///
-/// When the engine's graph advances an epoch, sketch artifacts built
-/// against the *current* params fingerprint are patched in place via
-/// SketchOracle::ApplyDelta and re-keyed under the new (fingerprint,
-/// token); every other artifact — selectors (whose score tables / sketch
-/// sessions reference the old graph) and sketches
-/// under a different params fingerprint — is evicted. Patched reuse stays
-/// bitwise-equivalent: ApplyDelta's output is pinned to the cold rebuild.
+/// No key names the graph. When the engine's graph advances an epoch,
+/// sketch arenas built against the *current* params fingerprint are
+/// patched in place via SketchOracle::ApplyDelta and re-filed under the new
+/// fingerprint; every other artifact — selectors (whose score tables /
+/// sketch sessions reference the old graph), sketches under a different
+/// params fingerprint, and failed patches — is evicted. So every artifact
+/// alive after a delta describes the new graph, and a key cannot match an
+/// artifact of an older epoch even when a delta leaves the params
+/// fingerprint unchanged (a delta that moves an edge under uniform IC):
+/// that arena was patched, and its reuse is a hit on the new graph.
+/// Patched reuse stays bitwise-equivalent: ApplyDelta's output is pinned
+/// to the cold rebuild.
 ///
 /// ## Budget & eviction
 ///
@@ -124,8 +148,9 @@ struct PrefixMemo {
 ///    units; selectors: their footprint bytes, a stand-in that ranks them
 ///    below same-heat arenas). The victim is the artifact with the lowest
 ///    benefit-per-byte = heat * rebuild_cost / bytes; ties break toward
-///    the lexicographically smallest key, so eviction order is a pure
-///    function of the access sequence — never of wall time.
+///    the smallest ArtifactKey — a selector before any arena, selectors by
+///    key string, arenas by SketchKey field order — so eviction order is
+///    a pure function of the access sequence, never of wall time.
 ///
 /// An evicted artifact leaves nothing behind: its next request rebuilds
 /// it like any other miss.
@@ -137,32 +162,27 @@ class Workspace {
   /// `max_bytes` 0 = unlimited.
   explicit Workspace(std::size_t max_bytes = 0) : max_bytes_(max_bytes) {}
 
-  /// Returns the sketch oracle for `options`, building and caching it on
-  /// a miss. The key is derived HERE from (`params_fp`, options, graph
-  /// token) — see SketchOracleKey — so a caller cannot hand in options that
-  /// disagree with the key they are cached under. `params_fp` must be
-  /// FingerprintParams(params): like ApplyGraphDelta, the workspace takes
-  /// the caller's fingerprint so a solve hashes its params once, not once
-  /// per artifact. `reused` (optional) reports whether the artifact was
-  /// served warm. A failed build is a typed error, never an abort:
+  /// Returns the sketch oracle named by `key`, building and caching it on
+  /// a miss with SketchOptions taken from the key's fields; `pool` and
+  /// `deadline` (both may be null) only steer that build. `key.params_fp`
+  /// must be FingerprintParams(params): like ApplyGraphDelta, the
+  /// workspace takes the caller's fingerprint so a solve hashes its params
+  /// once, not once per artifact. A failed build is a typed error, never an
+  /// abort:
   ///  * an armed "workspace/sketch" fault injection point fires here;
-  ///  * a deadline in `options` that expires mid-sampling aborts the build
-  ///    (the oracle's build_status) — the partial artifact is NOT cached;
+  ///  * a `deadline` that expires mid-sampling aborts the build (the
+  ///    oracle's build_status) — the partial artifact is NOT cached;
   ///  * under a hard byte budget (set_hard_budget), an artifact that still
   ///    does not fit after one evict-and-retry is dropped and
   ///    kResourceExhausted returned.
-  /// Cached entries always store options with deadline = nullptr — the
-  /// deadline dies with the solve that carried it.
   Result<std::shared_ptr<const SketchOracle>> GetSketchOracle(
-      const Graph& graph, const InfluenceParams& params, uint64_t params_fp,
-      const SketchOptions& options, const std::string& graph_token = "",
-      bool* reused = nullptr);
+      const Graph& graph, const InfluenceParams& params, const SketchKey& key,
+      ThreadPool* pool = nullptr, Deadline* deadline = nullptr);
 
-  /// The cached sketch under `key` (from SketchOracleKey), or nullptr —
-  /// never builds and does not count as a hit/miss or LRU touch (used
-  /// for reporting).
+  /// The cached sketch under `key`, or nullptr — never builds and does not
+  /// count as a hit/miss or LRU touch (used for reporting).
   std::shared_ptr<const SketchOracle> PeekSketchOracle(
-      const std::string& key) const;
+      const SketchKey& key) const;
 
   /// Returns the cached selector for `key`, or builds one with `build`
   /// and caches it. The pointer stays valid until the entry is evicted or
@@ -204,13 +224,12 @@ class Workspace {
   };
 
   /// Migrates the cache across a graph epoch: every sketch artifact whose
-  /// params fingerprint equals `old_params_fp` is handed to `patch`
+  /// key's params fingerprint equals `old_params_fp` is handed to `patch`
   /// (which should call SketchOracle::ApplyDelta) and, on success,
-  /// re-keyed under (`new_params_fp`, `new_graph_token`); every other
-  /// artifact is evicted. See the class comment.
+  /// re-filed under its key with `new_params_fp`; every other artifact is
+  /// evicted. See the class comment.
   DeltaPatchStats ApplyGraphDelta(
       uint64_t old_params_fp, uint64_t new_params_fp,
-      const std::string& new_graph_token,
       const std::function<Status(SketchOracle&)>& patch);
 
   /// Evicts artifacts until the footprint fits the budget (no-op when
@@ -250,12 +269,12 @@ class Workspace {
 
   /// The decayed heat of `key` as of the current tick (0 when absent).
   /// Read-only: no LRU touch, no decay state mutation.
-  double HeatOf(const std::string& key) const;
+  double HeatOf(const ArtifactKey& key) const;
 
   /// The kHeatBenefit eviction score of `key`:
   /// heat * rebuild_cost_estimate / bytes (0 when absent). Lowest goes
   /// first.
-  double BenefitPerByte(const std::string& key) const;
+  double BenefitPerByte(const ArtifactKey& key) const;
 
   /// Hard budget mode (off by default): with a byte budget set, an
   /// artifact admission that still exceeds the budget after one LRU
@@ -290,11 +309,6 @@ class Workspace {
     double heat = 0.0;
     uint64_t heat_tick = 0;
     double rebuild_cost = 0.0;
-    // Sketch-entry metadata mirrored out of the key so ApplyGraphDelta
-    // can match and re-key entries without parsing key strings.
-    uint64_t params_fp = 0;
-    std::string graph_token;
-    SketchOptions options;
 
     std::size_t FootprintBytes() const {
       if (sketch) return sketch->ArenaBytes();
@@ -302,13 +316,13 @@ class Workspace {
     }
   };
 
-  Entry* Touch(const std::string& key);
+  Entry* Touch(const ArtifactKey& key);
   /// Hard-budget admission check for an artifact of `incoming_bytes` about
   /// to be cached: evict-and-retry once, then OK or kResourceExhausted.
   Status AdmitBytes(std::size_t incoming_bytes);
   /// `entry`'s heat decayed to `now` (pure; no state change).
   double DecayedHeat(const Entry& entry, uint64_t now) const;
-  std::map<std::string, Entry> entries_;
+  std::map<ArtifactKey, Entry> entries_;
   std::size_t max_bytes_ = 0;
   bool hard_budget_ = false;
   EvictionPolicy policy_ = EvictionPolicy::kLru;
@@ -342,15 +356,6 @@ uint64_t FingerprintDoubles(const std::vector<double>& values);
 /// seed sets). Order-sensitive, matching explain's order-dependent
 /// contributions; the length is folded in, so a trailing node 0 counts.
 uint64_t FingerprintNodes(const std::vector<NodeId>& nodes);
-
-/// Canonical workspace key of a sketch-oracle artifact — shared by the
-/// engine's spread evaluation and the greedy/CELF factories so one arena
-/// serves both. `graph_token` is the engine's "(base fingerprint, delta
-/// epoch)" tag; empty (the default, and always at epoch 0) appends
-/// nothing, keeping pre-streaming keys byte-identical.
-std::string SketchOracleKey(uint64_t params_fingerprint, uint32_t snapshots,
-                            uint64_t seed, bool record_edge_offsets,
-                            const std::string& graph_token = "");
 
 }  // namespace holim
 

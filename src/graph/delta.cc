@@ -6,8 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "util/content_hash.h"
-
 namespace holim {
 
 namespace {
@@ -207,22 +205,8 @@ Result<InfluenceParams> ApplyDeltaToParams(const Graph& old_graph,
   return out;
 }
 
-uint64_t FingerprintGraph(const Graph& graph) {
-  ContentHash hash;
-  hash.Word(graph.num_nodes());
-  // Each adjacency run with its byte length: the runs spell out both the
-  // out-offsets and the out-targets.
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    const std::span<const NodeId> targets = graph.OutNeighbors(u);
-    hash.Bytes(targets.data(), targets.size_bytes());
-  }
-  return hash.value();
-}
-
 StreamingGraph::StreamingGraph(const Graph& base)
-    : current_(&base),
-      previous_(&base),
-      base_fingerprint_(FingerprintGraph(base)) {}
+    : current_(&base), previous_(&base) {}
 
 Result<ResolvedDelta> StreamingGraph::Apply(const GraphDelta& delta) {
   Result<ResolvedDelta> resolved = ResolveDelta(*current_, delta);

@@ -87,12 +87,6 @@ Result<InfluenceParams> ApplyDeltaToParams(const Graph& old_graph,
                                            const Graph& new_graph,
                                            const ResolvedDelta& resolved);
 
-/// Content fingerprint of the adjacency structure (ContentHash over n and
-/// each node's out-target run with its length, which together spell out
-/// the out-CSR). Two graphs with equal CSR contents collide by
-/// construction; distinct topologies collide with a 64-bit hash's odds.
-uint64_t FingerprintGraph(const Graph& graph);
-
 /// \brief Epoch chain over a base Graph: apply deltas, keep the previous
 /// epoch alive for artifact patching.
 ///
@@ -115,7 +109,6 @@ class StreamingGraph {
   const Graph& graph() const { return *current_; }
   const Graph& previous() const { return *previous_; }
   uint64_t epoch() const { return epoch_; }
-  uint64_t base_fingerprint() const { return base_fingerprint_; }
 
  private:
   friend Result<Graph> ApplyDeltaToGraph(const Graph& graph,
@@ -130,7 +123,6 @@ class StreamingGraph {
   std::unique_ptr<Graph> owned_current_;
   std::unique_ptr<Graph> owned_previous_;
   uint64_t epoch_ = 0;
-  uint64_t base_fingerprint_ = 0;
 };
 
 /// Seeded random churn batch for the CLI `--churn` replay, the streaming

@@ -10,7 +10,9 @@
 namespace holim {
 
 /// Synthetic graph generators used as stand-ins for the paper's SNAP
-/// datasets (see DESIGN.md, substitution table) and as test fixtures.
+/// datasets (data/datasets.h picks one per Table 2 row, and
+/// `bench_table2_datasets` prints each stand-in's shape next to the
+/// paper's) and as test fixtures.
 /// All generators are deterministic in their seed.
 
 /// G(n, p)-style random digraph with expected `avg_out_degree` out-edges per

@@ -81,8 +81,8 @@ Status HolimServer::AddTenant(Graph graph) {
   // All three first-layer models up front: SolveRequest borrows params by
   // pointer, so they must live as long as the engine, and building them
   // here keeps Execute allocation-free on the model axis. Their
-  // fingerprints wait for each model's first admission (ArenaKeyFor), so
-  // start-up pays no hashing.
+  // fingerprints wait for each model's first admission (SolveRequestFor),
+  // so start-up pays no hashing.
   tenant->models.try_emplace("IC", MakeUniformIc(tenant->graph));
   tenant->models.try_emplace("WC", MakeWeightedCascade(tenant->graph));
   tenant->models.try_emplace("LT", MakeLinearThreshold(tenant->graph));
@@ -95,18 +95,26 @@ Status HolimServer::AddTenant(Graph graph) {
   return Status::OK();
 }
 
-std::string HolimServer::ArenaKeyFor(Tenant& tenant,
-                                     const ProtocolRequest& request) {
-  // Mirrors HolimEngine::Solve's sketch key exactly (same fingerprint,
-  // R, seed, no edge offsets, current graph token) — the affinity
-  // scheduler and the coalescing counter key on the same artifact the
-  // engine will fetch. A tenant's params never change, so each model is
-  // hashed once per process.
+SolveRequest HolimServer::SolveRequestFor(Tenant& tenant,
+                                          const ProtocolRequest& request) {
+  // A tenant's params never change, so each model is hashed once per
+  // process, and a served solve hashes no probabilities: the engine keys
+  // its artifacts on this stored value.
   Model& model = tenant.models.at(request.model);
   if (!model.fingerprint) model.fingerprint = FingerprintParams(model.params);
-  return SketchOracleKey(*model.fingerprint, options_.num_sketches,
-                         options_.seed, /*record_edge_offsets=*/false,
-                         tenant.engine->graph_token());
+  SolveRequest solve;
+  solve.algorithm = request.algo;
+  solve.k = std::min<uint32_t>(request.k, tenant.graph.num_nodes());
+  solve.query = request.query;
+  solve.params = &model.params;
+  solve.params_fingerprint = model.fingerprint;
+  solve.oracle = SpreadOracle::kSketch;
+  solve.num_sketches = options_.num_sketches;
+  solve.mc = options_.num_sketches;
+  solve.seed = options_.seed;
+  solve.evaluate_spread = true;
+  solve.clock = options_.clock;
+  return solve;
 }
 
 Status HolimServer::Submit(const ProtocolRequest& request) {
@@ -126,7 +134,11 @@ Status HolimServer::Submit(const ProtocolRequest& request) {
   Tenant& tenant = *tenants_[request.tenant];
   Pending pending;
   pending.request = request;
-  pending.arena_key = ArenaKeyFor(tenant, request);
+  pending.solve = SolveRequestFor(tenant, request);
+  // The arena the engine will fetch: the affinity scheduler and the
+  // coalescing counter key on it.
+  pending.arena_key = HolimEngine::SketchKeyFor(
+      pending.solve, *pending.solve.params_fingerprint);
   pending.enqueue_nanos = clock().NowNanos();
   pending.cold_at_admission =
       tenant.engine->workspace().PeekSketchOracle(pending.arena_key) ==
@@ -146,7 +158,7 @@ Result<ProtocolReply> HolimServer::DispatchNext() {
 
 HolimServer::Pending HolimServer::PopNext() {
   auto it = queue_.begin();
-  if (options_.affinity && !last_arena_key_.empty()) {
+  if (options_.affinity && last_arena_key_.has_value()) {
     // Earliest queued request sharing the last-dispatched arena: the
     // whole same-key group runs back to back off one build. Falls back
     // to FIFO front, so no request can starve longer than one group.
@@ -164,24 +176,7 @@ HolimServer::Pending HolimServer::PopNext() {
 
 Result<ProtocolReply> HolimServer::Execute(const Pending& pending) {
   Tenant& tenant = *tenants_[pending.request.tenant];
-  const Model& model = tenant.models.at(pending.request.model);
-  // Admission (ArenaKeyFor) fingerprinted the model, so a served solve
-  // hashes no probabilities: the engine keys its artifacts on this value.
-  HOLIM_CHECK(model.fingerprint.has_value());
-
-  SolveRequest request;
-  request.algorithm = pending.request.algo;
-  request.k =
-      std::min<uint32_t>(pending.request.k, tenant.graph.num_nodes());
-  request.query = pending.request.query;
-  request.params = &model.params;
-  request.params_fingerprint = model.fingerprint;
-  request.oracle = SpreadOracle::kSketch;
-  request.num_sketches = options_.num_sketches;
-  request.mc = options_.num_sketches;
-  request.seed = options_.seed;
-  request.evaluate_spread = true;
-  request.clock = options_.clock;
+  SolveRequest request = pending.solve;
 
   // Queue-wait deadline charging: the request's deadline budget started
   // at admission. Overstayed requests still get an answer — work_budget=1

@@ -171,7 +171,9 @@ class HolimServer {
 
   struct Pending {
     ProtocolRequest request;
-    std::string arena_key;
+    /// The engine request, built at admission; Execute adds the deadline.
+    SolveRequest solve;
+    SketchKey arena_key;
     int64_t enqueue_nanos = 0;
     /// The arena was absent at admission; if it is present at dispatch,
     /// this request's build was coalesced into an earlier one.
@@ -182,9 +184,9 @@ class HolimServer {
     return options_.clock ? *options_.clock : *Clock::Real();
   }
 
-  /// The Workspace key of the sketch arena `request` will use. Fingerprints
-  /// the request's model on its first use.
-  std::string ArenaKeyFor(Tenant& tenant, const ProtocolRequest& request);
+  /// The deadline-free engine request of `request`. Fingerprints the
+  /// request's model on its first use.
+  SolveRequest SolveRequestFor(Tenant& tenant, const ProtocolRequest& request);
 
   /// Removes and returns the next request to run: the affinity pick when
   /// enabled, else the FIFO front. Queue must be non-empty.
@@ -205,7 +207,7 @@ class HolimServer {
   ServerOptions options_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::deque<Pending> queue_;
-  std::string last_arena_key_;  ///< affinity target
+  std::optional<SketchKey> last_arena_key_;  ///< affinity target
   ServerStats stats_;
 };
 

@@ -8,7 +8,7 @@
 namespace holim {
 
 /// \brief Word-at-a-time content hash behind every cache fingerprint
-/// (FingerprintParams and its siblings, FingerprintGraph).
+/// (FingerprintParams and its siblings).
 ///
 /// Each step folds one 64-bit word: the state is xored with the word and
 /// multiplied by an odd constant, both bijections of the state, then

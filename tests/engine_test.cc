@@ -95,9 +95,10 @@ TEST_F(EngineTest, SolveMatchesDirectCallColdWarmAndAcrossThreads) {
       // Direct: exactly what the factory builds, selected without any
       // engine or workspace in the loop.
       Workspace scratch_workspace;
-      SolveContext ctx{graph_, request, scratch_workspace,
-                       threads == 0 ? nullptr : &direct_pool,
-                       /*graph_token=*/"", FingerprintParams(params_)};
+      SolveContext ctx{
+          graph_, request, scratch_workspace,
+          threads == 0 ? nullptr : &direct_pool,
+          HolimEngine::SketchKeyFor(request, FingerprintParams(params_))};
       auto built = info->factory(ctx);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       auto direct = (*built)->Select(request.k);

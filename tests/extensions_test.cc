@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "algo/asim.h"
 #include "algo/celf.h"
@@ -211,6 +212,49 @@ TEST(StaticGreedyTest, SnapshotMemoryAccounted) {
     EXPECT_EQ(result->workspace_bytes, oracle->ArenaBytes() +
                                            twin->MemoryFootprintBytes() +
                                            memo.Bytes());
+  }
+}
+
+TEST(SketchCelfTest, CachedSelectorIsChargedItsLaneWords) {
+  // After Select a cached sketch CELF retains its session's activated and
+  // pending lane words, (ceil(R / 64) + 1) n words, plus a targeted
+  // objective's weight copy: the probe undo log and worklist die with the
+  // run. The Workspace adds the arena and the top-k prefix memo.
+  const Graph g = GenerateBarabasiAlbert(300, 3, 5).ValueOrDie();
+  const auto params = MakeWeightedCascade(g);
+  const uint32_t snapshots = 100;
+  const std::size_t n = g.num_nodes();
+  const std::size_t lane_bytes =
+      ((snapshots + 63) / 64 + 1) * n * sizeof(uint64_t);
+  for (const uint32_t k : {1u, 5u, 20u}) {
+    for (const bool targeted : {false, true}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   (targeted ? " targeted" : " top-k"));
+      SolveRequest request;
+      request.algorithm = "celf";
+      request.k = k;
+      request.params = &params;
+      request.oracle = SpreadOracle::kSketch;
+      request.num_sketches = snapshots;
+      if (targeted) {
+        request.query = QueryKind::kTargeted;
+        request.target_weights.assign(n, 1.0);
+      }
+      HolimEngine engine(g);
+      auto result = engine.Solve(request);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->seeds.size(), k);
+      PrefixMemo memo;
+      if (!targeted) {
+        SeedSelection selection;
+        selection.seeds = result->seeds;
+        selection.seed_scores = result->seed_scores;
+        memo.Record(k, selection);
+      }
+      EXPECT_EQ(result->workspace_bytes,
+                result->sketch_arena_bytes + lane_bytes +
+                    (targeted ? n * sizeof(double) : 0) + memo.Bytes());
+    }
   }
 }
 

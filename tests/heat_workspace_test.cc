@@ -15,6 +15,7 @@
 #include "engine/workspace.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "model/influence_params.h"
 
 namespace holim {
@@ -105,6 +106,29 @@ TEST(HeatEvictionTest, EqualBenefitTieBreaksTowardSmallestKey) {
   EXPECT_EQ(ws.PeekSelector("a"), nullptr);
   EXPECT_NE(ws.PeekSelector("b"), nullptr);
   EXPECT_NE(ws.PeekSelector("c"), nullptr);
+}
+
+TEST(HeatEvictionTest, EqualBenefitArenasTieBreakBySketchKeyFieldOrder) {
+  // Two arenas on an edgeless graph that differ only in seed have equal
+  // bytes, rebuild cost and heat, so equal benefit. The victim is the
+  // smaller SketchKey, seed 9: neither recency (seed 10 is older) nor the
+  // keys' decimal rendering ("seed=10" < "seed=9") would pick it.
+  const Graph graph = GraphBuilder(50).Build().ValueOrDie();
+  const InfluenceParams params = MakeUniformIc(graph, 0.1);
+  const SketchKey seed9{
+      .params_fp = FingerprintParams(params), .snapshots = 64, .seed = 9};
+  SketchKey seed10 = seed9;
+  seed10.seed = 10;
+  Workspace ws;
+  ws.set_eviction_policy(Workspace::EvictionPolicy::kHeatBenefit);
+  ws.set_heat_half_life(1u << 20);  // effectively no decay
+  ASSERT_TRUE(ws.GetSketchOracle(graph, params, seed10).ok());
+  ASSERT_TRUE(ws.GetSketchOracle(graph, params, seed9).ok());
+  ASSERT_EQ(ws.BenefitPerByte(seed9), ws.BenefitPerByte(seed10));
+  ws.set_max_bytes(ws.MemoryFootprintBytes() - 1);  // fits one arena
+  EXPECT_EQ(ws.EnforceBudget(), 1u);
+  EXPECT_EQ(ws.PeekSketchOracle(seed9), nullptr);
+  EXPECT_NE(ws.PeekSketchOracle(seed10), nullptr);
 }
 
 TEST(HeatEvictionTest, HeatOutranksRecencyWhereLruWould) {

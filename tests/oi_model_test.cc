@@ -71,7 +71,7 @@ TEST(Figure1Test, OpinionSpreadMatchesExample2) {
                                   OiBase::kIndependentCascade, {net.A}, 1.0, mc);
   EXPECT_NEAR(eA.opinion_spread, 0.136, 0.005);
   // For B the paper reports -0.022564, but that value is not derivable from
-  // the stated OI dynamics (see EXPERIMENTS.md): exact case analysis gives
+  // the stated OI dynamics: exact case analysis gives
   //   0.1*0.4 (A) + 0.1*0.3 (C) + D-terms ~= +0.0484.
   // A, C and D all match the paper exactly, so we assert the analytic value.
   auto eB = EstimateOpinionSpread(net.graph, net.influence, net.opinions,

@@ -71,8 +71,9 @@ TEST(PrefixContractTest, PrefixNestedAlgorithmsSelectNestedPrefixes) {
         SolveRequest request = BaseRequest(*info, params, opinions);
         request.mc = 8;  // the contract holds for any mc; this keeps it fast
         Workspace workspace;
-        const SolveContext ctx{graph, request, workspace, nullptr, "",
-                               FingerprintParams(params)};
+        const SolveContext ctx{
+            graph, request, workspace, nullptr,
+            HolimEngine::SketchKeyFor(request, FingerprintParams(params))};
         auto large_selector = info->factory(ctx);
         ASSERT_TRUE(large_selector.ok()) << large_selector.status().ToString();
         auto large = (*large_selector)->Select(kLarge);
@@ -192,9 +193,9 @@ TEST_F(PrefixMemoEngineTest, HitTouchesTheWorkspaceLikeAReselect) {
   EXPECT_EQ(a.misses(), b.misses());
   EXPECT_EQ(a.evictions(), b.evictions());
   EXPECT_EQ(a.num_artifacts(), b.num_artifacts());
-  const std::string sketch_key =
-      SketchOracleKey(FingerprintParams(params_), 32, 11,
-                      /*record_edge_offsets=*/false);
+  const SketchKey sketch_key{.params_fp = FingerprintParams(params_),
+                             .snapshots = 32,
+                             .seed = 11};
   EXPECT_EQ(a.HeatOf(sketch_key), b.HeatOf(sketch_key));
   EXPECT_GT(a.HeatOf(sketch_key), 0.0);
 }

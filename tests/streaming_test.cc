@@ -182,8 +182,9 @@ TEST(GraphDeltaTest, StreamingGraphEpochChain) {
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(streaming.epoch(), 1u);
   EXPECT_EQ(&streaming.previous(), &base);
-  EXPECT_EQ(streaming.base_fingerprint(), FingerprintGraph(base));
-  EXPECT_NE(FingerprintGraph(streaming.graph()), FingerprintGraph(base));
+  EXPECT_EQ(streaming.graph().num_edges(), base.num_edges() + 1);
+  const auto row = streaming.graph().OutNeighbors(0);
+  EXPECT_NE(std::find(row.begin(), row.end(), 49), row.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -307,53 +308,42 @@ TEST(SketchDeltaTest, RejectsModelChangeAndSizeMismatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Workspace key property: the (base fingerprint, delta epoch) token
+// Workspace::ApplyGraphDelta: patch the matching arenas, evict the rest
 // ---------------------------------------------------------------------------
-
-TEST(WorkspaceDeltaTest, EmptyTokenKeepsLegacyKeyFormat) {
-  EXPECT_EQ(SketchOracleKey(1, 2, 3, false),
-            SketchOracleKey(1, 2, 3, false, ""));
-  EXPECT_NE(SketchOracleKey(1, 2, 3, false),
-            SketchOracleKey(1, 2, 3, false, "g=1@1"));
-  EXPECT_NE(SketchOracleKey(1, 2, 3, false, "g=1@1"),
-            SketchOracleKey(1, 2, 3, false, "g=1@2"));
-}
 
 TEST(WorkspaceDeltaTest, ApplyGraphDeltaPatchesMatchingSketchesOnly) {
   const Graph base = TestGraph(80, 6);
   const auto params = MakeUniformIc(base, 0.1);
   const auto other = MakeUniformIc(base, 0.2);
   const uint64_t fp = FingerprintParams(params);
+  const SketchKey seed1{.params_fp = fp, .snapshots = 32, .seed = 1};
+  const SketchKey seed2{.params_fp = fp, .snapshots = 32, .seed = 2};
   Workspace workspace;
-  ASSERT_TRUE(workspace.GetSketchOracle(base, params, fp, Opts(32, 1)).ok());
+  ASSERT_TRUE(workspace.GetSketchOracle(base, params, seed1).ok());
   // Second seed, then another fingerprint.
-  ASSERT_TRUE(workspace.GetSketchOracle(base, params, fp, Opts(32, 2)).ok());
+  ASSERT_TRUE(workspace.GetSketchOracle(base, params, seed2).ok());
   ASSERT_TRUE(workspace
-                  .GetSketchOracle(base, other, FingerprintParams(other),
-                                   Opts(32, 1))
+                  .GetSketchOracle(base, other,
+                                   {.params_fp = FingerprintParams(other),
+                                    .snapshots = 32,
+                                    .seed = 1})
                   .ok());
   ASSERT_EQ(workspace.num_artifacts(), 3u);
 
-  const auto stats = workspace.ApplyGraphDelta(
-      fp, fp, "g=7@1", [&](SketchOracle& sketch) {
-        return sketch.ApplyDelta(base, params);  // no-op patch (same graph)
+  // A no-op patch (same graph) re-filed under a new fingerprint.
+  const uint64_t new_fp = fp + 1;
+  const auto stats =
+      workspace.ApplyGraphDelta(fp, new_fp, [&](SketchOracle& sketch) {
+        return sketch.ApplyDelta(base, params);
       });
   EXPECT_EQ(stats.patched, 2u);
   EXPECT_EQ(stats.evicted, 1u);
   EXPECT_EQ(workspace.num_artifacts(), 2u);
-  // The survivors moved to token-carrying keys: a token-less lookup
-  // misses (builds fresh), a token lookup hits.
-  bool reused = false;
-  ASSERT_TRUE(workspace
-                  .GetSketchOracle(base, params, fp, Opts(32, 1), "g=7@1",
-                                   &reused)
-                  .ok());
-  EXPECT_TRUE(reused);
-  ASSERT_TRUE(workspace
-                  .GetSketchOracle(base, params, fp, Opts(32, 2), "g=7@1",
-                                   &reused)
-                  .ok());
-  EXPECT_TRUE(reused);
+  for (SketchKey key : {seed1, seed2}) {
+    EXPECT_EQ(workspace.PeekSketchOracle(key), nullptr);
+    key.params_fp = new_fp;
+    EXPECT_NE(workspace.PeekSketchOracle(key), nullptr);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +374,7 @@ TEST(EngineDeltaTest, WarmSolveAfterDeltaEqualsColdEngine) {
   const Graph base = TestGraph();
   InfluenceParams params = MakeWeightedCascade(base);
   HolimEngine engine(base);
-  EXPECT_EQ(engine.graph_token(), "");
+  EXPECT_EQ(engine.epoch(), 0u);
   auto first = engine.Solve(StreamRequest(params));
   ASSERT_TRUE(first.ok()) << first.status().message();
 
@@ -396,7 +386,7 @@ TEST(EngineDeltaTest, WarmSolveAfterDeltaEqualsColdEngine) {
     ASSERT_TRUE(report.ok()) << report.status().message();
     ASSERT_TRUE(report->effective);
     EXPECT_EQ(report->epoch, static_cast<uint64_t>(step + 1));
-    EXPECT_NE(engine.graph_token(), "");
+    EXPECT_EQ(engine.epoch(), report->epoch);
     current = std::move(report->params);
 
     auto warm = engine.Solve(StreamRequest(current));
@@ -420,7 +410,8 @@ TEST(EngineDeltaTest, SketchArtifactIsPatchedNotRebuilt) {
   auto report = engine.ApplyDelta(delta, params);
   ASSERT_TRUE(report.ok()) << report.status().message();
   EXPECT_GE(report->patched_sketches, 1u);  // the celf objective's arena
-  // The warm solve reuses the patched arena under the new token.
+  // The warm solve reuses the patched arena, re-filed under the new
+  // params fingerprint.
   auto warm = engine.Solve(StreamRequest(report->params));
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->warm_sketch);
@@ -436,14 +427,16 @@ TEST(EngineDeltaTest, NoOpDeltaLeavesEngineUntouched) {
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->effective);
   EXPECT_EQ(report->epoch, 0u);
-  EXPECT_EQ(engine.graph_token(), "");
+  EXPECT_EQ(engine.epoch(), 0u);
   EXPECT_EQ(&engine.graph(), &base);
   EXPECT_EQ(report->params.probability, params.probability);
 }
 
 // A delta that moves an edge under uniform IC keeps the params fingerprint
-// identical (same m, same probabilities) — only the graph token separates
-// the epochs. Before the token existed this warm-reused a stale arena.
+// identical (same m, same probabilities), so the post-delta solve derives
+// the very key the pre-delta arena was cached under. That is safe because
+// ApplyDelta patched the arena to the new graph and re-filed it: the solve
+// hits the patched arena, whose bits are the cold rebuild's.
 TEST(EngineDeltaTest, FingerprintCollidingDeltaDoesNotReuseStaleArtifacts) {
   const Graph base = TestGraph();
   InfluenceParams params = MakeUniformIc(base, 0.1);
@@ -475,6 +468,69 @@ TEST(EngineDeltaTest, FingerprintCollidingDeltaDoesNotReuseStaleArtifacts) {
   auto cold = cold_engine.Solve(StreamRequest(report->params));
   ASSERT_TRUE(cold.ok());
   ExpectSolvesEqual(*warm, *cold);
+}
+
+// Removes `graph`'s edge 0 and inserts an absent edge from the same source
+// at probability `p`: under uniform IC at that p, the params fingerprint
+// does not move.
+GraphDelta MoveFirstEdge(const Graph& graph, double p) {
+  const NodeId src = graph.EdgeSource(0);
+  const auto row = graph.OutNeighbors(src);
+  NodeId dst = (graph.EdgeTarget(0) + 1) % graph.num_nodes();
+  while (dst == src || std::find(row.begin(), row.end(), dst) != row.end()) {
+    dst = (dst + 1) % graph.num_nodes();
+  }
+  GraphDelta delta;
+  delta.Remove(src, graph.EdgeTarget(0));
+  delta.Upsert(src, dst, p);
+  return delta;
+}
+
+// The invariant that lets no cache key name the graph epoch: with an
+// unlimited budget, every effective ApplyDelta leaves only patched sketch
+// arenas in the workspace (no selector survives it), and the next solve
+// reads its arena warm.
+TEST(EngineDeltaTest, EveryEffectiveDeltaLeavesOnlyPatchedArenas) {
+  const Graph base = TestGraph();
+  const InfluenceParams models[] = {MakeUniformIc(base, 0.1),
+                                    MakeWeightedCascade(base),
+                                    MakeLinearThreshold(base)};
+  for (const InfluenceParams& params : models) {
+    SCOPED_TRACE(DiffusionModelName(params.model));
+    HolimEngine engine(base);
+    InfluenceParams current = params;
+    Rng rng(43);
+    for (int step = 0; step < 4; ++step) {
+      // Two arenas (celf's R = 64, degreediscount's R = 32 evaluation)
+      // and two selectors.
+      SolveRequest degree = StreamRequest(current, "degreediscount");
+      degree.num_sketches = 32;
+      ASSERT_TRUE(engine.Solve(StreamRequest(current)).ok());
+      ASSERT_TRUE(engine.Solve(degree).ok());
+      ASSERT_EQ(engine.workspace().num_artifacts(), 4u);
+
+      // Three random batches, then the fingerprint-colliding edge move.
+      const bool move = step == 3;
+      const GraphDelta delta = move ? MoveFirstEdge(engine.graph(), 0.1)
+                                    : MakeRandomDelta(engine.graph(), 48, rng);
+      auto report = engine.ApplyDelta(delta, current);
+      ASSERT_TRUE(report.ok()) << report.status().message();
+      ASSERT_TRUE(report->effective);
+      if (move && params.model == DiffusionModel::kIndependentCascade) {
+        ASSERT_EQ(FingerprintParams(report->params),
+                  FingerprintParams(current));
+      }
+      EXPECT_EQ(report->patched_sketches, 2u);
+      EXPECT_EQ(report->evicted_artifacts, 2u);
+      EXPECT_EQ(engine.workspace().num_artifacts(), report->patched_sketches);
+      current = std::move(report->params);
+
+      auto warm = engine.Solve(StreamRequest(current));
+      ASSERT_TRUE(warm.ok()) << warm.status().message();
+      EXPECT_TRUE(warm->warm_sketch);
+      EXPECT_FALSE(warm->warm_selector);
+    }
+  }
 }
 
 // Latent-assumption audit: selectors that snapshot graph-shaped state at

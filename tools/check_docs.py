@@ -40,14 +40,21 @@ Checks, relative to the repo root (the script's parent directory):
      DeclareCommonOptions in src/bench_support/experiment.cc, and
      `--help`.
 
+  6. Every `*.md` file named in a code comment under src/, bench/, tools/,
+     tests/ or examples/ exists at the repo root, in docs/, or next to the
+     commenting file, so a comment never sends its reader to a document
+     that does not exist.
+
 Exit 1 with a per-finding message on any violation.
 
 Usage: python3 tools/check_docs.py
 """
 
+import io
 import pathlib
 import re
 import sys
+import tokenize
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -276,6 +283,40 @@ def check_flag_table(readme_text, heading, binary, sources, implicit,
                         f"'--{stale}' is not a {binary} flag")
 
 
+CODE_DIRS = ("src", "bench", "tools", "tests", "examples")
+CPP_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
+# String and char literals are matched (and skipped) so a "//" inside one
+# never starts a comment.
+CPP_TOKEN_RE = re.compile(r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])\'|'
+                          r"(//[^\n]*|/\*.*?\*/)", re.DOTALL)
+MD_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b")
+
+
+def comments(path):
+    """The comment text of one C++ or Python source file."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".py":
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        return [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+    return [m.group(1) for m in CPP_TOKEN_RE.finditer(text) if m.group(1)]
+
+
+def check_comment_docs(failures):
+    for top in CODE_DIRS:
+        for path in sorted((REPO / top).rglob("*")):
+            if path.suffix not in CPP_SUFFIXES | {".py"}:
+                continue
+            for comment in comments(path):
+                for name in MD_NAME_RE.findall(comment):
+                    if any((base / name).exists()
+                           for base in (REPO, REPO / "docs", path.parent)):
+                        continue
+                    failures.append(f"{path.relative_to(REPO)}: comment "
+                                    f"cites '{name}', which is not at the "
+                                    "repo root, in docs/, or next to the "
+                                    "file")
+
+
 def main():
     failures = []
     files = doc_files()
@@ -294,6 +335,7 @@ def main():
         for heading, binary, sources, implicit in FLAG_TABLES:
             check_flag_table(readme_text, heading, binary, sources, implicit,
                              failures)
+    check_comment_docs(failures)
 
     if failures:
         print("docs-gate FAILED:", file=sys.stderr)
